@@ -31,16 +31,19 @@ cosine drive must be offset by pi/2 + arg<psi_m| I_axis |psi_n> to realize
 engine phase zero.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import StepTooLarge, ZeroMatrixElement
+from .errors import StepTooLarge
 from .operator_algebra import free_evolution
 from .pulse_engine import (
-    DRIVABLE_THRESHOLD,
+    _axis_operator,
+    _drivable_element,
+    _normalize_axis,
+    _normalize_transition,
+    _pulse_length,
     single_frequency_propagator,
-    transition_matrix_element,
 )
 from .spin_system import (
     EigenSystem,
@@ -228,7 +231,6 @@ def drive_for_pulse(
     axis="Y",
     phase=0.0,
     flip=np.pi,
-    step=None,
 ) -> DrivenSystem:
     """Lab-frame realization of one selective pulse, in the eigenbasis.
 
@@ -237,58 +239,33 @@ def drive_for_pulse(
     engine phase; the duration follows from flip = T * amplitude *
     |element|.
     """
-    element = transition_matrix_element(e, transition, axis)
-    if abs(element) < DRIVABLE_THRESHOLD:
-        raise ZeroMatrixElement(
-            f"transition {tuple(transition)} has |<I_{axis}>| = {abs(element):.2e}; undrivable"
-        )
+    element = _drivable_element(e, transition, axis)
     if params.h_rf <= 0.0:
         raise ValueError("params.h_rf must be > 0 to realize a pulse")
-    from .spin_system import spin_operators
-
-    ix, iy, _ = spin_operators()
-    key = str(axis).upper()
-    op = {"X": ix, "Y": iy}[key]
-    amplitude = 2.0 * params.gamma * params.h_rf
-    duration = float(flip) / (amplitude * abs(element))
-    m, n = sorted((int(transition[0]), int(transition[1])))
-    omega = float(e.energies[m - 1] - e.energies[n - 1])
+    axis = _normalize_axis(axis)
+    m, n = _normalize_transition(transition)
     # the pi/2 offset belongs to the Y-equivalent phase, so the X-axis
     # engine shift of -pi/2 cancels it
-    offset = np.pi / 2.0 if key == "Y" else 0.0
+    offset = np.pi / 2.0 if axis == "Y" else 0.0
     drive = DriveTerm(
-        operator=e.to_eigen(op),
-        amplitude=amplitude,
-        frequency=omega,
+        operator=e.to_eigen(_axis_operator(axis)),
+        amplitude=2.0 * params.gamma * params.h_rf,
+        frequency=float(e.energies[m - 1] - e.energies[n - 1]),
         phase=float(phase) + offset + float(np.angle(element)),
     )
     return DrivenSystem(
         h0=np.diag(e.energies).astype(complex),
         drives=(drive,),
-        duration=duration,
-        step=step,
+        duration=_pulse_length(params, flip, element),
     )
 
 
 def _params_for_ratio(params: SpinParameters, e, transition, axis, ratio):
     """Rescale h_rf so gamma * h_rf * |element| = ratio * min_gap."""
-    element = transition_matrix_element(e, transition, axis)
-    if abs(element) < DRIVABLE_THRESHOLD:
-        raise ZeroMatrixElement(f"transition {tuple(transition)} is undrivable")
-    table = transition_table(e)
-    m, n = sorted((int(transition[0]), int(transition[1])))
-    omega = table.frequency(m, n)
-    min_gap = min(
-        abs(omega - other) for mm, nn, other in table.entries if (mm, nn) != (m, n)
-    )
+    element = _drivable_element(e, transition, axis)
+    min_gap, _ = transition_table(e).nearest(*_normalize_transition(transition))
     h_rf = float(ratio) * min_gap / (params.gamma * abs(element))
-    return SpinParameters(
-        omega0=params.omega0,
-        omegaQ=params.omegaQ,
-        eta=params.eta,
-        gamma=params.gamma,
-        h_rf=h_rf,
-    )
+    return replace(params, h_rf=h_rf)
 
 
 def rwa_infidelity(

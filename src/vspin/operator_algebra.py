@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOutOfRange
-from .spin_system import EigenSystem
+from .spin_system import EigenSystem, spin_operators
 
 __all__ = [
     "Projector",
@@ -71,10 +71,6 @@ class OperatorExpansion:
 
     coefficients: np.ndarray
 
-    def matrix_eigen(self):
-        """sum c_mn P_mn; identical to the coefficient array itself."""
-        return self.coefficients.copy()
-
     def matrix_lab(self, e: EigenSystem):
         """The same operator back in the |chi> basis."""
         return e.from_eigen(self.coefficients)
@@ -111,8 +107,6 @@ def selection_rules(e: EigenSystem, axis, threshold=1e-12) -> SelectionRules:
     ``axis`` is "X", "Y" or "Z".  An element counts as nonzero when its
     magnitude exceeds ``threshold`` times the largest element.
     """
-    from .spin_system import spin_operators
-
     ops = dict(zip("XYZ", spin_operators()))
     key = str(axis).upper()
     if key not in ops:

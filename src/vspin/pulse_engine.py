@@ -41,7 +41,13 @@ from .errors import (
     ZeroMatrixElement,
 )
 from .operator_algebra import free_evolution
-from .spin_system import EigenSystem, SpinParameters, spin_operators, transition_table
+from .spin_system import (
+    EigenSystem,
+    SpinParameters,
+    closed_form_eigensystem,
+    spin_operators,
+    transition_table,
+)
 
 __all__ = [
     "PulseSpec",
@@ -57,8 +63,11 @@ __all__ = [
     "apply_pulse_program",
 ]
 
+# A line is drivable iff |<psi_m| I_axis |psi_n>| >= DRIVABLE_THRESHOLD.
 DRIVABLE_THRESHOLD = 1e-14
-DEFAULT_SELECTIVITY_FACTOR = 1e3
+# A realized pulse is selective iff every other line is more than
+# SELECTIVITY_FACTOR Rabi rates away.
+SELECTIVITY_FACTOR = 1e3
 
 
 def _normalize_transition(transition):
@@ -73,6 +82,12 @@ def _normalize_axis(axis):
     if key not in ("X", "Y"):
         raise ValueError(f"axis must be X or Y, got {axis!r}")
     return key
+
+
+def _axis_operator(axis):
+    """I_x or I_y in the |chi> basis, the spin component an RF field drives."""
+    ix, iy, _ = spin_operators()
+    return ix if _normalize_axis(axis) == "X" else iy
 
 
 @dataclass(frozen=True)
@@ -164,9 +179,23 @@ class PulseProgram:
 def transition_matrix_element(e: EigenSystem, transition, axis="Y"):
     """<psi_m| I_axis |psi_n> for the (lower-label, higher-label) pair."""
     m, n = _normalize_transition(transition)
-    ix, iy, _ = spin_operators()
-    op = {"X": ix, "Y": iy}[_normalize_axis(axis)]
-    return complex(e.to_eigen(op)[m - 1, n - 1])
+    return complex(e.to_eigen(_axis_operator(axis))[m - 1, n - 1])
+
+
+def _drivable_element(e: EigenSystem, transition, axis):
+    """The drive matrix element of a line; ZeroMatrixElement if it is forbidden."""
+    element = transition_matrix_element(e, transition, axis)
+    if abs(element) < DRIVABLE_THRESHOLD:
+        raise ZeroMatrixElement(
+            f"transition {_normalize_transition(transition)} has"
+            f" |<I_{_normalize_axis(axis)}>| = {abs(element):.2e}; undrivable"
+        )
+    return element
+
+
+def _pulse_length(params: SpinParameters, flip, element):
+    """Duration T of a drivable pulse, from flip = 2 * gamma * h_rf * |element| * T."""
+    return float(flip) / (2.0 * params.gamma * params.h_rf * abs(element))
 
 
 def flip_angle(p: SpinParameters, e: EigenSystem, transition, axis, duration):
@@ -177,33 +206,22 @@ def flip_angle(p: SpinParameters, e: EigenSystem, transition, axis, duration):
     """
     if duration < 0.0:
         raise ValueError(f"duration must be >= 0, got {duration}")
-    element = transition_matrix_element(e, transition, axis)
-    if abs(element) < DRIVABLE_THRESHOLD:
-        raise ZeroMatrixElement(
-            f"transition {tuple(transition)} has |<I_{axis}>| = {abs(element):.2e}; undrivable"
-        )
+    element = _drivable_element(e, transition, axis)
     return 2.0 * float(duration) * p.gamma * p.h_rf * abs(element)
 
 
-def _check_physics(e, transition, axis, params, selectivity_factor):
+def _check_physics(e, transition, axis, params):
     """Drivability and selectivity preconditions of a realized pulse."""
     m, n = transition
-    element = transition_matrix_element(e, transition, axis)
-    if abs(element) < DRIVABLE_THRESHOLD:
-        raise ZeroMatrixElement(
-            f"transition ({m}, {n}) has |<I_{axis}>| = {abs(element):.2e}; undrivable"
-        )
-    rabi = params.gamma * params.h_rf * abs(element)
+    rabi = params.gamma * params.h_rf * abs(_drivable_element(e, transition, axis))
     table = transition_table(e)
-    omega = table.frequency(m, n)
-    for mm, nn, other in table.entries:
-        if (mm, nn) == (m, n):
-            continue
-        if abs(omega - other) <= selectivity_factor * rabi:
-            raise SelectivityViolation(
-                f"Omega({m},{n}) = {omega:.6g} is within {selectivity_factor:g} Rabi rates"
-                f" ({selectivity_factor * rabi:.3g}) of Omega({mm},{nn}) = {other:.6g}"
-            )
+    gap, (p, q) = table.nearest(m, n)
+    if gap <= SELECTIVITY_FACTOR * rabi:
+        raise SelectivityViolation(
+            f"Omega({m},{n}) = {table.frequency(m, n):.6g} is within"
+            f" {SELECTIVITY_FACTOR:g} Rabi rates ({SELECTIVITY_FACTOR * rabi:.3g})"
+            f" of Omega({p},{q}) = {table.frequency(p, q):.6g}"
+        )
 
 
 def single_frequency_propagator(
@@ -213,7 +231,6 @@ def single_frequency_propagator(
     phase=0.0,
     flip=np.pi,
     params: SpinParameters | None = None,
-    selectivity_factor=DEFAULT_SELECTIVITY_FACTOR,
 ) -> np.ndarray:
     """Effective propagator of one selective pulse, in the eigenbasis.
 
@@ -224,7 +241,7 @@ def single_frequency_propagator(
     m, n = _normalize_transition(transition)
     axis = _normalize_axis(axis)
     if params is not None and params.h_rf > 0.0:
-        _check_physics(e, (m, n), axis, params, selectivity_factor)
+        _check_physics(e, (m, n), axis, params)
     phi = float(phase) if axis == "Y" else float(phase) - np.pi / 2.0
     half = float(flip) / 2.0
     v = np.eye(4, dtype=complex)
@@ -243,7 +260,6 @@ def two_frequency_propagator(
     flip_a=np.pi,
     flip_b=np.pi,
     params: SpinParameters | None = None,
-    selectivity_factor=DEFAULT_SELECTIVITY_FACTOR,
 ) -> np.ndarray:
     """Simultaneous excitation of two level-disjoint transitions.
 
@@ -254,8 +270,8 @@ def two_frequency_propagator(
     b = _normalize_transition(pair_b)
     if set(a) & set(b):
         raise SharedLevel(f"simultaneous pulses share levels: {a} and {b}")
-    va = single_frequency_propagator(e, a, axis, phase, flip_a, params, selectivity_factor)
-    vb = single_frequency_propagator(e, b, axis, phase, flip_b, params, selectivity_factor)
+    va = single_frequency_propagator(e, a, axis, phase, flip_a, params)
+    vb = single_frequency_propagator(e, b, axis, phase, flip_b, params)
     return va @ vb
 
 
@@ -268,22 +284,15 @@ def _pulse_duration(pulse: PulseSpec, params: SpinParameters, e: EigenSystem):
             "free-evolution tracking needs pulse durations; give realizations"
             " or set h_rf > 0 so durations can be derived from flip angles"
         )
-    element = transition_matrix_element(e, pulse.transition, pulse.axis)
-    if abs(element) < DRIVABLE_THRESHOLD:
-        raise ZeroMatrixElement(
-            f"transition {pulse.transition} is undrivable; no duration exists"
-        )
-    return pulse.flip / (2.0 * params.gamma * params.h_rf * abs(element))
+    return _pulse_length(params, pulse.flip, _drivable_element(e, pulse.transition, pulse.axis))
 
 
-def _step_propagator(step, e, params, include_free_evolution, selectivity_factor):
+def _step_propagator(step, e, params, include_free_evolution):
     if isinstance(step, FreeEvolutionStep):
         return free_evolution(e, step.duration)
     if isinstance(step, PulseStep):
         p = step.pulse
-        v = single_frequency_propagator(
-            e, p.transition, p.axis, p.phase, p.flip, params, selectivity_factor
-        )
+        v = single_frequency_propagator(e, p.transition, p.axis, p.phase, p.flip, params)
         if include_free_evolution:
             v = free_evolution(e, _pulse_duration(p, params, e)) @ v
         return v
@@ -297,7 +306,6 @@ def _step_propagator(step, e, params, include_free_evolution, selectivity_factor
             step.a.flip,
             step.b.flip,
             params,
-            selectivity_factor,
         )
         if include_free_evolution:
             ta = _pulse_duration(step.a, params, e)
@@ -315,18 +323,13 @@ def program_propagator(
     prog: PulseProgram,
     e: EigenSystem | None = None,
     include_free_evolution=False,
-    selectivity_factor=DEFAULT_SELECTIVITY_FACTOR,
 ) -> np.ndarray:
     """Ordered product of all step propagators (later steps on the left)."""
     if e is None:
-        from .spin_system import closed_form_eigensystem
-
         e = closed_form_eigensystem(prog.params)
     total = np.eye(4, dtype=complex)
     for step in prog.steps:
-        total = _step_propagator(
-            step, e, prog.params, include_free_evolution, selectivity_factor
-        ) @ total
+        total = _step_propagator(step, e, prog.params, include_free_evolution) @ total
     return total
 
 
@@ -349,7 +352,6 @@ def apply_pulse_program(
     rho0,
     include_free_evolution=False,
     e: EigenSystem | None = None,
-    selectivity_factor=DEFAULT_SELECTIVITY_FACTOR,
 ) -> np.ndarray:
     """rho_out = V rho0 V^dagger with V the full program propagator.
 
@@ -357,5 +359,5 @@ def apply_pulse_program(
     1e-12).  Trace and purity are preserved because V is unitary.
     """
     rho = _check_density_matrix(rho0)
-    v = program_propagator(prog, e, include_free_evolution, selectivity_factor)
+    v = program_propagator(prog, e, include_free_evolution)
     return v @ rho @ v.conj().T

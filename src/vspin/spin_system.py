@@ -40,11 +40,13 @@ __all__ = [
 
 # Magnetic quantum numbers in basis order (descending m).
 _MAGNETIC_NUMBERS = np.array([1.5, 0.5, -0.5, -1.5])
+# Levels closer than DEGENERACY_TOL * scale have no defined labels.
+DEGENERACY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class SpinParameters:
-    """Physical inputs of the model.
+    """Physical inputs of the model; every value must be finite.
 
     omega0  Zeeman angular frequency, rad/s (>= 0)
     omegaQ  quadrupole angular frequency, rad/s (> 0)
@@ -61,6 +63,9 @@ class SpinParameters:
     h_rf: float = 0.0
 
     def __post_init__(self):
+        for name in ("omega0", "omegaQ", "gamma", "h_rf"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not abs(self.eta) <= 1.0:
             raise ValueError(f"|eta| must be <= 1, got {self.eta}")
         if not self.omegaQ > 0.0:
@@ -120,12 +125,7 @@ class EigenSystem:
         return self.states @ a @ self.states.conj().T
 
 
-def spin_operators():
-    """Return (Ix, Iy, Iz) for I = 3/2 in the |chi> basis.
-
-    Iz = diag(3/2, 1/2, -1/2, -3/2); Ix, Iy from the ladder operators
-    I+|m> = sqrt(I(I+1) - m(m+1)) |m+1>.
-    """
+def _build_spin_operators():
     m = _MAGNETIC_NUMBERS
     iz = np.diag(m).astype(complex)
     iplus = np.zeros((4, 4))
@@ -133,7 +133,22 @@ def spin_operators():
         iplus[col - 1, col] = np.sqrt(1.5 * 2.5 - m[col] * (m[col] + 1.0))
     ix = (iplus + iplus.T) / 2.0 + 0j
     iy = (iplus - iplus.T) / 2.0j
+    for op in (ix, iy, iz):
+        op.flags.writeable = False
     return ix, iy, iz
+
+
+_SPIN_OPERATORS = _build_spin_operators()
+
+
+def spin_operators():
+    """Return (Ix, Iy, Iz) for I = 3/2 in the |chi> basis.
+
+    Iz = diag(3/2, 1/2, -1/2, -3/2); Ix, Iy from the ladder operators
+    I+|m> = sqrt(I(I+1) - m(m+1)) |m+1>.  The matrices are built once and
+    shared by every caller, so they are read-only.
+    """
+    return _SPIN_OPERATORS
 
 
 def build_static_hamiltonian(p: SpinParameters) -> np.ndarray:
@@ -167,14 +182,20 @@ def _label_order(energies, states):
     return sorted(range(len(energies)), key=lambda j: (-energies[j], -iz_exp[j]))
 
 
-def _assemble(energies, states, mixing, scale, degeneracy_tol):
+def _assemble(energies, states, mixing, scale):
     order = _label_order(energies, states)
     energies = np.asarray([energies[j] for j in order], dtype=float)
     states = _fix_phases(np.stack([states[:, j] for j in order], axis=1).astype(complex))
     gaps = -np.diff(energies)
-    if np.min(gaps) < degeneracy_tol * scale:
+    # every level borders a gap, so finite gaps imply finite energies
+    if not np.all(np.isfinite(gaps)):
         raise DegenerateSpectrum(
-            f"energy gap {np.min(gaps):.3e} below {degeneracy_tol:.1e} * scale;"
+            "energies overflow double precision; level labels are undefined",
+            energies=energies,
+        )
+    if np.min(gaps) < DEGENERACY_TOL * scale:
+        raise DegenerateSpectrum(
+            f"energy gap {np.min(gaps):.3e} below {DEGENERACY_TOL:.1e} * scale;"
             " level labels are undefined",
             energies=energies,
         )
@@ -188,7 +209,7 @@ def _assemble(energies, states, mixing, scale, degeneracy_tol):
     )
 
 
-def closed_form_eigensystem(p: SpinParameters, degeneracy_tol=1e-9) -> EigenSystem:
+def closed_form_eigensystem(p: SpinParameters) -> EigenSystem:
     """Diagonalize the static Hamiltonian block-analytically.
 
     With c = omega0 / (2 omegaQ) and B+- = sqrt((1 +- 2c)^2 + eta^2/3) the
@@ -197,7 +218,8 @@ def closed_form_eigensystem(p: SpinParameters, degeneracy_tol=1e-9) -> EigenSyst
     well-conditioned at eta = 0 where the blocks are already diagonal.
 
     Raises DegenerateSpectrum when two levels coincide within
-    ``degeneracy_tol * omegaQ`` (for example omega0 = 0, eta = 0).
+    ``DEGENERACY_TOL * omegaQ`` (for example omega0 = 0, eta = 0) or when
+    the energies overflow.
     """
     c = p.omega0 / (2.0 * p.omegaQ)
     eta_r = p.eta / np.sqrt(3.0)
@@ -221,10 +243,10 @@ def closed_form_eigensystem(p: SpinParameters, degeneracy_tol=1e-9) -> EigenSyst
     states[0, 3], states[2, 3] = -np.sin(theta_m), np.cos(theta_m)
 
     alpha = (np.pi / 2.0 - theta_p, np.pi / 2.0 - theta_m)
-    return _assemble(energies, states.astype(complex), alpha, p.omegaQ, degeneracy_tol)
+    return _assemble(energies, states.astype(complex), alpha, p.omegaQ)
 
 
-def diagonalize(hamiltonian, scale=None, degeneracy_tol=1e-9) -> EigenSystem:
+def diagonalize(hamiltonian, scale=None) -> EigenSystem:
     """Numerically diagonalize a Hermitian 4x4 operator.
 
     Applies the same label and phase conventions as the closed form, so the
@@ -243,7 +265,7 @@ def diagonalize(hamiltonian, scale=None, degeneracy_tol=1e-9) -> EigenSystem:
     energies, states = np.linalg.eigh((h + h.conj().T) / 2.0)
     if scale is None:
         scale = max(np.max(np.abs(energies)), np.finfo(float).tiny)
-    return _assemble(energies, states, None, scale, degeneracy_tol)
+    return _assemble(energies, states, None, scale)
 
 
 @dataclass(frozen=True)
@@ -267,6 +289,16 @@ class TransitionTable:
             if (mm, nn) == (a, b):
                 return omega
         raise KeyError(f"no transition ({m}, {n})")
+
+    def nearest(self, m, n):
+        """(|Omega_mn - Omega_pq|, (p, q)) for the line (p, q) closest to (m, n)."""
+        a, b = (m, n) if m < n else (n, m)
+        omega = self.frequency(a, b)
+        return min(
+            (abs(omega - other), (mm, nn))
+            for mm, nn, other in self.entries
+            if (mm, nn) != (a, b)
+        )
 
 
 def transition_table(e: EigenSystem, selectivity_margin=None) -> TransitionTable:

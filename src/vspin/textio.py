@@ -33,6 +33,7 @@ from .pulse_engine import (
     PulseSpec,
     PulseStep,
     TwoFrequencyStep,
+    _normalize_axis,
 )
 from .spin_system import SpinParameters
 
@@ -98,12 +99,6 @@ def _parse_pair(token):
     return int(parts[0]), int(parts[1])
 
 
-def _parse_axis(token):
-    if token.upper() not in ("X", "Y"):
-        raise ValueError("axis must be X or Y")
-    return token.upper()
-
-
 _DIRECTIVE_FIELDS = {
     "system": ("omega0", "omegaQ", "eta", "gamma", "hrf"),
     "pulse": ("t", "axis", "phase", "flip"),
@@ -120,7 +115,7 @@ _FIELD_PARSERS = {
     "t": _parse_pair,
     "a": _parse_pair,
     "b": _parse_pair,
-    "axis": _parse_axis,
+    "axis": _normalize_axis,
     "phase": parse_angle,
     "flip": parse_angle,
     "flip2": parse_angle,
@@ -128,16 +123,13 @@ _FIELD_PARSERS = {
 }
 
 
-def _tokenize(line, line_no):
+def _tokenize(line):
     """[(token, column)] with 1-based columns of each whitespace-split token."""
-    tokens = []
-    for match in re.finditer(r"\S+", line):
-        tokens.append((match.group(0), match.start() + 1))
-    return tokens
+    return [(match.group(0), match.start() + 1) for match in re.finditer(r"\S+", line)]
 
 
 def _parse_directive(line, line_no):
-    tokens = _tokenize(line, line_no)
+    tokens = _tokenize(line)
     word, col = tokens[0]
     if word not in _DIRECTIVE_FIELDS:
         raise ProgramSyntaxError(

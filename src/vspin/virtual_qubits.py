@@ -30,6 +30,7 @@ from .pulse_engine import (
     PulseSpec,
     PulseStep,
     TwoFrequencyStep,
+    _normalize_axis,
     program_propagator,
 )
 from .spin_system import EigenSystem, SpinParameters
@@ -139,8 +140,7 @@ class GateRequest:
         if self.kind == "rotation":
             if self.angle is None or not np.isfinite(self.angle):
                 raise ValueError("rotation needs a finite angle")
-            if str(self.axis).upper() not in ("X", "Y"):
-                raise ValueError(f"axis must be X or Y, got {self.axis!r}")
+            _normalize_axis(self.axis)
 
 
 def compile_single_qubit_rotation(

@@ -34,6 +34,17 @@ class TestEigensystem:
         code, _ = run(["eigensystem", "--omega0", "0", "--eta", "0"])
         assert code == 3
 
+    def test_infinite_parameter_exit_2(self):
+        code, text = run(["eigensystem", "--omega0", "inf"])
+        assert code == 2
+        assert "nan" not in text
+
+    def test_overflowing_energies_exit_3(self):
+        with np.errstate(all="ignore"):
+            code, text = run(["eigensystem", "--omegaQ", "1e-320"])
+        assert code == 3
+        assert "nan" not in text
+
 
 class TestTransitions:
     def test_frequencies_listed(self):

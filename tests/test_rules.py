@@ -1,0 +1,139 @@
+"""Each physics rule gives the same verdict through every public entry point.
+
+Over random resolved spins, all six level pairs and both RF axes:
+
+* drivability - flip_angle, single_frequency_propagator (h_rf > 0),
+  program_propagator(include_free_evolution=True) and drive_for_pulse
+  raise ZeroMatrixElement on exactly the pairs whose |<I_axis>| is below
+  1e-14;
+* nearest line - TransitionTable.nearest equals a brute-force minimum;
+* selectivity - SelectivityViolation is raised exactly when the nearest
+  other line is within 1e3 Rabi rates.
+"""
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from vspin import (
+    DegenerateSpectrum,
+    PulseProgram,
+    PulseSpec,
+    PulseStep,
+    SelectivityViolation,
+    SpinParameters,
+    ZeroMatrixElement,
+    closed_form_eigensystem,
+    drive_for_pulse,
+    flip_angle,
+    program_propagator,
+    single_frequency_propagator,
+    transition_matrix_element,
+    transition_table,
+)
+
+PAIRS = [(m, n) for m in range(1, 5) for n in range(m + 1, 5)]
+AXES = ("X", "Y")
+
+spins = st.builds(
+    SpinParameters,
+    omega0=st.floats(0.0, 2.0),
+    omegaQ=st.floats(0.5, 2.0),
+    eta=st.floats(-1.0, 1.0),
+    gamma=st.floats(0.5, 2.0),
+    h_rf=st.floats(-9.0, -1.0).map(lambda x: 10.0**x),
+)
+
+
+def _resolved(params):
+    try:
+        e = closed_form_eigensystem(params)
+    except DegenerateSpectrum:
+        e = None
+    assume(e is not None and e.regime_ok)
+    return e
+
+
+def _raises_zero_element(call):
+    try:
+        call()
+    except ZeroMatrixElement:
+        return True
+    except SelectivityViolation:
+        pass
+    return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=spins)
+def test_drivability_verdict_is_shared(params):
+    e = _resolved(params)
+    for axis in AXES:
+        for pair in PAIRS:
+            expected = abs(transition_matrix_element(e, pair, axis)) < 1e-14
+            program = PulseProgram(params, (PulseStep(PulseSpec(pair, axis)),))
+            calls = {
+                "flip_angle": lambda: flip_angle(params, e, pair, axis, 1.0),
+                "single_frequency_propagator": lambda: single_frequency_propagator(
+                    e, pair, axis, params=params
+                ),
+                "program_propagator": lambda: program_propagator(
+                    program, e, include_free_evolution=True
+                ),
+                "drive_for_pulse": lambda: drive_for_pulse(params, e, pair, axis),
+            }
+            for name, call in calls.items():
+                assert _raises_zero_element(call) == expected, (name, pair, axis)
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=spins)
+def test_nearest_is_brute_force_minimum(params):
+    table = transition_table(_resolved(params))
+    for m, n in PAIRS:
+        omega = table.frequency(m, n)
+        brute = min(abs(omega - w) for p, q, w in table.entries if (p, q) != (m, n))
+        gap, other = table.nearest(m, n)
+        assert gap == brute
+        assert other != (m, n)
+        assert abs(omega - table.frequency(*other)) == gap
+        assert table.nearest(n, m) == (gap, other)
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=spins)
+def test_selectivity_verdict_matches_rule(params):
+    e = _resolved(params)
+    table = transition_table(e)
+    for axis in AXES:
+        for m, n in PAIRS:
+            element = abs(transition_matrix_element(e, (m, n), axis))
+            if element < 1e-14:
+                continue
+            rabi = params.gamma * params.h_rf * element
+            gap = min(
+                abs(table.frequency(m, n) - w) for p, q, w in table.entries if (p, q) != (m, n)
+            )
+            try:
+                single_frequency_propagator(e, (m, n), axis, params=params)
+                raised = False
+            except SelectivityViolation:
+                raised = True
+            assert raised == (gap <= 1e3 * rabi), ((m, n), axis, gap, rabi)
+
+
+@pytest.mark.parametrize("pair", [(2, 3), (1, 4)])
+def test_undrivable_message_is_shared(eigen, pair):
+    params = SpinParameters(0.1, 1.0, 0.5, h_rf=1e-6)
+    program = PulseProgram(params, (PulseStep(PulseSpec(pair)),))
+    messages = set()
+    for call in (
+        lambda: flip_angle(params, eigen, pair, "y", 1.0),
+        lambda: single_frequency_propagator(eigen, pair, "Y", params=params),
+        lambda: program_propagator(program, eigen, include_free_evolution=True),
+        lambda: drive_for_pulse(params, eigen, pair[::-1], "Y"),
+    ):
+        with pytest.raises(ZeroMatrixElement) as info:
+            call()
+        messages.add(str(info.value))
+    assert len(messages) == 1

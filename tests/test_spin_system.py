@@ -214,3 +214,30 @@ class TestTransitionTable:
         # Omega(1,2) = 0.3 and Omega(3,4) = 0.1 collide under a huge margin
         t = transition_table(e, selectivity_margin=0.5)
         assert len(t.collisions) > 0
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("field", ["omega0", "omegaQ", "gamma", "h_rf"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_parameters_must_be_finite(self, field, value):
+        values = {"omega0": 0.1, "omegaQ": 1.0, "eta": 0.5, "gamma": 1.0, "h_rf": 0.0}
+        values[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            SpinParameters(**values)
+
+    def test_overflowing_energies_are_degenerate(self):
+        # finite inputs, but c = omega0 / (2 omegaQ) overflows to inf and
+        # the energies come out inf and nan
+        p = SpinParameters(omega0=0.1, omegaQ=1e-320, eta=0.5)
+        with np.errstate(all="ignore"), pytest.raises(DegenerateSpectrum, match="overflow"):
+            closed_form_eigensystem(p)
+
+
+class TestSharedOperators:
+    def test_built_once(self):
+        assert all(a is b for a, b in zip(spin_operators(), spin_operators()))
+
+    def test_read_only(self):
+        for op in spin_operators():
+            with pytest.raises(ValueError):
+                op[0, 0] = 1.0
