@@ -7,8 +7,11 @@ lab frame, then rotating into the interaction frame, measures exactly that
 approximation error.  It shrinks quadratically with the drive ratio
 r = Rabi rate / nearest line spacing.
 
-Runtime note: the r = 1e-3 point integrates ~6e5 steps (a few seconds).
-The acceptance suite additionally runs r = 1e-4.
+Runtime note: a single-frequency drive is periodic, so each pulse costs
+one integrated drive period (a few hundred steps) plus about log2 N
+squarings for N periods; the r = 1e-3 point takes milliseconds.  The
+convergence study at the end integrates its full grids (~4e5 steps, about
+a second).  The acceptance suite additionally runs r = 1e-4.
 """
 
 import numpy as np

@@ -15,6 +15,17 @@ vectorized chunks; after each chunk the accumulated product is re-projected
 onto the nearest unitary, which removes roundoff drift of order 1e-13
 without touching the O(h^2) method error.
 
+When every drive has the same |Omega|, H(t) is periodic with
+T_d = 2 pi / |Omega| (Floquet; Shirley, Phys. Rev. 138, B979, 1965), so
+
+    U(T) = U_tail(tau) U_period^N,   N = floor(T / T_d),  tau = T - N T_d
+
+Only one period and the tail are integrated on the grid (the step divides
+T_d, and the tail restarts at t = 0); the power takes about 2 log2 N
+re-projected products, so the cost grows with log N rather than with N.
+Two-frequency drives, drive-free systems and an explicit step count
+integrate the whole grid, whose step divides T.
+
 Comparing the integrated propagator, pulled into the interaction frame,
 against the ideal selective-pulse propagator measures exactly the
 rotating-wave error: counter-rotating terms and off-resonant leakage, both
@@ -98,7 +109,10 @@ class DrivenSystem:
     drives    DriveTerm sequence
     duration  total time T >= 0, s
     step      target step h > 0, s, or None for the default rule
-              h = 2 pi / (200 Omega_max); the actual step divides T exactly
+              h = 2 pi / (200 Omega_max); the actual step is the largest
+              not above it that divides the drive period T_d when every
+              drive shares one |Omega| and T >= T_d (the remainder after
+              whole periods gets its own divisor), and T otherwise
     """
 
     h0: np.ndarray
@@ -176,32 +190,78 @@ def _project_unitary(u):
     return w @ vh
 
 
-def integrate_lab_frame(system: DrivenSystem, n_steps=None) -> np.ndarray:
-    """Propagator U(T, 0) of the full time-dependent Hamiltonian.
-
-    ``n_steps`` overrides the step rule (used for convergence studies).
-    Raises StepTooLarge when the final unitarity defect exceeds 1e-10.
-    """
-    if system.duration == 0.0:
-        return np.eye(4, dtype=complex)
-    if n_steps is None:
-        target = system.step if system.step is not None else system.default_step()
-        n_steps = int(np.ceil(system.duration / target))
-    n_steps = max(int(n_steps), 1)
-    h = system.duration / n_steps
-
-    h0 = (system.h0 + system.h0.conj().T) / 2.0
+def _grid_product(h0, drives, h, n_steps):
+    """Exponential-midpoint product of n_steps steps of h, starting at t = 0."""
     total = np.eye(4, dtype=complex)
     done = 0
     while done < n_steps:
         count = min(_CHUNK, n_steps - done)
         t_mid = (done + np.arange(count) + 0.5) * h
         hs = np.broadcast_to(h0, (count, 4, 4)).copy()
-        for d in system.drives:
+        for d in drives:
             hs += (d.amplitude * np.cos(d.frequency * t_mid + d.phase))[:, None, None] * d.operator
         total = _ordered_product(expm4(-1j * h * hs)) @ total
         total = _project_unitary(total)
         done += count
+    return total
+
+
+def _drive_period(drives):
+    """T_d = 2 pi / |Omega| when all drives share one nonzero |Omega|, else None."""
+    rates = {abs(d.frequency) for d in drives}
+    if len(rates) != 1 or 0.0 in rates:
+        return None
+    return 2.0 * np.pi / rates.pop()
+
+
+def _unitary_power(u, n):
+    """u^n by binary powering, re-projected onto the unitaries after each product."""
+    result = np.eye(4, dtype=complex)
+    while n:
+        if n & 1:
+            result = _project_unitary(u @ result)
+        n >>= 1
+        if n:
+            u = _project_unitary(u @ u)
+    return result
+
+
+def integrate_lab_frame(system: DrivenSystem, n_steps=None) -> np.ndarray:
+    """Propagator U(T, 0) of the full time-dependent Hamiltonian.
+
+    Without ``n_steps``, a drive of one frequency makes H(t) periodic with
+    T_d = 2 pi / |Omega|: one period is integrated with the largest step
+    not above the target that divides T_d, raised to the power
+    N = floor(T / T_d) by repeated squaring, and followed by the remaining
+    tau = T - N T_d, integrated again from t = 0 with a step that divides
+    tau.  With N = 0, several drive frequencies or none, the step divides
+    T.  ``n_steps`` overrides the step rule and always integrates the whole
+    grid of T (used for convergence studies).
+    Raises StepTooLarge when the final unitarity defect exceeds 1e-10.
+    """
+    if system.duration == 0.0:
+        return np.eye(4, dtype=complex)
+    h0 = (system.h0 + system.h0.conj().T) / 2.0
+    drives = system.drives
+    period = None
+    if n_steps is None:
+        target = system.step if system.step is not None else system.default_step()
+        period = _drive_period(drives)
+        n_steps = int(np.ceil(system.duration / target))
+    periods = int(system.duration // period) if period else 0
+    if periods:
+        n_steps = int(np.ceil(period / target))
+        h = period / n_steps
+        total = _unitary_power(_grid_product(h0, drives, h, n_steps), periods)
+        # H(t + T_d) = H(t), so the remainder is integrated from t = 0 again
+        tail = system.duration - periods * period
+        if tail > 0.0:
+            count = int(np.ceil(tail / target))
+            total = _project_unitary(_grid_product(h0, drives, tail / count, count) @ total)
+    else:
+        n_steps = max(int(n_steps), 1)
+        h = system.duration / n_steps
+        total = _grid_product(h0, drives, h, n_steps)
 
     defect = float(np.max(np.abs(total.conj().T @ total - np.eye(4))))
     if defect > UNITARITY_BOUND:

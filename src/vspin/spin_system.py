@@ -209,6 +209,9 @@ def _assemble(energies, states, mixing, scale):
     )
 
 
+# Extreme inputs may overflow to inf or nan; _assemble's finite-gap check
+# decides the outcome, so numpy's warnings would only be noise.
+@np.errstate(over="ignore", invalid="ignore")
 def closed_form_eigensystem(p: SpinParameters) -> EigenSystem:
     """Diagonalize the static Hamiltonian block-analytically.
 

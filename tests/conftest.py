@@ -1,3 +1,11 @@
+import os
+
+# After the machine has idled, OpenBLAS worker threads stall scipy's 4x4
+# solves (2 ms per call instead of 0.05 ms), which breaks the acceptance
+# suite's wall-clock bounds; 4x4 work gains nothing from them.  This must
+# run before numpy loads OpenBLAS.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 

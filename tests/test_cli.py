@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +45,17 @@ class TestEigensystem:
             code, text = run(["eigensystem", "--omegaQ", "1e-320"])
         assert code == 3
         assert "nan" not in text
+
+    @pytest.mark.parametrize(
+        "flags, expected", [(["--omega0", "1e308"], 0), (["--omegaQ", "1e-320"], 3)]
+    )
+    def test_overflow_prints_no_warnings(self, capsys, flags, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, text = run(["eigensystem", *flags])
+        assert code == expected
+        assert "nan" not in text
+        assert len(capsys.readouterr().err.splitlines()) <= 1
 
 
 class TestTransitions:

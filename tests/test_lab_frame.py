@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from vspin import lab_frame
 from vspin import (
     DrivenSystem,
     DriveTerm,
@@ -19,6 +22,7 @@ from vspin import (
     single_frequency_propagator,
     to_interaction_frame,
 )
+from vspin.lab_frame import _params_for_ratio
 
 
 class TestExpm4:
@@ -152,3 +156,96 @@ class TestRotatingWaveValidation:
         study = convergence_study(params, (1, 2), ratio=1e-2, refinements=2)
         assert study["orders"][0] >= 1.9
         assert study["richardson_ratios"][0] >= 3.5
+
+
+LINES = ((1, 2), (3, 4), (1, 3), (2, 4))  # the drivable lines
+
+
+def _seeded_pulse(rng, transition, axis, ratio=0.02):
+    """A drive_for_pulse system on a seeded spin, with a random phase and flip."""
+    omega_q = rng.uniform(0.5, 2.0)
+    p = SpinParameters(omega0=rng.uniform(0.2, 0.35) * omega_q, omegaQ=omega_q,
+                       eta=rng.uniform(0.5, 0.9))
+    e = closed_form_eigensystem(p)
+    scaled = _params_for_ratio(p, e, transition, axis, ratio)
+    return drive_for_pulse(scaled, e, transition, axis, rng.uniform(0.0, 2.0 * np.pi),
+                           rng.uniform(0.25, 0.75) * np.pi)
+
+
+def _period(system):
+    return 2.0 * np.pi / abs(system.drives[0].frequency)
+
+
+def _pulse_cases():
+    rng = np.random.default_rng(20261017)
+    cases = {f"{m}{n}-{axis}": _seeded_pulse(rng, (m, n), axis) for m, n in LINES for axis in "XY"}
+    short = _seeded_pulse(rng, (1, 2), "Y")
+    cases["shorter-than-a-period"] = replace(short, duration=0.6 * _period(short))
+    whole = _seeded_pulse(rng, (3, 4), "X")
+    cases["whole-periods"] = replace(whole, duration=3 * _period(whole))
+    stepped = _seeded_pulse(rng, (1, 3), "Y")
+    cases["explicit-step"] = replace(stepped, step=0.7 * stepped.default_step())
+    return cases
+
+
+PULSE_CASES = _pulse_cases()
+
+
+def _count_expm4(monkeypatch):
+    """Record how many matrices each expm4 call exponentiates."""
+    counts = []
+    real = lab_frame.expm4
+
+    def counting(a):
+        counts.append(1 if np.ndim(a) == 2 else len(a))
+        return real(a)
+
+    monkeypatch.setattr(lab_frame, "expm4", counting)
+    return counts
+
+
+class TestPeriodPath:
+    """One integrated drive period raised to the N-th power, against the full grid."""
+
+    @pytest.mark.parametrize("system", list(PULSE_CASES.values()), ids=list(PULSE_CASES))
+    def test_matches_full_grid_within_its_error(self, system):
+        target = system.step if system.step is not None else system.default_step()
+        n = int(np.ceil(system.duration / target))
+        u = integrate_lab_frame(system)
+        coarse = integrate_lab_frame(system, n_steps=n)
+        fine = integrate_lab_frame(system, n_steps=2 * n)
+        assert np.max(np.abs(u - coarse)) <= 0.1 * np.max(np.abs(coarse - fine))
+        assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-10
+
+    def test_whole_periods_leave_no_tail(self, monkeypatch):
+        system = PULSE_CASES["whole-periods"]
+        period = _period(system)
+        assert system.duration // period == 3 and system.duration - 3 * period == 0.0
+        counts = _count_expm4(monkeypatch)
+        integrate_lab_frame(system)
+        assert sum(counts) == int(np.ceil(period / system.default_step()))
+
+
+class TestRouting:
+    def test_explicit_steps_take_the_full_grid(self, monkeypatch):
+        system = _seeded_pulse(np.random.default_rng(1), (1, 2), "X")
+        counts = _count_expm4(monkeypatch)
+        integrate_lab_frame(system, n_steps=4321)
+        assert sum(counts) == 4321
+
+    def test_two_frequencies_take_the_full_grid(self, monkeypatch, eigen):
+        p = SpinParameters(0.1, 1.0, 0.5, h_rf=2e-3)
+        a = drive_for_pulse(p, eigen, (1, 2), "Y", 0.0, np.pi / 4)
+        b = drive_for_pulse(p, eigen, (3, 4), "Y", 0.0, np.pi / 4)
+        system = DrivenSystem(h0=a.h0, drives=a.drives + b.drives, duration=a.duration)
+        counts = _count_expm4(monkeypatch)
+        integrate_lab_frame(system)
+        assert sum(counts) == int(np.ceil(system.duration / system.default_step()))
+
+    def test_one_frequency_integrates_about_one_period(self, monkeypatch):
+        system = _seeded_pulse(np.random.default_rng(2), (2, 4), "Y")
+        assert system.duration >= 10 * _period(system)
+        per = int(np.ceil(_period(system) / system.default_step()))
+        counts = _count_expm4(monkeypatch)
+        integrate_lab_frame(system)
+        assert sum(counts) <= 2 * per + 2
