@@ -309,14 +309,21 @@ def transition_table(e: EigenSystem, selectivity_margin=None) -> TransitionTable
 
     Flags any two transitions whose frequencies differ by less than
     ``selectivity_margin`` (default 1e-6 * e.scale): a selective pulse
-    cannot tell such lines apart.
+    cannot tell such lines apart.  Raises DegenerateSpectrum when a
+    frequency overflows double precision (finite energies whose difference
+    is not).
     """
     if selectivity_margin is None:
         selectivity_margin = 1e-6 * e.scale
     entries = []
-    for m in range(1, 5):
-        for n in range(m + 1, 5):
-            entries.append((m, n, float(e.energies[m - 1] - e.energies[n - 1])))
+    with np.errstate(over="ignore"):
+        for m in range(1, 5):
+            for n in range(m + 1, 5):
+                entries.append((m, n, float(e.energies[m - 1] - e.energies[n - 1])))
+    if not all(np.isfinite(omega) for _, _, omega in entries):
+        raise DegenerateSpectrum(
+            "transition frequencies overflow double precision", energies=e.energies
+        )
     collisions = []
     for i in range(len(entries)):
         for j in range(i + 1, len(entries)):

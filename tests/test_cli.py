@@ -71,6 +71,16 @@ class TestTransitions:
         assert code == 0
         assert "collision (1,2) (2,4)" in text
 
+    def test_overflowing_frequencies_exit_3_without_warnings(self, capsys):
+        # finite energies near +-1.5e308 whose differences overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, text = run(["transitions", "--omega0", "1e308"])
+        assert code == 3
+        assert "inf" not in text
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "DegenerateSpectrum" in err
+
 
 class TestSimulate:
     def test_empty_program_echoes_input(self, tmp_path):

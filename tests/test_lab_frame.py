@@ -191,16 +191,16 @@ def _pulse_cases():
 PULSE_CASES = _pulse_cases()
 
 
-def _count_expm4(monkeypatch):
-    """Record how many matrices each expm4 call exponentiates."""
+def _count_step_factors(monkeypatch):
+    """Record how many step factors each ordered product multiplies."""
     counts = []
-    real = lab_frame.expm4
+    real = lab_frame._ordered_product
 
-    def counting(a):
-        counts.append(1 if np.ndim(a) == 2 else len(a))
-        return real(a)
+    def counting(stack):
+        counts.append(len(stack))
+        return real(stack)
 
-    monkeypatch.setattr(lab_frame, "expm4", counting)
+    monkeypatch.setattr(lab_frame, "_ordered_product", counting)
     return counts
 
 
@@ -221,7 +221,7 @@ class TestPeriodPath:
         system = PULSE_CASES["whole-periods"]
         period = _period(system)
         assert system.duration // period == 3 and system.duration - 3 * period == 0.0
-        counts = _count_expm4(monkeypatch)
+        counts = _count_step_factors(monkeypatch)
         integrate_lab_frame(system)
         assert sum(counts) == int(np.ceil(period / system.default_step()))
 
@@ -229,7 +229,7 @@ class TestPeriodPath:
 class TestRouting:
     def test_explicit_steps_take_the_full_grid(self, monkeypatch):
         system = _seeded_pulse(np.random.default_rng(1), (1, 2), "X")
-        counts = _count_expm4(monkeypatch)
+        counts = _count_step_factors(monkeypatch)
         integrate_lab_frame(system, n_steps=4321)
         assert sum(counts) == 4321
 
@@ -238,7 +238,7 @@ class TestRouting:
         a = drive_for_pulse(p, eigen, (1, 2), "Y", 0.0, np.pi / 4)
         b = drive_for_pulse(p, eigen, (3, 4), "Y", 0.0, np.pi / 4)
         system = DrivenSystem(h0=a.h0, drives=a.drives + b.drives, duration=a.duration)
-        counts = _count_expm4(monkeypatch)
+        counts = _count_step_factors(monkeypatch)
         integrate_lab_frame(system)
         assert sum(counts) == int(np.ceil(system.duration / system.default_step()))
 
@@ -246,6 +246,66 @@ class TestRouting:
         system = _seeded_pulse(np.random.default_rng(2), (2, 4), "Y")
         assert system.duration >= 10 * _period(system)
         per = int(np.ceil(_period(system) / system.default_step()))
-        counts = _count_expm4(monkeypatch)
+        counts = _count_step_factors(monkeypatch)
         integrate_lab_frame(system)
         assert sum(counts) <= 2 * per + 2
+
+
+def _kernel_cases():
+    """(h0, drives, h): weak drives at r = 1e-2 on 0 to 3 lines, and a drive
+    of amplitude W (the spectral width) on the default step and on a step
+    coarse enough that the kernel squares its factors."""
+    rng = np.random.default_rng(20261018)
+    omega_q = rng.uniform(0.5, 2.0)
+    p = SpinParameters(omega0=rng.uniform(0.2, 0.35) * omega_q, omegaQ=omega_q,
+                       eta=rng.uniform(0.5, 0.9))
+    e = closed_form_eigensystem(p)
+    weak = [
+        drive_for_pulse(_params_for_ratio(p, e, line, axis, 1e-2), e, line, axis,
+                        rng.uniform(0.0, 2.0 * np.pi)).drives[0]
+        for line, axis in zip(LINES, "YXY")
+    ]
+    h0 = np.diag(e.energies).astype(complex)
+    strong = replace(weak[0], amplitude=float(np.ptp(e.energies)))
+    cases = {}
+    for k in range(4):
+        drives = tuple(weak[:k])
+        cases[f"{k}-weak"] = (h0, drives, DrivenSystem(h0=h0, drives=drives).default_step())
+    step = DrivenSystem(h0=h0, drives=(strong,)).default_step()
+    cases["strong"] = (h0, (strong,), step)
+    cases["strong-coarse"] = (h0, (strong,), 100 * step)
+    return cases
+
+
+KERNEL_CASES = _kernel_cases()
+
+
+def _hamiltonian(h0, drives, t):
+    return h0 + sum(d.amplitude * np.cos(d.frequency * t + d.phase) * d.operator for d in drives)
+
+
+class TestStepKernel:
+    """Chebyshev step factors against scipy's matrix exponential."""
+
+    @pytest.mark.parametrize("case", list(KERNEL_CASES.values()), ids=list(KERNEL_CASES))
+    def test_factors_match_expm(self, case):
+        h0, drives, h = case
+        t_mid = np.random.default_rng(len(drives)).uniform(0.0, 1e3, size=40)
+        factors, _ = lab_frame._step_kernel(h0, drives, h)
+        for t, u in zip(t_mid, factors(t_mid)):
+            expected = scipy.linalg.expm(-1j * h * _hamiltonian(h0, drives, t))
+            assert np.max(np.abs(u - expected)) <= 1e-14
+
+    def test_coarse_step_squares(self):
+        _, (drive,), h = KERNEL_CASES["strong-coarse"]
+        norm = h * drive.amplitude * np.max(np.sum(np.abs(drive.operator), axis=0))
+        assert norm > 2.0 * lab_frame._CHEB_NORM
+
+    @pytest.mark.parametrize("case", list(KERNEL_CASES.values()), ids=list(KERNEL_CASES))
+    def test_integrate_matches_expm_product(self, case):
+        h0, drives, h = case
+        u = integrate_lab_frame(DrivenSystem(h0=h0, drives=drives, duration=50 * h), n_steps=50)
+        expected = np.eye(4)
+        for t in (np.arange(50) + 0.5) * h:
+            expected = scipy.linalg.expm(-1j * h * _hamiltonian(h0, drives, t)) @ expected
+        assert np.max(np.abs(u - expected)) <= 1e-12
