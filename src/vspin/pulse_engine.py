@@ -136,6 +136,14 @@ class PulseSpec:
 class PulseStep:
     pulse: PulseSpec
 
+    def propagator(self, e, params, include_free_evolution):
+        """The pulse's propagator, then its free evolution when asked for."""
+        p = self.pulse
+        v = single_frequency_propagator(e, p.transition, p.axis, p.phase, p.flip, params)
+        if include_free_evolution:
+            v = free_evolution(e, _pulse_duration(p, params, e)) @ v
+        return v
+
 
 @dataclass(frozen=True)
 class TwoFrequencyStep:
@@ -152,6 +160,22 @@ class TwoFrequencyStep:
         if self.a.axis != self.b.axis or self.a.phase != self.b.phase:
             raise ValueError("simultaneous pulses must share axis and phase")
 
+    def propagator(self, e, params, include_free_evolution):
+        """Both pulses' propagator, then their common free evolution when asked for."""
+        a, b = self.a, self.b
+        v = two_frequency_propagator(
+            e, a.transition, b.transition, a.axis, a.phase, a.flip, b.flip, params
+        )
+        if include_free_evolution:
+            ta = _pulse_duration(a, params, e)
+            tb = _pulse_duration(b, params, e)
+            if abs(ta - tb) > 1e-9 * max(ta, tb, 1e-300):
+                raise SemanticError(
+                    f"simultaneous pulses imply different durations ({ta:.6g} vs {tb:.6g})"
+                )
+            v = free_evolution(e, ta) @ v
+        return v
+
 
 @dataclass(frozen=True)
 class FreeEvolutionStep:
@@ -160,6 +184,10 @@ class FreeEvolutionStep:
     def __post_init__(self):
         if not np.isfinite(self.duration):
             raise ValueError(f"duration must be finite, got {self.duration}")
+
+    def propagator(self, e, params, include_free_evolution):
+        """Free evolution over the duration."""
+        return free_evolution(e, self.duration)
 
 
 @dataclass(frozen=True)
@@ -287,38 +315,6 @@ def _pulse_duration(pulse: PulseSpec, params: SpinParameters, e: EigenSystem):
     return _pulse_length(params, pulse.flip, _drivable_element(e, pulse.transition, pulse.axis))
 
 
-def _step_propagator(step, e, params, include_free_evolution):
-    if isinstance(step, FreeEvolutionStep):
-        return free_evolution(e, step.duration)
-    if isinstance(step, PulseStep):
-        p = step.pulse
-        v = single_frequency_propagator(e, p.transition, p.axis, p.phase, p.flip, params)
-        if include_free_evolution:
-            v = free_evolution(e, _pulse_duration(p, params, e)) @ v
-        return v
-    if isinstance(step, TwoFrequencyStep):
-        v = two_frequency_propagator(
-            e,
-            step.a.transition,
-            step.b.transition,
-            step.a.axis,
-            step.a.phase,
-            step.a.flip,
-            step.b.flip,
-            params,
-        )
-        if include_free_evolution:
-            ta = _pulse_duration(step.a, params, e)
-            tb = _pulse_duration(step.b, params, e)
-            if abs(ta - tb) > 1e-9 * max(ta, tb, 1e-300):
-                raise SemanticError(
-                    f"simultaneous pulses imply different durations ({ta:.6g} vs {tb:.6g})"
-                )
-            v = free_evolution(e, ta) @ v
-        return v
-    raise TypeError(f"unsupported program step {step!r}")
-
-
 def program_propagator(
     prog: PulseProgram,
     e: EigenSystem | None = None,
@@ -329,7 +325,7 @@ def program_propagator(
         e = closed_form_eigensystem(prog.params)
     total = np.eye(4, dtype=complex)
     for step in prog.steps:
-        total = _step_propagator(step, e, prog.params, include_free_evolution) @ total
+        total = step.propagator(e, prog.params, include_free_evolution) @ total
     return total
 
 

@@ -191,16 +191,16 @@ def _pulse_cases():
 PULSE_CASES = _pulse_cases()
 
 
-def _count_step_factors(monkeypatch):
-    """Record how many step factors each ordered product multiplies."""
+def _count_grid_steps(monkeypatch):
+    """Record the step count of each grid the integrator multiplies out."""
     counts = []
-    real = lab_frame._ordered_product
+    real = lab_frame._grid_product
 
-    def counting(stack):
-        counts.append(len(stack))
-        return real(stack)
+    def counting(h0, drives, h, n_steps):
+        counts.append(n_steps)
+        return real(h0, drives, h, n_steps)
 
-    monkeypatch.setattr(lab_frame, "_ordered_product", counting)
+    monkeypatch.setattr(lab_frame, "_grid_product", counting)
     return counts
 
 
@@ -221,7 +221,7 @@ class TestPeriodPath:
         system = PULSE_CASES["whole-periods"]
         period = _period(system)
         assert system.duration // period == 3 and system.duration - 3 * period == 0.0
-        counts = _count_step_factors(monkeypatch)
+        counts = _count_grid_steps(monkeypatch)
         integrate_lab_frame(system)
         assert sum(counts) == int(np.ceil(period / system.default_step()))
 
@@ -229,7 +229,7 @@ class TestPeriodPath:
 class TestRouting:
     def test_explicit_steps_take_the_full_grid(self, monkeypatch):
         system = _seeded_pulse(np.random.default_rng(1), (1, 2), "X")
-        counts = _count_step_factors(monkeypatch)
+        counts = _count_grid_steps(monkeypatch)
         integrate_lab_frame(system, n_steps=4321)
         assert sum(counts) == 4321
 
@@ -238,7 +238,7 @@ class TestRouting:
         a = drive_for_pulse(p, eigen, (1, 2), "Y", 0.0, np.pi / 4)
         b = drive_for_pulse(p, eigen, (3, 4), "Y", 0.0, np.pi / 4)
         system = DrivenSystem(h0=a.h0, drives=a.drives + b.drives, duration=a.duration)
-        counts = _count_step_factors(monkeypatch)
+        counts = _count_grid_steps(monkeypatch)
         integrate_lab_frame(system)
         assert sum(counts) == int(np.ceil(system.duration / system.default_step()))
 
@@ -246,7 +246,7 @@ class TestRouting:
         system = _seeded_pulse(np.random.default_rng(2), (2, 4), "Y")
         assert system.duration >= 10 * _period(system)
         per = int(np.ceil(_period(system) / system.default_step()))
-        counts = _count_step_factors(monkeypatch)
+        counts = _count_grid_steps(monkeypatch)
         integrate_lab_frame(system)
         assert sum(counts) <= 2 * per + 2
 
@@ -280,6 +280,11 @@ def _kernel_cases():
 KERNEL_CASES = _kernel_cases()
 
 
+def _phases(drives, t):
+    """The (D, count) drive phases Omega_d t + phi_d the kernels take."""
+    return np.array([d.frequency * t + d.phase for d in drives]).reshape(len(drives), len(t))
+
+
 def _hamiltonian(h0, drives, t):
     return h0 + sum(d.amplitude * np.cos(d.frequency * t + d.phase) * d.operator for d in drives)
 
@@ -291,8 +296,8 @@ class TestStepKernel:
     def test_factors_match_expm(self, case):
         h0, drives, h = case
         t_mid = np.random.default_rng(len(drives)).uniform(0.0, 1e3, size=40)
-        factors, _ = lab_frame._step_kernel(h0, drives, h)
-        for t, u in zip(t_mid, factors(t_mid)):
+        factors, *_ = lab_frame._step_kernel(h0, drives, h)
+        for t, u in zip(t_mid, factors(_phases(drives, t_mid))):
             expected = scipy.linalg.expm(-1j * h * _hamiltonian(h0, drives, t))
             assert np.max(np.abs(u - expected)) <= 1e-14
 
@@ -309,3 +314,65 @@ class TestStepKernel:
         for t in (np.arange(50) + 0.5) * h:
             expected = scipy.linalg.expm(-1j * h * _hamiltonian(h0, drives, t)) @ expected
         assert np.max(np.abs(u - expected)) <= 1e-12
+
+
+def _forced_block(monkeypatch, m):
+    """Make _grid_product take m-step blocks whatever the grid length."""
+    monkeypatch.setattr(lab_frame, "_block_size",
+                        lambda n_steps, dims, norm, chunk: (m, lab_frame._chebyshev_degree(m * norm)))
+
+
+# (case, block length): the coarse strong step, whose blocks the integrator
+# never takes, with short blocks only
+BLOCK_CASES = [(name, m) for name in KERNEL_CASES for m in (2, 8) if (name, m) != ("strong-coarse", 8)]
+LONG_GRID = lab_frame._CHUNK + 1000
+
+
+class TestBlockKernel:
+    """m-step blocks read off a Fourier series in the drive phases."""
+
+    @pytest.mark.parametrize(("name", "m"), BLOCK_CASES, ids=[f"{n}-m{m}" for n, m in BLOCK_CASES])
+    def test_blocks_match_factor_products(self, name, m):
+        h0, drives, h = KERNEL_CASES[name]
+        factors, _, norm = lab_frame._step_kernel(h0, drives, h)
+        blocks, _ = lab_frame._block_kernel(factors, drives, h, m, lab_frame._chebyshev_degree(m * norm))
+        theta = np.random.default_rng(m).uniform(0.0, 2.0 * np.pi, size=(len(drives), 40))
+        delta = np.array([d.frequency * h for d in drives]).reshape(-1, 1)
+        expected = np.eye(4)
+        for j in range(m):
+            expected = factors(theta + j * delta) @ expected
+        assert np.max(np.abs(blocks(theta) - expected)) <= 1e-14
+
+    @pytest.mark.parametrize("name", ["0-weak", "1-weak", "2-weak"])
+    @pytest.mark.parametrize(("m", "n_steps"), [
+        (64, 40),  # shorter than one block
+        (64, 64 * 37),  # whole blocks
+        (64, 64 * 37 + 29),  # whole blocks and a remainder
+        (64, LONG_GRID),  # more than one chunk
+        (1, 64 * 37 + 29),  # one factor per step
+        (None, 3000),  # the integrator's own block length and degree
+    ])
+    def test_grid_matches_single_steps(self, monkeypatch, name, m, n_steps):
+        h0, drives, h = KERNEL_CASES[name]
+        factors, *_ = lab_frame._step_kernel(h0, drives, h)
+        steps = factors(_phases(drives, (np.arange(n_steps) + 0.5) * h))
+        expected = lab_frame._project_unitary(lab_frame._ordered_product(steps))
+        if m is not None:
+            _forced_block(monkeypatch, m)
+        assert np.max(np.abs(lab_frame._grid_product(h0, drives, h, n_steps) - expected)) <= 1e-13
+
+    @pytest.mark.parametrize(("name", "n_steps", "blocks"), [
+        ("strong-coarse", LONG_GRID, False),  # one step's drive norm is beyond _CHEB_NORM
+        ("strong", None, False),  # one drive period: the block set-up does not pay
+        ("3-weak", 3000, False),  # L^3 node steps do not pay
+        ("1-weak", 3000, True),
+        ("0-weak", 3000, True),
+    ])
+    def test_block_length(self, name, n_steps, blocks):
+        h0, drives, h = KERNEL_CASES[name]
+        _, width, norm = lab_frame._step_kernel(h0, drives, h)
+        if n_steps is None:
+            n_steps = int(np.ceil(2.0 * np.pi / abs(drives[0].frequency) / h))
+        chunk = min(lab_frame._CHUNK, lab_frame._CHUNK * 32 // width)
+        m, _ = lab_frame._block_size(n_steps, len(drives), norm, chunk)
+        assert (m > 1) == blocks
