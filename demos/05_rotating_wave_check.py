@@ -10,8 +10,9 @@ r = Rabi rate / nearest line spacing.
 Runtime note: a single-frequency drive is periodic, so each pulse costs
 one integrated drive period (a few hundred steps) plus about log2 N
 squarings for N periods; the r = 1e-3 point takes milliseconds.  The
-convergence study at the end integrates its full grids (~4e5 steps, about
-a second).  The acceptance suite additionally runs r = 1e-4.
+convergence study at the end integrates its full grids (~4e5 steps) in
+m-step blocks, a few tens of milliseconds; the whole demo runs in well
+under a second.  The acceptance suite additionally runs r = 1e-4.
 """
 
 import numpy as np

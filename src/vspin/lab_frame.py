@@ -36,10 +36,7 @@ GEMM.  Steps after the last whole block take the step factors directly.
 m is the power of two that minimizes the work in steps,
 L^D m + n/m + (n mod m) plus a measured set-up cost for m > 1, with
 m ||Y||_1 at most 2.  Grids too short, drives too strong and bases too
-wide for blocks to pay keep m = 1, one factor per step.  After each chunk of at most 2^16 steps
-the accumulated product is re-projected onto the nearest unitary, which
-removes roundoff drift of order 1e-13 without touching the O(h^2) method
-error.
+wide for blocks to pay keep m = 1, one factor per step.
 
 When every drive has the same |Omega|, H(t) is periodic with
 T_d = 2 pi / |Omega| (Floquet; Shirley, Phys. Rev. 138, B979, 1965), so
@@ -48,9 +45,16 @@ T_d = 2 pi / |Omega| (Floquet; Shirley, Phys. Rev. 138, B979, 1965), so
 
 Only one period and the tail are integrated on the grid (the step divides
 T_d, and the tail restarts at t = 0); the power takes about 2 log2 N
-re-projected products, so the cost grows with log N rather than with N.
+products, so the cost grows with log N rather than with N.
 Two-frequency drives, drive-free systems and an explicit step count
 integrate the whole grid, whose step divides T.
+
+Whatever the route, the finished product is projected once onto the
+nearest unitary, its polar factor.  A rounded product of factors
+W_k (1 + H_k), W_k unitary and H_k Hermitian of roundoff size eps, is
+W (1 + H) + O(eps^2) with H Hermitian, whose polar factor is W + O(eps^2)
+(Higham, Functions of Matrices, SIAM 2008, ch. 8): one projection at the
+end removes the drift as one after every product would, to first order.
 
 Comparing the integrated propagator, pulled into the interaction frame,
 against the ideal selective-pulse propagator measures exactly the
@@ -68,6 +72,7 @@ cosine drive must be offset by pi/2 + arg<psi_m| I_axis |psi_n> to realize
 engine phase zero.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -228,12 +233,28 @@ def _project_unitary(u):
 
 
 def _chebyshev_degree(norm):
-    """Smallest K with Chebyshev tail (norm/2)^(K+1) / (K+1)! below _CHEB_TAIL."""
-    degree, tail = 0, norm / 2.0
-    while tail > _CHEB_TAIL:
-        degree += 1
-        tail *= norm / (2.0 * (degree + 1))
-    return degree
+    """Smallest K with Chebyshev tail (norm/2)^(K+1) / (K+1)! below _CHEB_TAIL.
+
+    The tail rises while K + 1 < norm / 2, then falls, so it exceeds the
+    bound exactly below the answer, which doubling brackets and bisection
+    finds.  It is compared in logarithms: above norm ~ 1,400 it overflows.
+    """
+    if not math.isfinite(norm):
+        raise ValueError(f"norm must be finite, got {norm}")
+    if norm <= 0.0:
+        return 0
+    log_half, log_bound = math.log(norm / 2.0), math.log(_CHEB_TAIL)
+
+    def above(k):
+        return (k + 1) * log_half - math.lgamma(k + 2) > log_bound
+
+    low, high = -1, 0  # above(low) holds for every K < 0
+    while above(high):
+        low, high = high, 2 * high + 1
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if above(mid) else (low, mid)
+    return high
 
 
 def _step_kernel(h0, drives, h):
@@ -358,7 +379,7 @@ def _grid_product(h0, drives, h, n_steps):
     total = np.eye(4, dtype=complex)
     done = 0
     # whole m-step blocks, then the steps left over, one chunk of at most
-    # _CHUNK steps (and one re-projection) at a time
+    # _CHUNK steps at a time to bound the memory of the factor stacks
     for stride, kernel, width in passes:
         chunk = max(1, min(_CHUNK // stride, _CHUNK * 32 // width))
         end = done + (n_steps - done) // stride * stride
@@ -367,7 +388,6 @@ def _grid_product(h0, drives, h, n_steps):
             t_mid = (done + np.arange(0, stride * count, stride) + 0.5) * h
             phases = np.array([d.frequency * t_mid + d.phase for d in drives]).reshape(-1, count)
             total = _ordered_product(kernel(phases)) @ total
-            total = _project_unitary(total)
             done += stride * count
     return total
 
@@ -378,18 +398,6 @@ def _drive_period(drives):
     if len(rates) != 1 or 0.0 in rates:
         return None
     return 2.0 * np.pi / rates.pop()
-
-
-def _unitary_power(u, n):
-    """u^n by binary powering, re-projected onto the unitaries after each product."""
-    result = np.eye(4, dtype=complex)
-    while n:
-        if n & 1:
-            result = _project_unitary(u @ result)
-        n >>= 1
-        if n:
-            u = _project_unitary(u @ u)
-    return result
 
 
 def integrate_lab_frame(system: DrivenSystem, n_steps=None) -> np.ndarray:
@@ -418,16 +426,18 @@ def integrate_lab_frame(system: DrivenSystem, n_steps=None) -> np.ndarray:
     if periods:
         n_steps = int(np.ceil(period / target))
         h = period / n_steps
-        total = _unitary_power(_grid_product(h0, drives, h, n_steps), periods)
+        total = np.linalg.matrix_power(_grid_product(h0, drives, h, n_steps), periods)
         # H(t + T_d) = H(t), so the remainder is integrated from t = 0 again
         tail = system.duration - periods * period
         if tail > 0.0:
             count = int(np.ceil(tail / target))
-            total = _project_unitary(_grid_product(h0, drives, tail / count, count) @ total)
+            total = _grid_product(h0, drives, tail / count, count) @ total
     else:
         n_steps = max(int(n_steps), 1)
         h = system.duration / n_steps
         total = _grid_product(h0, drives, h, n_steps)
+    # the only re-projection: see the module docstring
+    total = _project_unitary(total)
 
     defect = float(np.max(np.abs(total.conj().T @ total - np.eye(4))))
     if defect > UNITARITY_BOUND:
@@ -502,7 +512,6 @@ def rwa_infidelity(
     axis="Y",
     phase=0.0,
     flip=np.pi,
-    n_steps=None,
 ) -> float:
     """Infidelity between the lab-frame pulse and its ideal propagator.
 
@@ -515,7 +524,7 @@ def rwa_infidelity(
         e = closed_form_eigensystem(params)
     scaled = _params_for_ratio(params, e, transition, axis, ratio)
     system = drive_for_pulse(scaled, e, transition, axis, phase, flip)
-    u_lab = integrate_lab_frame(system, n_steps=n_steps)
+    u_lab = integrate_lab_frame(system)
     u_int = to_interaction_frame(u_lab, e, system.duration)
     v = single_frequency_propagator(e, transition, axis, phase, flip)
     return propagator_infidelity(u_int, v)

@@ -99,16 +99,12 @@ class PulseSpec:
     phase       phi, radians
     flip        phi_y >= 0, radians, never wrapped (the overall sign flip
                 at 2 pi is physical spinor behavior)
-    amplitude   optional RF amplitude h_rf (field-unit) of a realization
-    duration    optional pulse length (s) of a realization
     """
 
     transition: tuple
     axis: str = "Y"
     phase: float = 0.0
     flip: float = np.pi
-    amplitude: float | None = None
-    duration: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "transition", _normalize_transition(self.transition))
@@ -117,19 +113,6 @@ class PulseSpec:
             raise ValueError(f"phase must be finite, got {self.phase}")
         if not (np.isfinite(self.flip) and self.flip >= 0.0):
             raise ValueError(f"flip must be finite and >= 0, got {self.flip}")
-
-    @classmethod
-    def from_duration(cls, params, e, transition, axis="Y", phase=0.0, duration=0.0):
-        """Build a pulse from the physics view (amplitude + duration)."""
-        phi_y = flip_angle(params, e, transition, axis, duration)
-        return cls(
-            transition=transition,
-            axis=axis,
-            phase=phase,
-            flip=phi_y,
-            amplitude=params.h_rf,
-            duration=float(duration),
-        )
 
 
 @dataclass(frozen=True)
@@ -304,13 +287,11 @@ def two_frequency_propagator(
 
 
 def _pulse_duration(pulse: PulseSpec, params: SpinParameters, e: EigenSystem):
-    """Wall-clock length of a pulse, from its realization or from h_rf."""
-    if pulse.duration is not None:
-        return float(pulse.duration)
+    """Wall-clock length of a pulse, from its flip angle and h_rf."""
     if params.h_rf <= 0.0:
         raise SemanticError(
-            "free-evolution tracking needs pulse durations; give realizations"
-            " or set h_rf > 0 so durations can be derived from flip angles"
+            "free-evolution tracking needs pulse durations;"
+            " set h_rf > 0 so durations can be derived from flip angles"
         )
     return _pulse_length(params, pulse.flip, _drivable_element(e, pulse.transition, pulse.axis))
 

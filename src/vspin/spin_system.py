@@ -77,11 +77,6 @@ class SpinParameters:
         if not self.h_rf >= 0.0:
             raise ValueError(f"h_rf must be >= 0, got {self.h_rf}")
 
-    @property
-    def zeeman_ratio(self):
-        """C = omega0 / omegaQ."""
-        return self.omega0 / self.omegaQ
-
 
 @dataclass(frozen=True)
 class EigenSystem:

@@ -1,8 +1,4 @@
-"""Smoke test: the narrative demos run to completion.
-
-demos/05 (about 7 s of lab-frame integration) is left out; its calls are
-covered by test_lab_frame.py.
-"""
+"""Smoke test: the narrative demos run to completion."""
 
 import os
 import subprocess
@@ -12,11 +8,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DEMOS = sorted((ROOT / "demos").glob("0[1-4]_*.py"))
+DEMOS = sorted((ROOT / "demos").glob("0[1-5]_*.py"))
 
 
 def test_demos_found():
-    assert len(DEMOS) == 4
+    assert len(DEMOS) == 5
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)

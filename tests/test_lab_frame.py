@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 
 from vspin import lab_frame
 from vspin import (
@@ -185,6 +186,8 @@ def _pulse_cases():
     cases["whole-periods"] = replace(whole, duration=3 * _period(whole))
     stepped = _seeded_pulse(rng, (1, 3), "Y")
     cases["explicit-step"] = replace(stepped, step=0.7 * stepped.default_step())
+    # thousands of periods: N-th power of one period, projected once
+    cases["weak-many-periods"] = _seeded_pulse(rng, (1, 2), "Y", ratio=1e-4)
     return cases
 
 
@@ -359,7 +362,10 @@ class TestBlockKernel:
         expected = lab_frame._project_unitary(lab_frame._ordered_product(steps))
         if m is not None:
             _forced_block(monkeypatch, m)
-        assert np.max(np.abs(lab_frame._grid_product(h0, drives, h, n_steps) - expected)) <= 1e-13
+        # the grid's own drift is Hermitian roundoff that the integrator's one
+        # final projection removes, so both sides are compared projected
+        u = lab_frame._project_unitary(lab_frame._grid_product(h0, drives, h, n_steps))
+        assert np.max(np.abs(u - expected)) <= 1e-13
 
     @pytest.mark.parametrize(("name", "n_steps", "blocks"), [
         ("strong-coarse", LONG_GRID, False),  # one step's drive norm is beyond _CHEB_NORM
@@ -376,3 +382,57 @@ class TestBlockKernel:
         chunk = min(lab_frame._CHUNK, lab_frame._CHUNK * 32 // width)
         m, _ = lab_frame._block_size(n_steps, len(drives), norm, chunk)
         assert (m > 1) == blocks
+
+
+class TestProjection:
+    """The integrator re-projects onto the unitaries once, whatever the route."""
+
+    @pytest.mark.parametrize(("name", "n_steps"), [
+        ("12-Y", None),  # whole periods and a tail
+        ("whole-periods", None),
+        ("shorter-than-a-period", None),  # the default whole grid
+        ("12-Y", LONG_GRID),  # explicit steps, more than one chunk
+    ])
+    def test_projects_once(self, monkeypatch, name, n_steps):
+        _forced_block(monkeypatch, 1)  # one factor per step: LONG_GRID takes two chunks
+        calls = []
+        real = lab_frame._project_unitary
+        monkeypatch.setattr(lab_frame, "_project_unitary", lambda u: calls.append(u) or real(u))
+        u = integrate_lab_frame(PULSE_CASES[name], n_steps=n_steps)
+        assert len(calls) == 1
+        assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-14
+
+
+def _chebyshev_degree_loop(norm):
+    """The degree rule as a running product of the tail's factors: the
+    reference below norm ~1,400, above which the product overflows to inf
+    and the loop never ends."""
+    degree, tail = 0, norm / 2.0
+    while tail > lab_frame._CHEB_TAIL:
+        degree += 1
+        tail *= norm / (2.0 * (degree + 1))
+    return degree
+
+
+class TestChebyshevDegree:
+    def test_matches_the_running_product_up_to_the_callers_bound(self):
+        # every caller passes a norm in (0, _CHEB_NORM]
+        norms = np.concatenate([
+            np.linspace(0.0, lab_frame._CHEB_NORM, 20001)[1:],
+            np.geomspace(1e-25, lab_frame._CHEB_NORM, 2000),
+        ])
+        for norm in norms:
+            assert lab_frame._chebyshev_degree(float(norm)) == _chebyshev_degree_loop(norm)
+
+    def test_large_norm_terminates(self):
+        degree = lab_frame._chebyshev_degree(1500.0)
+        log_tail = (np.array([degree, degree + 1]) * np.log(750.0)
+                    - scipy.special.gammaln([degree + 1, degree + 2]))
+        # the tail of degree K is (norm/2)^(K+1) / (K+1)!: above the bound at
+        # K - 1, below it at K
+        assert log_tail[1] <= np.log(lab_frame._CHEB_TAIL) < log_tail[0]
+
+    @pytest.mark.parametrize("norm", [np.nan, np.inf])
+    def test_non_finite_norm_raises(self, norm):
+        with pytest.raises(ValueError):
+            lab_frame._chebyshev_degree(norm)

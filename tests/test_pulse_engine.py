@@ -199,13 +199,6 @@ class TestPulseSpec:
         with pytest.raises(ValueError):
             PulseSpec(transition=(1, 2), axis="Z")
 
-    def test_from_duration(self, eigen):
-        p = SpinParameters(0.1, 1.0, 0.5, gamma=2.0, h_rf=0.25)
-        s = PulseSpec.from_duration(p, eigen, (1, 2), "Y", 0.0, duration=1.5)
-        assert s.flip == pytest.approx(flip_angle(p, eigen, (1, 2), "Y", 1.5))
-        assert s.duration == 1.5
-        assert s.amplitude == 0.25
-
     def test_two_frequency_step_validation(self):
         a = PulseSpec(transition=(1, 2), flip=1.0)
         with pytest.raises(SharedLevel):
