@@ -238,6 +238,7 @@ def _chebyshev_degree(norm):
     The tail rises while K + 1 < norm / 2, then falls, so it exceeds the
     bound exactly below the answer, which doubling brackets and bisection
     finds.  It is compared in logarithms: above norm ~ 1,400 it overflows.
+    Above norm ~ 1e305 the degree itself leaves the float range.
     """
     if not math.isfinite(norm):
         raise ValueError(f"norm must be finite, got {norm}")
@@ -249,8 +250,11 @@ def _chebyshev_degree(norm):
         return (k + 1) * log_half - math.lgamma(k + 2) > log_bound
 
     low, high = -1, 0  # above(low) holds for every K < 0
-    while above(high):
-        low, high = high, 2 * high + 1
+    try:
+        while above(high):
+            low, high = high, 2 * high + 1
+    except OverflowError:
+        raise ValueError(f"norm too large for a Chebyshev degree, got {norm}") from None
     while high - low > 1:
         mid = (low + high) // 2
         low, high = (mid, high) if above(mid) else (low, mid)

@@ -29,6 +29,8 @@ of the six level pairs have identically vanishing Ix/Iy elements, yet their
 ideal propagators are still perfectly well-defined matrices.
 """
 
+import cmath
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,6 +70,9 @@ DRIVABLE_THRESHOLD = 1e-14
 # A realized pulse is selective iff every other line is more than
 # SELECTIVITY_FACTOR Rabi rates away.
 SELECTIVITY_FACTOR = 1e3
+
+_IDENTITY = np.eye(4, dtype=complex)
+_IDENTITY.flags.writeable = False
 
 
 def _normalize_transition(transition):
@@ -109,9 +114,9 @@ class PulseSpec:
     def __post_init__(self):
         object.__setattr__(self, "transition", _normalize_transition(self.transition))
         object.__setattr__(self, "axis", _normalize_axis(self.axis))
-        if not np.isfinite(self.phase):
+        if not math.isfinite(self.phase):
             raise ValueError(f"phase must be finite, got {self.phase}")
-        if not (np.isfinite(self.flip) and self.flip >= 0.0):
+        if not (math.isfinite(self.flip) and self.flip >= 0.0):
             raise ValueError(f"flip must be finite and >= 0, got {self.flip}")
 
 
@@ -165,7 +170,7 @@ class FreeEvolutionStep:
     duration: float
 
     def __post_init__(self):
-        if not np.isfinite(self.duration):
+        if not math.isfinite(self.duration):
             raise ValueError(f"duration must be finite, got {self.duration}")
 
     def propagator(self, e, params, include_free_evolution):
@@ -253,12 +258,12 @@ def single_frequency_propagator(
     axis = _normalize_axis(axis)
     if params is not None and params.h_rf > 0.0:
         _check_physics(e, (m, n), axis, params)
-    phi = float(phase) if axis == "Y" else float(phase) - np.pi / 2.0
+    phi = float(phase) if axis == "Y" else float(phase) - math.pi / 2.0
     half = float(flip) / 2.0
-    v = np.eye(4, dtype=complex)
-    v[m - 1, m - 1] = v[n - 1, n - 1] = np.cos(half)
-    v[n - 1, m - 1] = np.exp(1j * phi) * np.sin(half)
-    v[m - 1, n - 1] = -np.exp(-1j * phi) * np.sin(half)
+    v = _IDENTITY.copy()
+    v[m - 1, m - 1] = v[n - 1, n - 1] = math.cos(half)
+    v[n - 1, m - 1] = cmath.exp(1j * phi) * math.sin(half)
+    v[m - 1, n - 1] = -cmath.exp(-1j * phi) * math.sin(half)
     return v
 
 
@@ -304,7 +309,7 @@ def program_propagator(
     """Ordered product of all step propagators (later steps on the left)."""
     if e is None:
         e = closed_form_eigensystem(prog.params)
-    total = np.eye(4, dtype=complex)
+    total = _IDENTITY.copy()
     for step in prog.steps:
         total = step.propagator(e, prog.params, include_free_evolution) @ total
     return total
@@ -314,13 +319,17 @@ def _check_density_matrix(rho):
     r = np.asarray(rho, dtype=complex)
     if r.shape != (4, 4):
         raise InvalidState(f"density matrix must be 4x4, got shape {r.shape}")
-    if np.max(np.abs(r - r.conj().T)) > 1e-12:
+    if not np.isfinite(r).all():
+        raise InvalidState("density matrix has a non-finite entry")
+    r_h = r.conj().T
+    if abs(r - r_h).max() > 1e-12:
         raise InvalidState("density matrix is not Hermitian to 1e-12")
-    if abs(np.trace(r).real - 1.0) > 1e-12 or abs(np.trace(r).imag) > 1e-12:
-        raise InvalidState(f"density matrix trace is {np.trace(r):.15g}, expected 1")
-    eigs = np.linalg.eigvalsh((r + r.conj().T) / 2.0)
-    if np.min(eigs) < -1e-12:
-        raise InvalidState(f"density matrix has eigenvalue {np.min(eigs):.3e} < -1e-12")
+    trace = complex(r.trace())
+    if abs(trace.real - 1.0) > 1e-12 or abs(trace.imag) > 1e-12:
+        raise InvalidState(f"density matrix trace is {trace:.15g}, expected 1")
+    low = np.linalg.eigvalsh((r + r_h) / 2.0).min()
+    if low < -1e-12:
+        raise InvalidState(f"density matrix has eigenvalue {low:.3e} < -1e-12")
     return r
 
 

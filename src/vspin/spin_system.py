@@ -21,6 +21,7 @@ Conventions fixed here and relied on everywhere else:
   which pins the phases of all drive matrix elements.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +65,7 @@ class SpinParameters:
 
     def __post_init__(self):
         for name in ("omega0", "omegaQ", "gamma", "h_rf"):
-            if not np.isfinite(getattr(self, name)):
+            if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not abs(self.eta) <= 1.0:
             raise ValueError(f"|eta| must be <= 1, got {self.eta}")
@@ -310,12 +311,11 @@ def transition_table(e: EigenSystem, selectivity_margin=None) -> TransitionTable
     """
     if selectivity_margin is None:
         selectivity_margin = 1e-6 * e.scale
-    entries = []
-    with np.errstate(over="ignore"):
-        for m in range(1, 5):
-            for n in range(m + 1, 5):
-                entries.append((m, n, float(e.energies[m - 1] - e.energies[n - 1])))
-    if not all(np.isfinite(omega) for _, _, omega in entries):
+    energies = e.energies.tolist()
+    entries = [
+        (m, n, energies[m - 1] - energies[n - 1]) for m in range(1, 5) for n in range(m + 1, 5)
+    ]
+    if not all(math.isfinite(omega) for _, _, omega in entries):
         raise DegenerateSpectrum(
             "transition frequencies overflow double precision", energies=e.energies
         )

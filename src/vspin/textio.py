@@ -8,15 +8,18 @@ Pulse-program grammar (one directive per line, ``#`` starts a comment):
     free dt=<f>
 
 Exactly one ``system`` line, and it must come first.  ``<angle>`` accepts a
-plain float or a pi expression (``pi``, ``pi/2``, ``3*pi/4``, ``-pi``).
-Every malformed line yields one positioned diagnostic; nothing is skipped
-silently.
+plain float or a pi expression (``pi``, ``pi/2``, ``3*pi/4``, ``-pi``), and
+either must come out finite.  Every malformed line yields one positioned
+diagnostic; nothing is skipped silently.
 
 Density matrices print as a ``rho 4x4 basis=eigen`` header followed by four
 rows of ``(re,im)`` entries with 17 significant digits, which round-trips
-binary64 values bit-exactly.
+binary64 values bit-exactly.  Every entry must be finite: ``nan``, ``inf``
+or an overflowing ``1e999`` is a ParseError naming its line, as is any
+other malformed entry (the CLI exits 2 on either kind of text).
 """
 
+import math
 import re
 
 import numpy as np
@@ -55,27 +58,32 @@ _PI_EXPR = re.compile(
 )
 
 
-def parse_angle(text):
-    """Float or pi expression -> radians."""
-    token = str(text).strip()
+def _pi_expression(token):
+    """Radians of a pi expression; ValueError if the token is not one."""
     match = _PI_EXPR.match(token)
-    if match:
-        value = np.pi
-        if match.group("coef"):
-            value *= float(match.group("coef"))
-        if match.group("den"):
-            den = float(match.group("den"))
-            if den == 0.0:
-                raise ValueError("zero denominator in pi expression")
-            value /= den
-        if match.group("sign") == "-":
-            value = -value
-        return value
+    if not match:
+        raise ValueError(f"not a number or pi expression: {token!r}")
+    value = math.pi
+    if match.group("coef"):
+        value *= float(match.group("coef"))
+    if match.group("den"):
+        den = float(match.group("den"))
+        if den == 0.0:
+            raise ValueError("zero denominator in pi expression")
+        value /= den
+    if match.group("sign") == "-":
+        value = -value
+    return value
+
+
+def parse_angle(text):
+    """Float or pi expression -> radians; both must come out finite."""
+    token = str(text).strip()
     try:
         value = float(token)
     except ValueError:
-        raise ValueError(f"not a number or pi expression: {token!r}") from None
-    if not np.isfinite(value):
+        value = _pi_expression(token)
+    if not math.isfinite(value):
         raise ValueError(f"angle must be finite: {token!r}")
     return value
 
@@ -87,7 +95,7 @@ def format_number(x):
 
 def _parse_float(token):
     value = float(token)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ValueError("must be finite")
     return value
 
@@ -123,9 +131,12 @@ _FIELD_PARSERS = {
 }
 
 
+_TOKEN = re.compile(r"\S+")
+
+
 def _tokenize(line):
     """[(token, column)] with 1-based columns of each whitespace-split token."""
-    return [(match.group(0), match.start() + 1) for match in re.finditer(r"\S+", line)]
+    return [(match.group(0), match.start() + 1) for match in _TOKEN.finditer(line)]
 
 
 def _parse_directive(line, line_no):
@@ -265,8 +276,12 @@ def format_pulse_program(prog: PulseProgram) -> str:
     return "\n".join(lines) + "\n"
 
 
-_ENTRY = re.compile(r"\(([^(),\s]+),([^(),\s]+)\)")
+_ENTRY = r"\(([^(),\s]+),([^(),\s]+)\)"
+# A row is four (re,im) entries with only whitespace between them.
+_ROW = re.compile(r"\s*".join([_ENTRY] * 4))
 _HEADER = re.compile(r"^rho 4x4 basis=(\w+)$")
+# Four rows of four entries, the whole matrix in one %-format.
+_MATRIX = "\n".join([" ".join(["(%.17g,%.17g)"] * 4)] * 4)
 
 
 def format_density_matrix(rho, basis="eigen") -> str:
@@ -274,12 +289,7 @@ def format_density_matrix(rho, basis="eigen") -> str:
     r = np.asarray(rho, dtype=complex)
     if r.shape != (4, 4):
         raise ValueError(f"density matrix must be 4x4, got {r.shape}")
-    lines = [f"rho 4x4 basis={basis}"]
-    for row in r:
-        lines.append(
-            " ".join(f"({format_number(z.real)},{format_number(z.imag)})" for z in row)
-        )
-    return "\n".join(lines) + "\n"
+    return f"rho 4x4 basis={basis}\n" + _MATRIX % tuple(r.ravel().view(float).tolist()) + "\n"
 
 
 def parse_density_matrix(text) -> np.ndarray:
@@ -296,18 +306,18 @@ def parse_density_matrix(text) -> np.ndarray:
         raise ParseError(f"line {header_no}: expected 'rho 4x4 basis=...', got {header!r}")
     if len(lines) != 5:
         raise ParseError(f"expected 4 matrix rows, got {len(lines) - 1}")
-    out = np.zeros((4, 4), dtype=complex)
-    for i, (line_no, row) in enumerate(lines[1:]):
-        entries = _ENTRY.findall(row)
-        if len(entries) != 4 or "".join(
-            _ENTRY.sub("", row).split()
-        ):
+    values = []
+    for line_no, row in lines[1:]:
+        match = _ROW.fullmatch(row)
+        if match is None:
             raise ParseError(f"line {line_no}: expected 4 '(re,im)' entries, got {row!r}")
-        for j, (re_s, im_s) in enumerate(entries):
+        fields = match.groups()
+        for re_s, im_s in zip(fields[0::2], fields[1::2]):
             try:
-                out[i, j] = complex(float(re_s), float(im_s))
+                re_v, im_v = float(re_s), float(im_s)
             except ValueError:
-                raise ParseError(
-                    f"line {line_no}: bad entry ({re_s},{im_s})"
-                ) from None
-    return out
+                raise ParseError(f"line {line_no}: bad entry ({re_s},{im_s})") from None
+            if not (math.isfinite(re_v) and math.isfinite(im_v)):
+                raise ParseError(f"line {line_no}: entry ({re_s},{im_s}) is not finite")
+            values += (re_v, im_v)
+    return np.array(values).view(complex).reshape(4, 4)

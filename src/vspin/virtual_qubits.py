@@ -223,13 +223,14 @@ def truth_table(u, tol=1e-10):
     reported relative to the first such row.
     """
     u = np.asarray(u, dtype=complex)
+    mags = np.abs(u)
+    peaks = mags.argmax(axis=0)
+    mags[peaks, range(4)] = 0.0  # so the column maxima are the off-peak ones
     raw = []
-    for level in range(1, 5):
-        column = u[:, level - 1]
-        k = int(np.argmax(np.abs(column)))
-        rest = np.delete(np.abs(column), k)
-        if np.max(rest) <= tol and abs(abs(column[k]) - 1.0) <= tol:
-            raw.append((level_to_bits(level), level_to_bits(k + 1), complex(column[k])))
+    for level, k, rest in zip(range(1, 5), peaks.tolist(), mags.max(axis=0).tolist()):
+        amp = complex(u[k, level - 1])
+        if rest <= tol and abs(abs(amp) - 1.0) <= tol:
+            raw.append((level_to_bits(level), level_to_bits(k + 1), amp))
         else:
             raw.append((level_to_bits(level), None, None))
     reference = next((amp for _, out, amp in raw if out is not None), None)

@@ -133,6 +133,24 @@ class TestSimulate:
         code, _ = run(["simulate", "/nonexistent/prog.vsp"])
         assert code == 2
 
+    @pytest.mark.parametrize("entry", ["(nan,0)", "(inf,0)"])
+    def test_non_finite_initial_exit_2(self, tmp_path, capsys, entry):
+        prog = tmp_path / "empty.vsp"
+        prog.write_text("system omega0=0.1 omegaQ=1 eta=0.5 gamma=1 hrf=0\n")
+        rho_file = tmp_path / "rho.txt"
+        rho_file.write_text(
+            "rho 4x4 basis=eigen\n" + f"{entry} (0,0) (0,0) (0,0)\n"
+            + "(0,0) (0.25,0) (0,0) (0,0)\n(0,0) (0,0) (0.25,0) (0,0)\n"
+            + "(0,0) (0,0) (0,0) (0.25,0)\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, text = run(["simulate", str(prog), "--initial", str(rho_file)])
+        assert code == 2
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err == f"vspin: error: line 2: entry {entry} is not finite\n"
+
     def test_include_free_evolution_changes_result(self, tmp_path):
         # a pulse duration is derivable from hrf; tracking the static
         # phases over it must alter coherences of a non-diagonal state

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -436,3 +437,9 @@ class TestChebyshevDegree:
     def test_non_finite_norm_raises(self, norm):
         with pytest.raises(ValueError):
             lab_frame._chebyshev_degree(norm)
+
+    @pytest.mark.parametrize("norm", [1e306, 1.7e308, np.finfo(float).max])
+    def test_degree_beyond_the_float_range_raises(self, norm):
+        # the degree ~ e * norm / 2 no longer fits a float for lgamma
+        with pytest.raises(ValueError, match=re.escape(repr(float(norm)))):
+            lab_frame._chebyshev_degree(float(norm))

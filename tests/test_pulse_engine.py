@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -263,6 +265,18 @@ class TestApplyProgram:
         prog = PulseProgram(params=params, steps=())
         with pytest.raises(InvalidState):
             apply_pulse_program(prog, rho, e=eigen)
+
+    @pytest.mark.parametrize("where", [(0, 0), (1, 2)])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_states_rejected(self, params, eigen, where, value):
+        # nan compares False, so without its own guard it passes all three
+        rho = np.eye(4, dtype=complex) / 4
+        rho[where] = value
+        prog = PulseProgram(params=params, steps=())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidState, match="non-finite"):
+                apply_pulse_program(prog, rho, e=eigen)
 
     def test_free_evolution_step(self, params, eigen):
         prog = PulseProgram(params=params, steps=(FreeEvolutionStep(duration=0.9),))

@@ -1,9 +1,15 @@
+import random
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vspin import (
     FreeEvolutionStep,
     ParseError,
+    ProgramError,
     ProgramSyntaxError,
     PulseProgram,
     PulseSpec,
@@ -19,6 +25,18 @@ from vspin import (
 )
 
 SYSTEM = "system omega0=0.1 omegaQ=1 eta=0.5 gamma=1 hrf=0\n"
+# One step of each type.
+MIXED = PulseProgram(
+    params=SpinParameters(0.1, 1.0, 0.5, 2.0, 0.001),
+    steps=(
+        PulseStep(pulse=PulseSpec(transition=(1, 2), axis="Y", phase=0.25, flip=np.pi)),
+        TwoFrequencyStep(
+            a=PulseSpec(transition=(1, 3), axis="X", phase=-0.5, flip=1.1),
+            b=PulseSpec(transition=(2, 4), axis="X", phase=-0.5, flip=2.2),
+        ),
+        FreeEvolutionStep(duration=0.125),
+    ),
+)
 
 
 class TestAngles:
@@ -39,10 +57,19 @@ class TestAngles:
     def test_accepted(self, text, value):
         assert parse_angle(text) == pytest.approx(value, rel=1e-15)
 
-    @pytest.mark.parametrize("text", ["two*pi", "pi/0", "pi*2", "", "1..2", "inf", "nan"])
+    @pytest.mark.parametrize(
+        "text", ["two*pi", "pi/0", "pi*2", "", "1..2", "inf", "nan", "1e308*pi", "pi/1e-320"]
+    )
     def test_rejected(self, text):
         with pytest.raises(ValueError):
             parse_angle(text)
+
+    @pytest.mark.parametrize("angle", ["1e308*pi", "pi/1e-320"])
+    def test_overflowing_pi_expression_is_positioned(self, angle):
+        with pytest.raises(ProgramSyntaxError) as info:
+            parse_pulse_program(SYSTEM + f"pulse t=1,2 axis=Y phase={angle} flip=pi\n")
+        assert (info.value.line, info.value.column) == (2, 20)
+        assert "finite" in str(info.value)
 
 
 class TestProgramParsing:
@@ -118,18 +145,7 @@ class TestProgramParsing:
             parse_pulse_program("system omega0=0.1 omegaQ=1 eta=2 gamma=1 hrf=0\n")
 
     def test_round_trip(self):
-        prog = PulseProgram(
-            params=SpinParameters(0.1, 1.0, 0.5, 2.0, 0.001),
-            steps=(
-                PulseStep(pulse=PulseSpec(transition=(1, 2), axis="Y", phase=0.25, flip=np.pi)),
-                TwoFrequencyStep(
-                    a=PulseSpec(transition=(1, 3), axis="X", phase=-0.5, flip=1.1),
-                    b=PulseSpec(transition=(2, 4), axis="X", phase=-0.5, flip=2.2),
-                ),
-                FreeEvolutionStep(duration=0.125),
-            ),
-        )
-        assert parse_pulse_program(format_pulse_program(prog)) == prog
+        assert parse_pulse_program(format_pulse_program(MIXED)) == MIXED
 
 
 class TestDensityMatrixFormat:
@@ -174,3 +190,161 @@ class TestDensityMatrixFormat:
     def test_parse_errors(self, text):
         with pytest.raises(ParseError):
             parse_density_matrix(text)
+
+    @pytest.mark.parametrize("entry", ["(nan,0)", "(0,inf)", "(-inf,0)", "(1e999,0)"])
+    def test_non_finite_entry_names_its_line(self, entry):
+        rows = ["(0.25,0) (0,0) (0,0) (0,0)"] * 4
+        rows[2] = rows[2].replace("(0,0)", entry, 1)
+        with pytest.raises(ParseError, match=rf"^line 4: entry {re.escape(entry)} is not finite$"):
+            parse_density_matrix("rho 4x4 basis=eigen\n" + "\n".join(rows) + "\n")
+
+
+# Every binary64 value a formatted matrix can hold, weighted toward the edges.
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+)
+MATRICES = st.lists(FINITE, min_size=32, max_size=32).map(
+    lambda values: np.array(values).view(complex).reshape(4, 4)
+)
+
+
+PAIRS = [(m, n) for m in range(1, 5) for n in range(m + 1, 5)]
+ANGLES = st.floats(allow_nan=False, allow_infinity=False)
+FLIPS = st.floats(min_value=0.0, allow_infinity=False)
+
+
+@st.composite
+def _two_frequency_steps(draw):
+    a = draw(st.sampled_from(PAIRS))
+    b = draw(st.sampled_from([q for q in PAIRS if not set(q) & set(a)]))
+    axis, phase = draw(st.sampled_from("XY")), draw(ANGLES)
+    return TwoFrequencyStep(
+        a=PulseSpec(transition=a, axis=axis, phase=phase, flip=draw(FLIPS)),
+        b=PulseSpec(transition=b, axis=axis, phase=phase, flip=draw(FLIPS)),
+    )
+
+
+STEPS = st.one_of(
+    st.builds(
+        PulseStep,
+        pulse=st.builds(PulseSpec, transition=st.sampled_from(PAIRS), axis=st.sampled_from("XY"),
+                        phase=ANGLES, flip=FLIPS),
+    ),
+    _two_frequency_steps(),
+    st.builds(FreeEvolutionStep, duration=ANGLES),
+)
+PROGRAMS = st.builds(
+    PulseProgram,
+    params=st.builds(
+        SpinParameters,
+        omega0=st.floats(min_value=0.0, allow_infinity=False),
+        omegaQ=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        eta=st.floats(-1.0, 1.0),
+        gamma=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        h_rf=st.floats(min_value=0.0, allow_infinity=False),
+    ),
+    steps=st.lists(STEPS, max_size=6),
+)
+
+class TestRoundTrips:
+    @settings(max_examples=100, deadline=None)
+    @given(MATRICES)
+    def test_density_matrix_is_bit_exact(self, rho):
+        assert parse_density_matrix(format_density_matrix(rho)).tobytes() == rho.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(PROGRAMS)
+    def test_program(self, prog):
+        assert parse_pulse_program(format_pulse_program(prog)) == prog
+
+
+# Text edits the fuzzers splice in: the format's own characters, every kind
+# of whitespace and line break str.splitlines knows, non-finite spellings,
+# and tokens float() accepts that the format never writes.
+EDITS = [
+    "", " ", "  ", "\t", "\n", "\r\n", "\x0b", "\x1c", "\x85", "\u00a0", "\u2028", "#",
+    "(", ")", ",", "=", "*", "/", "(0,0)", ")(", "x", "e", "E", "-", "+", ".", "0", "1", "_",
+    "nan", "inf", "-inf", "Infinity", "1e400", "1e-400", "\u0663", "pi", "rho", "4x4",
+]
+
+
+def _mutants(texts, count, seed):
+    """``count`` texts, each one of ``texts`` with one to four random edits."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        text = rng.choice(texts)
+        for _ in range(rng.randint(1, 4)):
+            at = rng.randint(0, len(text))
+            text = text[:at] + rng.choice(EDITS) + text[at + rng.randint(0, 3):]
+        yield text
+
+
+_REF_ENTRY = re.compile(r"\(([^(),\s]+),([^(),\s]+)\)")
+_REF_HEADER = re.compile(r"^rho 4x4 basis=(\w+)$")
+
+
+def _reference_parse_density_matrix(text):
+    """The findall/sub density-matrix parser the whole-row match replaced.
+
+    Kept as the reference: a row is accepted when findall sees exactly four
+    entries and nothing but whitespace is left once they are removed.  The
+    only addition is the finiteness rule, checked after each entry parses.
+    """
+    lines = []
+    for line_no, raw in enumerate(str(text).splitlines(), start=1):
+        stripped = raw.split("#", 1)[0].strip()
+        if stripped:
+            lines.append((line_no, stripped))
+    if not lines:
+        raise ParseError("empty density-matrix text")
+    header_no, header = lines[0]
+    if not _REF_HEADER.match(header):
+        raise ParseError(f"line {header_no}: expected 'rho 4x4 basis=...', got {header!r}")
+    if len(lines) != 5:
+        raise ParseError(f"expected 4 matrix rows, got {len(lines) - 1}")
+    out = np.zeros((4, 4), dtype=complex)
+    for i, (line_no, row) in enumerate(lines[1:]):
+        entries = _REF_ENTRY.findall(row)
+        if len(entries) != 4 or "".join(_REF_ENTRY.sub("", row).split()):
+            raise ParseError(f"line {line_no}: expected 4 '(re,im)' entries, got {row!r}")
+        for j, (re_s, im_s) in enumerate(entries):
+            try:
+                out[i, j] = complex(float(re_s), float(im_s))
+            except ValueError:
+                raise ParseError(f"line {line_no}: bad entry ({re_s},{im_s})") from None
+            if not np.isfinite(out[i, j]):
+                raise ParseError(f"line {line_no}: entry ({re_s},{im_s}) is not finite")
+    return out
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text).tobytes()
+    except ParseError as exc:
+        return str(exc)
+
+
+class TestFuzz:
+    def test_density_matrix_matches_the_reference(self, rng):
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        edges = np.array([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, 1.0, 0.25])
+        matrices = [a @ a.conj().T / np.trace(a @ a.conj().T).real, np.eye(4) / 4,
+                    np.tile(edges, 4).view(complex).reshape(4, 4)]
+        texts = [format_density_matrix(rho) for rho in matrices]
+        texts.append("# comment\n\n" + texts[0] + "# trailing\n")
+        # anything but a ParseError escapes and fails the test
+        for text in _mutants(texts, 20_000, seed=11):
+            assert _outcome(parse_density_matrix, text) == _outcome(
+                _reference_parse_density_matrix, text
+            ), repr(text)
+
+    def test_program_raises_only_program_errors(self):
+        text = format_pulse_program(MIXED)
+        texts = [text, text.replace("phase=0.25", "phase=pi/4").replace("flip=1.1", "flip=3*pi/4")]
+        for mutant in _mutants(texts, 5_000, seed=12):
+            try:
+                parse_pulse_program(mutant)
+            except ProgramError:
+                pass
