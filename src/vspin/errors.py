@@ -58,7 +58,7 @@ class NotPositive(VspinError):
 
 
 class StepTooLarge(VspinError):
-    """Integrator step produced a unitarity defect beyond the allowed bound."""
+    """The lab-frame integrator's propagator product overflows double precision."""
 
 
 class ProgramError(VspinError):

@@ -107,7 +107,6 @@ __all__ = [
     "convergence_study",
 ]
 
-UNITARITY_BOUND = 1e-10
 _CHUNK = 1 << 16
 # Taylor degrees and the largest 1-norm each handles at ~1e-16 accuracy.
 _TAYLOR_STEPS = ((7, 0.035), (9, 0.11), (13, 0.43))
@@ -124,7 +123,7 @@ _BLOCK_SETUP = 500
 
 @dataclass(frozen=True)
 class DriveTerm:
-    """One cosine drive A * O * cos(Omega t + phi)."""
+    """One cosine drive A * O * cos(Omega t + phi); every value finite."""
 
     operator: np.ndarray
     amplitude: float
@@ -135,6 +134,8 @@ class DriveTerm:
         op = np.asarray(self.operator, dtype=complex)
         if op.shape != (4, 4):
             raise ValueError(f"drive operator must be 4x4, got {op.shape}")
+        if not np.isfinite(op).all():
+            raise ValueError("drive operator must be finite")
         object.__setattr__(self, "operator", op)
         for name in ("amplitude", "frequency", "phase"):
             if not np.isfinite(getattr(self, name)):
@@ -145,10 +146,10 @@ class DriveTerm:
 class DrivenSystem:
     """Static Hamiltonian plus drives on a uniform time grid.
 
-    h0        4x4 Hermitian, rad/s
+    h0        4x4 Hermitian, rad/s, finite
     drives    DriveTerm sequence
-    duration  total time T >= 0, s
-    step      target step h > 0, s, or None for the default rule
+    duration  total time T >= 0, s, finite
+    step      finite target step h > 0, s, or None for the default rule
               h = 2 pi / (200 Omega_max); the actual step is the largest
               not above it that divides the drive period T_d when every
               drive shares one |Omega| and T >= T_d (the remainder after
@@ -164,12 +165,14 @@ class DrivenSystem:
         h0 = np.asarray(self.h0, dtype=complex)
         if h0.shape != (4, 4):
             raise ValueError(f"h0 must be 4x4, got {h0.shape}")
+        if not np.isfinite(h0).all():
+            raise ValueError("h0 must be finite")
         object.__setattr__(self, "h0", h0)
         object.__setattr__(self, "drives", tuple(self.drives))
         if not (np.isfinite(self.duration) and self.duration >= 0.0):
             raise ValueError(f"duration must be finite and >= 0, got {self.duration}")
-        if self.step is not None and not self.step > 0.0:
-            raise ValueError(f"step must be > 0, got {self.step}")
+        if self.step is not None and not (np.isfinite(self.step) and self.step > 0.0):
+            raise ValueError(f"step must be finite and > 0, got {self.step}")
 
     def default_step(self):
         """h = 2 pi / (200 Omega_max), 200 samples of the fastest scale."""
@@ -415,7 +418,8 @@ def integrate_lab_frame(system: DrivenSystem, n_steps=None) -> np.ndarray:
     tau.  With N = 0, several drive frequencies or none, the step divides
     T.  ``n_steps`` overrides the step rule and always integrates the whole
     grid of T (used for convergence studies).
-    Raises StepTooLarge when the final unitarity defect exceeds 1e-10.
+    Raises StepTooLarge when the power overflows double precision (from
+    about 1e16 periods on the default spin).
     """
     if system.duration == 0.0:
         return np.eye(4, dtype=complex)
@@ -430,7 +434,13 @@ def integrate_lab_frame(system: DrivenSystem, n_steps=None) -> np.ndarray:
     if periods:
         n_steps = int(np.ceil(period / target))
         h = period / n_steps
-        total = np.linalg.matrix_power(_grid_product(h0, drives, h, n_steps), periods)
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = np.linalg.matrix_power(_grid_product(h0, drives, h, n_steps), periods)
+        if not np.isfinite(total).all():
+            raise StepTooLarge(
+                f"the power of {periods:.3g} drive periods of {n_steps} steps each"
+                " overflows double precision"
+            )
         # H(t + T_d) = H(t), so the remainder is integrated from t = 0 again
         tail = system.duration - periods * period
         if tail > 0.0:
@@ -441,15 +451,7 @@ def integrate_lab_frame(system: DrivenSystem, n_steps=None) -> np.ndarray:
         h = system.duration / n_steps
         total = _grid_product(h0, drives, h, n_steps)
     # the only re-projection: see the module docstring
-    total = _project_unitary(total)
-
-    defect = float(np.max(np.abs(total.conj().T @ total - np.eye(4))))
-    if defect > UNITARITY_BOUND:
-        raise StepTooLarge(
-            f"unitarity defect {defect:.3e} exceeds {UNITARITY_BOUND:.0e};"
-            f" reduce the step (h = {h:.3e}, {n_steps} steps)"
-        )
-    return total
+    return _project_unitary(total)
 
 
 def to_interaction_frame(u, e: EigenSystem, t, t0=0.0) -> np.ndarray:

@@ -215,6 +215,9 @@ def closed_form_eigensystem(p: SpinParameters) -> EigenSystem:
     block eigenvalues are omegaQ * (+-c +- B); the mixing angle of each 2x2
     block follows from atan2(eta/sqrt(3), B + (1 +- 2c)), which stays
     well-conditioned at eta = 0 where the blocks are already diagonal.
+    Above c = 1/2 the sum B- + d, d = 1 - 2c, cancels; there the same angle
+    comes from tan = (B- - d) / (eta/sqrt(3)), by (B- + d)(B- - d) = eta^2/3,
+    which also holds in the limit eta -> 0.
 
     Raises DegenerateSpectrum when two levels coincide within
     ``DEGENERACY_TOL * omegaQ`` (for example omega0 = 0, eta = 0) or when
@@ -222,13 +225,17 @@ def closed_form_eigensystem(p: SpinParameters) -> EigenSystem:
     """
     c = p.omega0 / (2.0 * p.omegaQ)
     eta_r = p.eta / np.sqrt(3.0)
+    d = 1.0 - 2.0 * c
     b_plus = np.hypot(1.0 + 2.0 * c, eta_r)
-    b_minus = np.hypot(1.0 - 2.0 * c, eta_r)
+    b_minus = np.hypot(d, eta_r)
 
     # Block {-3/2, +1/2}: basis indices (3, 1); half-difference 1 + 2c.
     theta_p = np.arctan2(eta_r, b_plus + (1.0 + 2.0 * c))
-    # Block {+3/2, -1/2}: basis indices (0, 2); half-difference 1 - 2c.
-    theta_m = np.arctan2(eta_r, b_minus + (1.0 - 2.0 * c))
+    # Block {+3/2, -1/2}: basis indices (0, 2); half-difference d.
+    if d >= 0.0:
+        theta_m = np.arctan2(eta_r, b_minus + d)
+    else:
+        theta_m = np.copysign(np.arctan2(b_minus - d, abs(eta_r)), eta_r)
 
     energies = p.omegaQ * np.array(
         [c + b_plus, c - b_plus, -c + b_minus, -c - b_minus]

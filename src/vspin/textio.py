@@ -12,6 +12,11 @@ plain float or a pi expression (``pi``, ``pi/2``, ``3*pi/4``, ``-pi``), and
 either must come out finite.  Every malformed line yields one positioned
 diagnostic; nothing is skipped silently.
 
+The ``_DIRECTIVES`` table states this grammar once for the parser and the
+formatter: per directive word its fields (key, parse, format), the object
+a line builds and how the fields read back off it, so a new directive is
+one new entry.  A test checks the lines above against the table.
+
 Density matrices print as a ``rho 4x4 basis=eigen`` header followed by four
 rows of ``(re,im)`` entries with 17 significant digits, which round-trips
 binary64 values bit-exactly.  Every entry must be finite: ``nan``, ``inf``
@@ -21,6 +26,7 @@ other malformed entry (the CLI exits 2 on either kind of text).
 
 import math
 import re
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -88,9 +94,13 @@ def parse_angle(text):
     return value
 
 
+# 17 significant digits round-trip binary64 values bit-exactly.
+_NUMBER = "%.17g"
+
+
 def format_number(x):
     """17 significant digits; round-trip safe for binary64."""
-    return f"{float(x):.17g}"
+    return _NUMBER % float(x)
 
 
 def _parse_float(token):
@@ -107,46 +117,68 @@ def _parse_pair(token):
     return int(parts[0]), int(parts[1])
 
 
-_DIRECTIVE_FIELDS = {
-    "system": ("omega0", "omegaQ", "eta", "gamma", "hrf"),
-    "pulse": ("t", "axis", "phase", "flip"),
-    "pulse2": ("a", "b", "axis", "phase", "flip", "flip2"),
-    "free": ("dt",),
-}
+class _Directive(NamedTuple):
+    kind: type  # the object a line stands for
+    fields: tuple  # (key, parse, %-format of the value) in written order
+    build: Callable  # field values in order -> the object
+    read: Callable  # the object -> the formats' arguments in order
 
-_FIELD_PARSERS = {
-    "omega0": _parse_float,
-    "omegaQ": _parse_float,
-    "eta": _parse_float,
-    "gamma": _parse_float,
-    "hrf": _parse_float,
-    "t": _parse_pair,
-    "a": _parse_pair,
-    "b": _parse_pair,
-    "axis": _normalize_axis,
-    "phase": parse_angle,
-    "flip": parse_angle,
-    "flip2": parse_angle,
-    "dt": _parse_float,
-}
 
+_FLOAT = (_parse_float, _NUMBER)
+_ANGLE = (parse_angle, _NUMBER)
+_PAIR = (_parse_pair, "%d,%d")
+_AXIS = (_normalize_axis, "%s")
+
+_DIRECTIVES = {
+    "system": _Directive(
+        SpinParameters,
+        (("omega0", *_FLOAT), ("omegaQ", *_FLOAT), ("eta", *_FLOAT), ("gamma", *_FLOAT),
+         ("hrf", *_FLOAT)),
+        SpinParameters,
+        lambda p: (p.omega0, p.omegaQ, p.eta, p.gamma, p.h_rf),
+    ),
+    "pulse": _Directive(
+        PulseStep,
+        (("t", *_PAIR), ("axis", *_AXIS), ("phase", *_ANGLE), ("flip", *_ANGLE)),
+        lambda t, axis, phase, flip: PulseStep(PulseSpec(t, axis, phase, flip)),
+        lambda s: (*s.pulse.transition, s.pulse.axis, s.pulse.phase, s.pulse.flip),
+    ),
+    "pulse2": _Directive(
+        TwoFrequencyStep,
+        (("a", *_PAIR), ("b", *_PAIR), ("axis", *_AXIS), ("phase", *_ANGLE),
+         ("flip", *_ANGLE), ("flip2", *_ANGLE)),
+        lambda a, b, axis, phase, flip, flip2: TwoFrequencyStep(
+            PulseSpec(a, axis, phase, flip), PulseSpec(b, axis, phase, flip2)
+        ),
+        lambda s: (*s.a.transition, *s.b.transition, s.a.axis, s.a.phase, s.a.flip, s.b.flip),
+    ),
+    "free": _Directive(
+        FreeEvolutionStep, (("dt", *_FLOAT),), FreeEvolutionStep, lambda s: (s.duration,)
+    ),
+}
+# Built once from the table: each directive's key -> parse in field order,
+# and per object type the line's %-template and the read of its arguments.
+_PARSERS = {
+    word: {key: parse for key, parse, _ in d.fields} for word, d in _DIRECTIVES.items()
+}
+_FORMATTERS = {
+    d.kind: (" ".join([word, *(f"{key}={spec}" for key, _, spec in d.fields)]), d.read)
+    for word, d in _DIRECTIVES.items()
+}
 
 _TOKEN = re.compile(r"\S+")
 
 
-def _tokenize(line):
-    """[(token, column)] with 1-based columns of each whitespace-split token."""
-    return [(match.group(0), match.start() + 1) for match in _TOKEN.finditer(line)]
-
-
 def _parse_directive(line, line_no):
-    tokens = _tokenize(line)
+    """(word, field values in table order) of one line; ProgramSyntaxError if malformed."""
+    # whitespace-split tokens with their 1-based columns
+    tokens = [(match.group(0), match.start() + 1) for match in _TOKEN.finditer(line)]
     word, col = tokens[0]
-    if word not in _DIRECTIVE_FIELDS:
+    parsers = _PARSERS.get(word)
+    if parsers is None:
         raise ProgramSyntaxError(
             f"unknown directive {word!r}", line=line_no, column=col
         )
-    expected = _DIRECTIVE_FIELDS[word]
     values = {}
     for token, tcol in tokens[1:]:
         if "=" not in token:
@@ -154,7 +186,8 @@ def _parse_directive(line, line_no):
                 f"expected key=value, got {token!r}", line=line_no, column=tcol
             )
         key, _, raw = token.partition("=")
-        if key not in expected:
+        parse = parsers.get(key)
+        if parse is None:
             raise ProgramSyntaxError(
                 f"unknown field {key!r} for {word}", line=line_no, column=tcol
             )
@@ -163,17 +196,17 @@ def _parse_directive(line, line_no):
                 f"duplicate field {key!r}", line=line_no, column=tcol
             )
         try:
-            values[key] = _FIELD_PARSERS[key](raw)
+            values[key] = parse(raw)
         except ValueError as exc:
             raise ProgramSyntaxError(
                 f"bad value for {key}: {exc}", line=line_no, column=tcol
             ) from None
-    missing = [k for k in expected if k not in values]
-    if missing:
+    if len(values) < len(parsers):
+        missing = [k for k in parsers if k not in values]
         raise ProgramSyntaxError(
             f"{word} is missing field(s): {', '.join(missing)}", line=line_no, column=col
         )
-    return word, values
+    return word, [values[k] for k in parsers]
 
 
 def parse_pulse_program(text) -> PulseProgram:
@@ -183,96 +216,32 @@ def parse_pulse_program(text) -> PulseProgram:
     SemanticError for structural ones (missing or duplicate system line,
     shared levels in pulse2, invalid level indices).
     """
-    params = None
-    steps = []
+    built = []  # the SpinParameters, then the steps
     for line_no, raw_line in enumerate(str(text).splitlines(), start=1):
         line = raw_line.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
         word, values = _parse_directive(line, line_no)
-        if word == "system":
-            if params is not None:
-                raise SemanticError("duplicate system line", line=line_no)
-            if steps:
-                raise SemanticError("system line must come first", line=line_no)
-            try:
-                params = SpinParameters(
-                    omega0=values["omega0"],
-                    omegaQ=values["omegaQ"],
-                    eta=values["eta"],
-                    gamma=values["gamma"],
-                    h_rf=values["hrf"],
-                )
-            except ValueError as exc:
-                raise SemanticError(str(exc), line=line_no) from None
-            continue
-        if params is None:
-            raise SemanticError(
-                "missing system line (it must precede all steps)", line=line_no
-            )
+        # steps need the system line before them, so a late one is a duplicate
+        if word == "system" and built:
+            raise SemanticError("duplicate system line", line=line_no)
+        if word != "system" and not built:
+            raise SemanticError("missing system line (it must precede all steps)", line=line_no)
         try:
-            if word == "pulse":
-                steps.append(
-                    PulseStep(
-                        pulse=PulseSpec(
-                            transition=values["t"],
-                            axis=values["axis"],
-                            phase=values["phase"],
-                            flip=values["flip"],
-                        )
-                    )
-                )
-            elif word == "pulse2":
-                steps.append(
-                    TwoFrequencyStep(
-                        a=PulseSpec(
-                            transition=values["a"],
-                            axis=values["axis"],
-                            phase=values["phase"],
-                            flip=values["flip"],
-                        ),
-                        b=PulseSpec(
-                            transition=values["b"],
-                            axis=values["axis"],
-                            phase=values["phase"],
-                            flip=values["flip2"],
-                        ),
-                    )
-                )
-            elif word == "free":
-                steps.append(FreeEvolutionStep(duration=values["dt"]))
+            built.append(_DIRECTIVES[word].build(*values))
         except (SharedLevel, ValueError) as exc:
             raise SemanticError(str(exc), line=line_no) from None
-    if params is None:
+    if not built:
         raise SemanticError("missing system line", line=1)
-    return PulseProgram(params=params, steps=tuple(steps))
+    return PulseProgram(params=built[0], steps=tuple(built[1:]))
 
 
 def format_pulse_program(prog: PulseProgram) -> str:
     """Serialize a program back to the line format."""
-    p = prog.params
-    lines = [
-        "system "
-        f"omega0={format_number(p.omega0)} omegaQ={format_number(p.omegaQ)} "
-        f"eta={format_number(p.eta)} gamma={format_number(p.gamma)} "
-        f"hrf={format_number(p.h_rf)}"
-    ]
-    for step in prog.steps:
-        if isinstance(step, PulseStep):
-            s = step.pulse
-            lines.append(
-                f"pulse t={s.transition[0]},{s.transition[1]} axis={s.axis} "
-                f"phase={format_number(s.phase)} flip={format_number(s.flip)}"
-            )
-        elif isinstance(step, TwoFrequencyStep):
-            lines.append(
-                f"pulse2 a={step.a.transition[0]},{step.a.transition[1]} "
-                f"b={step.b.transition[0]},{step.b.transition[1]} axis={step.a.axis} "
-                f"phase={format_number(step.a.phase)} flip={format_number(step.a.flip)} "
-                f"flip2={format_number(step.b.flip)}"
-            )
-        elif isinstance(step, FreeEvolutionStep):
-            lines.append(f"free dt={format_number(step.duration)}")
+    lines = []
+    for obj in (prog.params, *prog.steps):
+        template, read = _FORMATTERS[type(obj)]
+        lines.append(template % read(obj))
     return "\n".join(lines) + "\n"
 
 
@@ -281,7 +250,7 @@ _ENTRY = r"\(([^(),\s]+),([^(),\s]+)\)"
 _ROW = re.compile(r"\s*".join([_ENTRY] * 4))
 _HEADER = re.compile(r"^rho 4x4 basis=(\w+)$")
 # Four rows of four entries, the whole matrix in one %-format.
-_MATRIX = "\n".join([" ".join(["(%.17g,%.17g)"] * 4)] * 4)
+_MATRIX = "\n".join([" ".join([f"({_NUMBER},{_NUMBER})"] * 4)] * 4)
 
 
 def format_density_matrix(rho, basis="eigen") -> str:

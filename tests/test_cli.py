@@ -275,6 +275,18 @@ class TestOracleCheck:
         code, _ = run(["oracle-check", "--ratio", "0.01", "--transition", "2,3", *BASE])
         assert code == 3
 
+    @pytest.mark.parametrize("ratio", ["1e-30", "1e-300"])
+    def test_overflowing_period_power_exit_3_without_warnings(self, capsys, ratio):
+        # ~1e29 and ~1e299 drive periods: their power leaves double precision
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, text = run(["oracle-check", "--ratio", ratio, *BASE])
+        assert code == 3
+        assert text == "ratio,infidelity\n"
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("vspin: StepTooLarge: the power of ") and "1558 steps" in err
+
 
 class TestUsage:
     def test_unknown_command(self):

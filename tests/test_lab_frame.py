@@ -108,6 +108,18 @@ class TestIntegrator:
         with pytest.raises(ValueError):
             DriveTerm(operator=np.eye(4), amplitude=np.inf, frequency=1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_inputs_name_their_field(self, bad):
+        h0 = np.diag([1.0, 0.5, -0.5, -1.0]).astype(complex)
+        poisoned = h0.copy()
+        poisoned[0, 1] = poisoned[1, 0] = bad
+        with pytest.raises(ValueError, match=r"^step must be finite"):
+            DrivenSystem(h0=h0, duration=1.0, step=bad)
+        with pytest.raises(ValueError, match=r"^h0 must be finite"):
+            DrivenSystem(h0=poisoned, duration=1.0)
+        with pytest.raises(ValueError, match=r"^drive operator must be finite"):
+            DriveTerm(operator=poisoned, amplitude=1.0, frequency=1.0)
+
 
 class TestInteractionFrame:
     def test_free_evolution_maps_to_identity(self, eigen):

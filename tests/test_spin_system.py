@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from vspin import (
     DegenerateSpectrum,
@@ -110,6 +112,16 @@ class TestClosedForm:
             expected = SQRT3 * (b + 1 + sign * 2 * c) / p.eta
             assert np.tan(alpha) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("eta", [0.37, -0.37, 1e-9, -1e-9])
+    def test_mixing_angle_convention_above_half(self, eta):
+        # c = 0.75: B- + (1 - 2c) cancels, so the expected tan(alpha) is
+        # sqrt(3) (B- + 1 - 2c) / eta rewritten as eta / (sqrt(3) (B- - 1 + 2c))
+        p = SpinParameters(omega0=1.5, omegaQ=1.0, eta=eta)
+        alpha_minus = closed_form_eigensystem(p).mixing_angles[1]
+        b = np.hypot(-0.5, eta / SQRT3)
+        assert np.tan(alpha_minus) == pytest.approx(eta / (SQRT3 * (b + 0.5)), rel=1e-12)
+        assert 0.0 < alpha_minus < np.pi / 2 if eta > 0 else np.pi / 2 < alpha_minus < np.pi
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_random_draw_agreement(self, seed):
         rng = np.random.default_rng(seed)
@@ -126,6 +138,41 @@ class TestClosedForm:
             worst_v = max(worst_v, np.max(1.0 - overlaps))
         assert worst_e <= 1e-10
         assert worst_v <= 1e-10
+
+
+def _signed_powers(low, high):
+    """+-10^x for x uniform in [low, high]."""
+    return st.builds(lambda x, sign: sign * 10.0**x, st.floats(low, high), st.sampled_from([-1, 1]))
+
+
+# c = omega0 / (2 omegaQ) over [0, 1], also within 1e-12..0.1 of the eta = 0
+# level crossings at c = 0, 1/2 and 1; eta over [-1, 1], also at the ends,
+# at zero and with |eta| down to 1e-12.
+CS = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.0, 0.5, 1.0]),
+    st.builds(lambda c0, dc: min(max(c0 + dc, 0.0), 1.0),
+              st.sampled_from([0.0, 0.5, 1.0]), _signed_powers(-12.0, -1.0)),
+)
+ETAS = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-1.0, 1.0, 0.0]), _signed_powers(-12.0, 0.0))
+
+
+@settings(max_examples=200, deadline=None)
+@example(c=0.75, eta=1e-8, omegaQ=1.0)  # B- + (1 - 2c) cancels above c = 1/2
+@example(c=0.75, eta=0.0, omegaQ=1.0)
+@given(c=CS, eta=ETAS, omegaQ=st.floats(0.1, 10.0))
+def test_closed_form_agrees_with_diagonalize(c, eta, omegaQ):
+    p = SpinParameters(omega0=2.0 * c * omegaQ, omegaQ=omegaQ, eta=eta)
+    try:
+        e = closed_form_eigensystem(p)
+    except DegenerateSpectrum:
+        e = None
+    assume(e is not None and e.regime_ok)
+    h = build_static_hamiltonian(p)
+    residual = np.max(np.linalg.norm(h @ e.states - e.states * e.energies, axis=0))
+    assert residual <= 1e-13 * omegaQ
+    reference = diagonalize(h, scale=omegaQ)
+    assert np.max(np.abs(e.energies - reference.energies)) <= 1e-13 * omegaQ
 
 
 class TestDiagonalize:
