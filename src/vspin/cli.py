@@ -10,8 +10,10 @@ Subcommands:
     truth-table --gate <spec>       basis action of a compiled gate
     oracle-check --ratio <r,...>    lab-frame vs rotating-wave infidelity CSV
 
-Shared flags select the spin system (--omega0 --omegaQ --eta --gamma --hrf)
-and --include-free-evolution toggles static-phase tracking during pulses.
+simulate takes the spin system from the program's ``system`` line, and it
+alone takes --include-free-evolution (static-phase tracking during pulses).
+The others take --omega0 --omegaQ --eta --gamma --hrf; oracle-check sets
+h_rf from --ratio and gamma cancels, so --hrf and --gamma do not change it.
 Numbers print with 17 significant digits so output is byte-stable and
 round-trip safe.  Exit codes: 0 success, 2 usage or input-format error,
 3 numeric-contract violation (degeneracy, selectivity, bad state, ...).
@@ -50,8 +52,6 @@ def _add_system_flags(parser):
     parser.add_argument("--gamma", type=float, default=1.0, help="gyromagnetic ratio")
     parser.add_argument("--hrf", type=float, default=0.0,
                         help="RF amplitude; 0 treats pulses as ideal flip-angle objects")
-    parser.add_argument("--include-free-evolution", action="store_true",
-                        help="track static-Hamiltonian phases over pulse durations")
 
 
 def _params(args):
@@ -78,7 +78,8 @@ def build_parser():
     p.add_argument("program", help="pulse-program file")
     p.add_argument("--initial", default=None,
                    help="density-matrix file (default: maximally mixed)")
-    _add_system_flags(p)
+    p.add_argument("--include-free-evolution", action="store_true",
+                   help="track static-Hamiltonian phases over pulse durations")
 
     p = sub.add_parser("compile-gate", help="emit the pulse program of a gate")
     p.add_argument("--kind", choices=("rot", "cnot"), required=True)
@@ -100,7 +101,8 @@ def build_parser():
 
     p = sub.add_parser("oracle-check", help="lab-frame integrator vs ideal pulse")
     p.add_argument("--ratio", default="0.01,0.001,0.0001",
-                   help="comma-separated drive ratios")
+                   help="comma-separated drive ratios; each sets h_rf, and gamma"
+                   " cancels, so --hrf and --gamma do not change the output")
     p.add_argument("--transition", default="1,2", help="driven level pair m,n")
     _add_system_flags(p)
 

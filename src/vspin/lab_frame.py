@@ -425,31 +425,28 @@ def integrate_lab_frame(system: DrivenSystem, n_steps=None) -> np.ndarray:
         return np.eye(4, dtype=complex)
     h0 = (system.h0 + system.h0.conj().T) / 2.0
     drives = system.drives
-    period = None
+    grids = [(system.duration, 1)]  # (span, power), in time order
     if n_steps is None:
         target = system.step if system.step is not None else system.default_step()
         period = _drive_period(drives)
-        n_steps = int(np.ceil(system.duration / target))
-    periods = int(system.duration // period) if period else 0
-    if periods:
-        n_steps = int(np.ceil(period / target))
-        h = period / n_steps
+        periods = int(system.duration // period) if period else 0
+        if periods:
+            # H(t + T_d) = H(t), so the remainder is integrated from t = 0 again
+            grids = [(period, periods), (system.duration - periods * period, 1)]
+    total = None
+    for span, power in grids:
+        if not span > 0.0:  # no remainder after whole periods
+            continue
+        count = max(int(n_steps) if n_steps is not None else int(np.ceil(span / target)), 1)
         with np.errstate(over="ignore", invalid="ignore"):
-            total = np.linalg.matrix_power(_grid_product(h0, drives, h, n_steps), periods)
-        if not np.isfinite(total).all():
+            u = np.linalg.matrix_power(_grid_product(h0, drives, span / count, count), power)
+        # checked before the next grid: near overflow the remainder is garbage
+        if not np.isfinite(u).all():
             raise StepTooLarge(
-                f"the power of {periods:.3g} drive periods of {n_steps} steps each"
+                f"the power of {power:.3g} drive periods of {count} steps each"
                 " overflows double precision"
             )
-        # H(t + T_d) = H(t), so the remainder is integrated from t = 0 again
-        tail = system.duration - periods * period
-        if tail > 0.0:
-            count = int(np.ceil(tail / target))
-            total = _grid_product(h0, drives, tail / count, count) @ total
-    else:
-        n_steps = max(int(n_steps), 1)
-        h = system.duration / n_steps
-        total = _grid_product(h0, drives, h, n_steps)
+        total = u if total is None else u @ total
     # the only re-projection: see the module docstring
     return _project_unitary(total)
 
@@ -536,19 +533,10 @@ def rwa_infidelity(
     return propagator_infidelity(u_int, v)
 
 
-def rwa_sweep(
-    params: SpinParameters,
-    transition=(1, 2),
-    ratios=(1e-2, 1e-3, 1e-4),
-    axis="Y",
-    flip=np.pi,
-):
-    """[(ratio, infidelity)] for a sequence of drive ratios."""
+def rwa_sweep(params: SpinParameters, transition=(1, 2), ratios=(1e-2, 1e-3, 1e-4)):
+    """[(ratio, infidelity)] of a Y pi pulse on ``transition`` at each drive ratio."""
     e = closed_form_eigensystem(params)
-    return [
-        (float(r), rwa_infidelity(params, e, transition, r, axis, flip=flip))
-        for r in ratios
-    ]
+    return [(float(r), rwa_infidelity(params, e, transition, r)) for r in ratios]
 
 
 def convergence_study(

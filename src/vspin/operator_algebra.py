@@ -26,6 +26,14 @@ __all__ = [
 ]
 
 
+DRIVABLE_THRESHOLD = 1e-14
+
+
+def drivable(element):
+    """Whether |<psi_m| I_axis |psi_n>| >= DRIVABLE_THRESHOLD, elementwise on arrays."""
+    return abs(element) >= DRIVABLE_THRESHOLD
+
+
 def _check_level(*levels):
     for m in levels:
         if not (isinstance(m, (int, np.integer)) and 1 <= m <= 4):
@@ -90,31 +98,26 @@ def free_evolution(e: EigenSystem, t) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SelectionRules:
-    """Eigenbasis matrix elements of a spin component with a nonzero mask."""
+    """Eigenbasis matrix elements of a spin component with a drivable mask."""
 
     elements: np.ndarray
     mask: np.ndarray
-    threshold: float
 
     def allowed(self, m, n):
         _check_level(m, n)
         return bool(self.mask[m - 1, n - 1])
 
 
-def selection_rules(e: EigenSystem, axis, threshold=1e-12) -> SelectionRules:
+def selection_rules(e: EigenSystem, axis) -> SelectionRules:
     """Which level pairs a given spin component connects.
 
-    ``axis`` is "X", "Y" or "Z".  An element counts as nonzero when its
-    magnitude exceeds ``threshold`` times the largest element.
+    ``axis`` is "X", "Y" or "Z".  A pair counts as connected when its
+    element passes the drivability rule, |element| >= DRIVABLE_THRESHOLD,
+    the rule that also decides whether a pulse on that line is realizable.
     """
     ops = dict(zip("XYZ", spin_operators()))
     key = str(axis).upper()
     if key not in ops:
         raise ValueError(f"axis must be X, Y or Z, got {axis!r}")
     elements = e.to_eigen(ops[key])
-    ref = max(np.max(np.abs(elements)), np.finfo(float).tiny)
-    return SelectionRules(
-        elements=elements,
-        mask=np.abs(elements) > threshold * ref,
-        threshold=float(threshold),
-    )
+    return SelectionRules(elements=elements, mask=drivable(elements))

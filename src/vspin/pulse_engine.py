@@ -42,7 +42,7 @@ from .errors import (
     SharedLevel,
     ZeroMatrixElement,
 )
-from .operator_algebra import free_evolution
+from .operator_algebra import DRIVABLE_THRESHOLD, drivable, free_evolution  # noqa: F401
 from .spin_system import (
     EigenSystem,
     SpinParameters,
@@ -65,11 +65,11 @@ __all__ = [
     "apply_pulse_program",
 ]
 
-# A line is drivable iff |<psi_m| I_axis |psi_n>| >= DRIVABLE_THRESHOLD.
-DRIVABLE_THRESHOLD = 1e-14
 # A realized pulse is selective iff every other line is more than
 # SELECTIVITY_FACTOR Rabi rates away.
 SELECTIVITY_FACTOR = 1e3
+# A density matrix must be Hermitian, of unit trace and PSD to STATE_TOL.
+STATE_TOL = 1e-12
 
 _IDENTITY = np.eye(4, dtype=complex)
 _IDENTITY.flags.writeable = False
@@ -201,7 +201,7 @@ def transition_matrix_element(e: EigenSystem, transition, axis="Y"):
 def _drivable_element(e: EigenSystem, transition, axis):
     """The drive matrix element of a line; ZeroMatrixElement if it is forbidden."""
     element = transition_matrix_element(e, transition, axis)
-    if abs(element) < DRIVABLE_THRESHOLD:
+    if not drivable(element):
         raise ZeroMatrixElement(
             f"transition {_normalize_transition(transition)} has"
             f" |<I_{_normalize_axis(axis)}>| = {abs(element):.2e}; undrivable"
@@ -218,7 +218,7 @@ def flip_angle(p: SpinParameters, e: EigenSystem, transition, axis, duration):
     """phi_y = 2 * duration * gamma * h_rf * |<psi_n| I_axis |psi_m>|.
 
     Linear in duration and in h_rf.  Raises ZeroMatrixElement when the
-    transition is forbidden (|element| < 1e-14): no duration can drive it.
+    transition is forbidden (|element| < DRIVABLE_THRESHOLD): nothing drives it.
     """
     if duration < 0.0:
         raise ValueError(f"duration must be >= 0, got {duration}")
@@ -322,14 +322,14 @@ def _check_density_matrix(rho):
     if not np.isfinite(r).all():
         raise InvalidState("density matrix has a non-finite entry")
     r_h = r.conj().T
-    if abs(r - r_h).max() > 1e-12:
-        raise InvalidState("density matrix is not Hermitian to 1e-12")
+    if abs(r - r_h).max() > STATE_TOL:
+        raise InvalidState(f"density matrix is not Hermitian to {STATE_TOL:g}")
     trace = complex(r.trace())
-    if abs(trace.real - 1.0) > 1e-12 or abs(trace.imag) > 1e-12:
+    if abs(trace.real - 1.0) > STATE_TOL or abs(trace.imag) > STATE_TOL:
         raise InvalidState(f"density matrix trace is {trace:.15g}, expected 1")
     low = np.linalg.eigvalsh((r + r_h) / 2.0).min()
-    if low < -1e-12:
-        raise InvalidState(f"density matrix has eigenvalue {low:.3e} < -1e-12")
+    if low < -STATE_TOL:
+        raise InvalidState(f"density matrix has eigenvalue {low:.3e} < {-STATE_TOL:g}")
     return r
 
 
@@ -342,7 +342,7 @@ def apply_pulse_program(
     """rho_out = V rho0 V^dagger with V the full program propagator.
 
     rho0 is an eigenbasis density matrix (Hermitian, unit trace, PSD to
-    1e-12).  Trace and purity are preserved because V is unitary.
+    STATE_TOL = 1e-12).  Trace and purity are preserved because V is unitary.
     """
     rho = _check_density_matrix(rho0)
     v = program_propagator(prog, e, include_free_evolution)

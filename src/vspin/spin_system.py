@@ -43,6 +43,9 @@ __all__ = [
 _MAGNETIC_NUMBERS = np.array([1.5, 0.5, -0.5, -1.5])
 # Levels closer than DEGENERACY_TOL * scale have no defined labels.
 DEGENERACY_TOL = 1e-9
+# Levels, and transition lines, closer than RESOLUTION_TOL * scale are not
+# resolved: regime_ok is false, or a selective pulse cannot tell the lines apart.
+RESOLUTION_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -91,7 +94,7 @@ class EigenSystem:
                    with c = omega0 / (2 omegaQ); None for systems produced
                    by numerical diagonalization
     regime_ok      True when the four levels are well resolved (minimum
-                   gap exceeds 1e-6 * scale)
+                   gap exceeds RESOLUTION_TOL * scale)
     scale          reference angular frequency for relative tolerances
                    (omegaQ when built from SpinParameters)
     """
@@ -195,7 +198,7 @@ def _assemble(energies, states, mixing, scale):
             " level labels are undefined",
             energies=energies,
         )
-    regime_ok = bool(np.min(gaps) > 1e-6 * scale)
+    regime_ok = bool(np.min(gaps) > RESOLUTION_TOL * scale)
     return EigenSystem(
         energies=energies,
         states=states,
@@ -281,7 +284,7 @@ class TransitionTable:
     entries     six tuples (m, n, omega_mn) with m < n and omega_mn > 0
     collisions  pairs of transitions closer than ``margin``, as tuples
                 ((m, n), (p, q), |delta omega|)
-    margin      the separation threshold used, rad/s
+    margin      the separation threshold, RESOLUTION_TOL * scale, rad/s
     """
 
     entries: tuple
@@ -307,17 +310,16 @@ class TransitionTable:
         )
 
 
-def transition_table(e: EigenSystem, selectivity_margin=None) -> TransitionTable:
+def transition_table(e: EigenSystem) -> TransitionTable:
     """Enumerate the six transition frequencies Omega_mn = eps_m - eps_n.
 
     Flags any two transitions whose frequencies differ by less than
-    ``selectivity_margin`` (default 1e-6 * e.scale): a selective pulse
-    cannot tell such lines apart.  Raises DegenerateSpectrum when a
-    frequency overflows double precision (finite energies whose difference
-    is not).
+    RESOLUTION_TOL * e.scale, the resolution regime_ok also applies to the
+    levels: a selective pulse cannot tell such lines apart.  Raises
+    DegenerateSpectrum when a frequency overflows double precision (finite
+    energies whose difference is not).
     """
-    if selectivity_margin is None:
-        selectivity_margin = 1e-6 * e.scale
+    margin = RESOLUTION_TOL * e.scale
     energies = e.energies.tolist()
     entries = [
         (m, n, energies[m - 1] - energies[n - 1]) for m in range(1, 5) for n in range(m + 1, 5)
@@ -330,12 +332,12 @@ def transition_table(e: EigenSystem, selectivity_margin=None) -> TransitionTable
     for i in range(len(entries)):
         for j in range(i + 1, len(entries)):
             delta = abs(entries[i][2] - entries[j][2])
-            if delta < selectivity_margin:
+            if delta < margin:
                 collisions.append(
                     (entries[i][:2], entries[j][:2], float(delta))
                 )
     return TransitionTable(
         entries=tuple(entries),
         collisions=tuple(collisions),
-        margin=float(selectivity_margin),
+        margin=float(margin),
     )

@@ -17,11 +17,12 @@ formatter: per directive word its fields (key, parse, format), the object
 a line builds and how the fields read back off it, so a new directive is
 one new entry.  A test checks the lines above against the table.
 
-Density matrices print as a ``rho 4x4 basis=eigen`` header followed by four
-rows of ``(re,im)`` entries with 17 significant digits, which round-trips
-binary64 values bit-exactly.  Every entry must be finite: ``nan``, ``inf``
-or an overflowing ``1e999`` is a ParseError naming its line, as is any
-other malformed entry (the CLI exits 2 on either kind of text).
+Density matrices print as the header ``rho 4x4 basis=eigen`` (entries are
+always eigenbasis amplitudes) and four rows of ``(re,im)`` entries with 17
+significant digits, which round-trips binary64 values bit-exactly.  Any
+other header, a non-finite entry (``nan``, ``inf``, an overflowing
+``1e999``) or any other malformed entry is a ParseError naming its line
+(the CLI exits 2).
 """
 
 import math
@@ -248,17 +249,17 @@ def format_pulse_program(prog: PulseProgram) -> str:
 _ENTRY = r"\(([^(),\s]+),([^(),\s]+)\)"
 # A row is four (re,im) entries with only whitespace between them.
 _ROW = re.compile(r"\s*".join([_ENTRY] * 4))
-_HEADER = re.compile(r"^rho 4x4 basis=(\w+)$")
-# Four rows of four entries, the whole matrix in one %-format.
-_MATRIX = "\n".join([" ".join([f"({_NUMBER},{_NUMBER})"] * 4)] * 4)
+_HEADER = "rho 4x4 basis=eigen"
+# The header and four rows of four entries, the whole text in one %-format.
+_MATRIX = "\n".join([_HEADER, *[" ".join([f"({_NUMBER},{_NUMBER})"] * 4)] * 4, ""])
 
 
-def format_density_matrix(rho, basis="eigen") -> str:
-    """Header plus four rows of (re,im) entries at 17 significant digits."""
+def format_density_matrix(rho) -> str:
+    """Eigenbasis header plus four rows of (re,im) entries at 17 significant digits."""
     r = np.asarray(rho, dtype=complex)
     if r.shape != (4, 4):
         raise ValueError(f"density matrix must be 4x4, got {r.shape}")
-    return f"rho 4x4 basis={basis}\n" + _MATRIX % tuple(r.ravel().view(float).tolist()) + "\n"
+    return _MATRIX % tuple(r.ravel().view(float).tolist())
 
 
 def parse_density_matrix(text) -> np.ndarray:
@@ -271,8 +272,8 @@ def parse_density_matrix(text) -> np.ndarray:
     if not lines:
         raise ParseError("empty density-matrix text")
     header_no, header = lines[0]
-    if not _HEADER.match(header):
-        raise ParseError(f"line {header_no}: expected 'rho 4x4 basis=...', got {header!r}")
+    if header != _HEADER:
+        raise ParseError(f"line {header_no}: expected {_HEADER!r}, got {header!r}")
     if len(lines) != 5:
         raise ParseError(f"expected 4 matrix rows, got {len(lines) - 1}")
     values = []

@@ -57,6 +57,8 @@ _BITS_TO_LEVEL = {bits: level for level, bits in LEVEL_TO_BITS.items()}
 # drive rotates that spin and leaves the other one untouched).
 ROTATION_PAIRS = {"S": ((1, 2), (3, 4)), "R": ((1, 3), (2, 4))}
 CNOT_TRANSITION = {"R": (1, 2), "S": (1, 3)}
+# Truth tables read amplitudes within UNIT_TOL of 0, of modulus 1 or of +-1 as exact.
+UNIT_TOL = 1e-10
 
 
 def level_to_bits(m) -> str:
@@ -215,12 +217,12 @@ class TruthTableRow:
         return self.output_bits is not None
 
 
-def truth_table(u, tol=1e-10):
+def truth_table(u):
     """Classify U's action on the four basis kets.
 
-    A column counts as a basis ket when all but its largest-magnitude
-    amplitude are below ``tol``; the surviving amplitude's phase is
-    reported relative to the first such row.
+    A column counts as a basis ket when all but its largest amplitude are
+    below UNIT_TOL and that one is of modulus 1 to UNIT_TOL; the surviving
+    amplitude's phase is reported relative to the first such row.
     """
     u = np.asarray(u, dtype=complex)
     mags = np.abs(u)
@@ -229,7 +231,7 @@ def truth_table(u, tol=1e-10):
     raw = []
     for level, k, rest in zip(range(1, 5), peaks.tolist(), mags.max(axis=0).tolist()):
         amp = complex(u[k, level - 1])
-        if rest <= tol and abs(abs(amp) - 1.0) <= tol:
+        if rest <= UNIT_TOL and abs(abs(amp) - 1.0) <= UNIT_TOL:
             raw.append((level_to_bits(level), level_to_bits(k + 1), amp))
         else:
             raw.append((level_to_bits(level), None, None))
@@ -244,10 +246,10 @@ def truth_table(u, tol=1e-10):
     return rows
 
 
-def _phase_prefix(phase, tol=1e-10):
-    if abs(phase - 1.0) <= tol:
+def _phase_prefix(phase):
+    if abs(phase - 1.0) <= UNIT_TOL:
         return ""
-    if abs(phase + 1.0) <= tol:
+    if abs(phase + 1.0) <= UNIT_TOL:
         return "-"
     return f"exp(i{float(np.angle(phase)):.6g})*"
 

@@ -151,6 +151,28 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err == f"vspin: error: line 2: entry {entry} is not finite\n"
 
+    @pytest.mark.parametrize("flag", ["--omega0", "--omegaQ", "--eta", "--gamma", "--hrf"])
+    def test_system_flags_refused(self, tmp_path, flag):
+        # the program's system line is the only source of the spin system
+        prog = tmp_path / "p.vsp"
+        prog.write_text("system omega0=0.1 omegaQ=1 eta=0.5 gamma=1 hrf=0\n")
+        code, text = run(["simulate", str(prog), flag, "7"])
+        assert code == 2
+        assert text == ""
+
+    def test_non_eigen_basis_initial_exit_2(self, tmp_path, capsys):
+        prog = tmp_path / "empty.vsp"
+        prog.write_text("system omega0=0.1 omegaQ=1 eta=0.5 gamma=1 hrf=0\n")
+        rho_file = tmp_path / "rho.txt"
+        rho_file.write_text(
+            "rho 4x4 basis=chi\n(0.25,0) (0,0) (0,0) (0,0)\n(0,0) (0.25,0) (0,0) (0,0)\n"
+            "(0,0) (0,0) (0.25,0) (0,0)\n(0,0) (0,0) (0,0) (0.25,0)\n"
+        )
+        code, text = run(["simulate", str(prog), "--initial", str(rho_file)])
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err.startswith("vspin: error: line 1: ")
+
     def test_include_free_evolution_changes_result(self, tmp_path):
         # a pulse duration is derivable from hrf; tracking the static
         # phases over it must alter coherences of a non-diagonal state
@@ -292,6 +314,23 @@ class TestUsage:
     def test_unknown_command(self):
         code, _ = run(["frobnicate"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eigensystem"],
+            ["transitions"],
+            ["compile-gate", "--kind", "cnot", "--target", "R"],
+            ["pseudo-pure"],
+            ["truth-table", "--gate", "cnot-S"],
+            ["oracle-check", "--ratio", "0.01"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_free_evolution_flag_is_simulate_only(self, argv):
+        code, text = run([*argv, "--include-free-evolution"])
+        assert code == 2
+        assert text == ""
 
     def test_unknown_flag(self):
         code, _ = run(["eigensystem", "--nope", "1"])

@@ -157,9 +157,9 @@ class TestSelectionRules:
         assert np.array_equal(rules.mask, np.eye(4, dtype=bool))
 
     def test_mask_matches_elements(self, eigen):
+        # the drivability rule: |<psi_m| I_axis |psi_n>| >= 1e-14
         rules = selection_rules(eigen, "X")
-        ref = np.max(np.abs(rules.elements))
-        assert np.array_equal(rules.mask, np.abs(rules.elements) > 1e-12 * ref)
+        assert np.array_equal(rules.mask, np.abs(rules.elements) >= 1e-14)
 
     def test_rejects_unknown_axis(self, eigen):
         with pytest.raises(ValueError):

@@ -5,14 +5,17 @@ Over random resolved spins, all six level pairs and both RF axes:
 * drivability - flip_angle, single_frequency_propagator (h_rf > 0),
   program_propagator(include_free_evolution=True) and drive_for_pulse
   raise ZeroMatrixElement on exactly the pairs whose |<I_axis>| is below
-  1e-14;
+  1e-14, and selection_rules marks exactly the other pairs as connected,
+  down to |eta| = 1e-13 where the mixed lines' elements are ~eta;
 * nearest line - TransitionTable.nearest equals a brute-force minimum;
 * selectivity - SelectivityViolation is raised exactly when the nearest
   other line is within 1e3 Rabi rates.
 """
 
+from dataclasses import replace
+
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from vspin import (
@@ -27,6 +30,7 @@ from vspin import (
     drive_for_pulse,
     flip_angle,
     program_propagator,
+    selection_rules,
     single_frequency_propagator,
     transition_matrix_element,
     transition_table,
@@ -42,6 +46,15 @@ spins = st.builds(
     eta=st.floats(-1.0, 1.0),
     gamma=st.floats(0.5, 2.0),
     h_rf=st.floats(-9.0, -1.0).map(lambda x: 10.0**x),
+)
+
+# as ``spins``, with |eta| log-uniform from 1e-13 to 1 and either sign
+tiny_eta_spins = st.builds(
+    replace,
+    spins,
+    eta=st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(-13.0, 0.0)).map(
+        lambda s: s[0] * 10.0 ** s[1]
+    ),
 )
 
 
@@ -84,6 +97,20 @@ def test_drivability_verdict_is_shared(params):
             }
             for name, call in calls.items():
                 assert _raises_zero_element(call) == expected, (name, pair, axis)
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=tiny_eta_spins)
+# |<I_X>| on (1,2) is 5.2e-13 here: drivable, and so connected
+@example(params=SpinParameters(0.2, 1.0, 1e-12, h_rf=1e-5))
+@example(params=SpinParameters(0.2, 1.0, -1e-12, h_rf=1e-5))
+def test_selection_rules_share_the_drivability_verdict(params):
+    e = _resolved(params)
+    for axis in AXES:
+        rules = selection_rules(e, axis)
+        for pair in PAIRS:
+            refused = _raises_zero_element(lambda: flip_angle(params, e, pair, axis, 1.0))
+            assert rules.allowed(*pair) == (not refused), (pair, axis)
 
 
 @settings(max_examples=60, deadline=None)

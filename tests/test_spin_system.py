@@ -13,6 +13,7 @@ from vspin import (
     spin_operators,
     transition_table,
 )
+from vspin.spin_system import RESOLUTION_TOL
 
 SQRT3 = np.sqrt(3.0)
 
@@ -256,11 +257,10 @@ class TestTransitionTable:
         colliding = {frozenset((a, b)) for a, b, _ in t.collisions}
         assert frozenset(((1, 2), (2, 4))) in colliding
 
-    def test_margin_configurable(self):
-        e = closed_form_eigensystem(SpinParameters(omega0=0.1, omegaQ=1.0, eta=0.0))
-        # Omega(1,2) = 0.3 and Omega(3,4) = 0.1 collide under a huge margin
-        t = transition_table(e, selectivity_margin=0.5)
-        assert len(t.collisions) > 0
+    def test_margin_is_the_resolution(self):
+        # lines are told apart at the resolution regime_ok applies to levels
+        e = closed_form_eigensystem(SpinParameters(omega0=0.1, omegaQ=2.0, eta=0.3))
+        assert transition_table(e).margin == RESOLUTION_TOL * e.scale == 2e-6
 
 
 class TestNonFinite:

@@ -324,7 +324,7 @@ def _mutants(texts, count, seed):
 
 
 _REF_ENTRY = re.compile(r"\(([^(),\s]+),([^(),\s]+)\)")
-_REF_HEADER = re.compile(r"^rho 4x4 basis=(\w+)$")
+_REF_HEADER = re.compile(r"^rho 4x4 basis=eigen$")
 
 
 def _reference_parse_density_matrix(text):
@@ -332,7 +332,8 @@ def _reference_parse_density_matrix(text):
 
     Kept as the reference: a row is accepted when findall sees exactly four
     entries and nothing but whitespace is left once they are removed.  The
-    only addition is the finiteness rule, checked after each entry parses.
+    additions are the finiteness rule, checked after each entry parses, and
+    the one header the format has, ``basis=eigen``.
     """
     lines = []
     for line_no, raw in enumerate(str(text).splitlines(), start=1):
@@ -343,7 +344,7 @@ def _reference_parse_density_matrix(text):
         raise ParseError("empty density-matrix text")
     header_no, header = lines[0]
     if not _REF_HEADER.match(header):
-        raise ParseError(f"line {header_no}: expected 'rho 4x4 basis=...', got {header!r}")
+        raise ParseError(f"line {header_no}: expected 'rho 4x4 basis=eigen', got {header!r}")
     if len(lines) != 5:
         raise ParseError(f"expected 4 matrix rows, got {len(lines) - 1}")
     out = np.zeros((4, 4), dtype=complex)
