@@ -67,9 +67,9 @@ where min_gap is the distance from the driven line to the nearest other
 transition frequency.
 
 One subtlety is owned by :func:`drive_for_pulse`: the ideal propagator's
-phase convention absorbs the phase of the drive matrix element, so a
-cosine drive must be offset by pi/2 + arg<psi_m| I_axis |psi_n> to realize
-engine phase zero.
+phase convention absorbs the phase of the drive matrix element, so the
+cosine drive's phase is the engine phase plus ``pulse_engine.AXIS_SHIFT``
+plus pi/2 plus arg<psi_m| I_axis |psi_n>.  Its duration is the engine's.
 """
 
 import math
@@ -80,6 +80,7 @@ import numpy as np
 from .errors import StepTooLarge
 from .operator_algebra import free_evolution
 from .pulse_engine import (
+    AXIS_SHIFT,
     _axis_operator,
     _drivable_element,
     _normalize_axis,
@@ -198,11 +199,14 @@ def expm4(a):
 
     Scaling-and-squaring with a truncated Taylor series; the degree is
     chosen so the truncation error stays near 1e-16 of the result.
+    Raises ValueError when an entry, or the norm, is not finite.
     """
     a = np.asarray(a, dtype=complex)
     squeeze = a.ndim == 2
     stack = a[None, :, :] if squeeze else a
     theta = float(np.max(np.sum(np.abs(stack), axis=-1))) if stack.size else 0.0
+    if not math.isfinite(theta):  # a nan or inf entry, or a norm beyond the float range
+        raise ValueError(f"a must be finite and of finite norm, got norm {theta}")
     degree, squarings = _taylor_degree(max(theta, np.finfo(float).tiny))
     scaled = stack / (2.0**squarings)
     eye = np.broadcast_to(np.eye(4, dtype=complex), scaled.shape)
@@ -464,39 +468,26 @@ def propagator_infidelity(u, v) -> float:
 
 
 def drive_for_pulse(
-    params: SpinParameters,
-    e: EigenSystem,
-    transition,
-    axis="Y",
-    phase=0.0,
-    flip=np.pi,
+    params: SpinParameters, e: EigenSystem, transition, axis="Y", phase=0.0, flip=np.pi
 ) -> DrivenSystem:
     """Lab-frame realization of one selective pulse, in the eigenbasis.
 
-    The cosine phase is offset by arg(element), plus pi/2 on the Y axis,
-    so the realized rotation matches the ideal propagator at the requested
-    engine phase; the duration follows from flip = T * amplitude *
-    |element|.
+    The cosine phase is the engine phase plus the axis shift, plus pi/2
+    and arg(element), so the realized rotation matches the ideal
+    propagator; the duration and its refusals are the engine's.
     """
-    element = _drivable_element(e, transition, axis)
-    if params.h_rf <= 0.0:
-        raise ValueError("params.h_rf must be > 0 to realize a pulse")
+    duration = _pulse_length(params, e, transition, axis, flip)
     axis = _normalize_axis(axis)
     m, n = _normalize_transition(transition)
-    # the pi/2 offset belongs to the Y-equivalent phase, so the X-axis
-    # engine shift of -pi/2 cancels it
-    offset = np.pi / 2.0 if axis == "Y" else 0.0
+    operator = e.to_eigen(_axis_operator(axis))
+    element = operator[m - 1, n - 1]
     drive = DriveTerm(
-        operator=e.to_eigen(_axis_operator(axis)),
+        operator=operator,
         amplitude=2.0 * params.gamma * params.h_rf,
         frequency=float(e.energies[m - 1] - e.energies[n - 1]),
-        phase=float(phase) + offset + float(np.angle(element)),
+        phase=float(phase) + (AXIS_SHIFT[axis] + np.pi / 2.0) + float(np.angle(element)),
     )
-    return DrivenSystem(
-        h0=np.diag(e.energies).astype(complex),
-        drives=(drive,),
-        duration=_pulse_length(params, flip, element),
-    )
+    return DrivenSystem(h0=np.diag(e.energies).astype(complex), drives=(drive,), duration=duration)
 
 
 def _params_for_ratio(params: SpinParameters, e, transition, axis, ratio):

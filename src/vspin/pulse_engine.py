@@ -8,7 +8,8 @@ and rotates the driven two-level subspace:
                                 + (P_mm + P_nn) cos(phi_y / 2)
                                 + (P_nm e^{i phi} - P_mn e^{-i phi}) sin(phi_y / 2)
 
-The X-axis version is the same operator with phi replaced by phi - pi/2.
+The X-axis version is the same operator with phi replaced by phi - pi/2,
+stated once in ``AXIS_SHIFT`` for this module and the lab-frame drive.
 The sin-term orientation is pinned so that (Omega_12, Y, phi = 0,
 phi_y = pi) produces P_33 + P_44 + P_21 - P_12, the controlled-NOT form.
 
@@ -70,6 +71,10 @@ __all__ = [
 SELECTIVITY_FACTOR = 1e3
 # A density matrix must be Hermitian, of unit trace and PSD to STATE_TOL.
 STATE_TOL = 1e-12
+# Simultaneous pulses must imply durations equal to DURATION_TOL, relative.
+DURATION_TOL = 1e-9
+# An X pulse is the Y pulse at phase - pi/2; x + -0.0 is x for every float x.
+AXIS_SHIFT = {"Y": -0.0, "X": -math.pi / 2.0}
 
 _IDENTITY = np.eye(4, dtype=complex)
 _IDENTITY.flags.writeable = False
@@ -84,7 +89,7 @@ def _normalize_transition(transition):
 
 def _normalize_axis(axis):
     key = str(axis).upper()
-    if key not in ("X", "Y"):
+    if key not in AXIS_SHIFT:
         raise ValueError(f"axis must be X or Y, got {axis!r}")
     return key
 
@@ -129,7 +134,7 @@ class PulseStep:
         p = self.pulse
         v = single_frequency_propagator(e, p.transition, p.axis, p.phase, p.flip, params)
         if include_free_evolution:
-            v = free_evolution(e, _pulse_duration(p, params, e)) @ v
+            v = free_evolution(e, _pulse_length(params, e, p.transition, p.axis, p.flip)) @ v
         return v
 
 
@@ -155,9 +160,9 @@ class TwoFrequencyStep:
             e, a.transition, b.transition, a.axis, a.phase, a.flip, b.flip, params
         )
         if include_free_evolution:
-            ta = _pulse_duration(a, params, e)
-            tb = _pulse_duration(b, params, e)
-            if abs(ta - tb) > 1e-9 * max(ta, tb, 1e-300):
+            ta = _pulse_length(params, e, a.transition, a.axis, a.flip)
+            tb = _pulse_length(params, e, b.transition, b.axis, b.flip)
+            if abs(ta - tb) > DURATION_TOL * max(ta, tb, 1e-300):
                 raise SemanticError(
                     f"simultaneous pulses imply different durations ({ta:.6g} vs {tb:.6g})"
                 )
@@ -209,8 +214,11 @@ def _drivable_element(e: EigenSystem, transition, axis):
     return element
 
 
-def _pulse_length(params: SpinParameters, flip, element):
-    """Duration T of a drivable pulse, from flip = 2 * gamma * h_rf * |element| * T."""
+def _pulse_length(params: SpinParameters, e: EigenSystem, transition, axis, flip):
+    """Duration T from flip = 2 gamma h_rf |element| T; checks h_rf > 0, then drivability."""
+    if params.h_rf <= 0.0:
+        raise ValueError("h_rf must be > 0 to realize a pulse")
+    element = _drivable_element(e, transition, axis)
     return float(flip) / (2.0 * params.gamma * params.h_rf * abs(element))
 
 
@@ -220,8 +228,8 @@ def flip_angle(p: SpinParameters, e: EigenSystem, transition, axis, duration):
     Linear in duration and in h_rf.  Raises ZeroMatrixElement when the
     transition is forbidden (|element| < DRIVABLE_THRESHOLD): nothing drives it.
     """
-    if duration < 0.0:
-        raise ValueError(f"duration must be >= 0, got {duration}")
+    if not (math.isfinite(duration) and duration >= 0.0):
+        raise ValueError(f"duration must be finite and >= 0, got {duration}")
     element = _drivable_element(e, transition, axis)
     return 2.0 * float(duration) * p.gamma * p.h_rf * abs(element)
 
@@ -258,7 +266,7 @@ def single_frequency_propagator(
     axis = _normalize_axis(axis)
     if params is not None and params.h_rf > 0.0:
         _check_physics(e, (m, n), axis, params)
-    phi = float(phase) if axis == "Y" else float(phase) - math.pi / 2.0
+    phi = float(phase) + AXIS_SHIFT[axis]
     half = float(flip) / 2.0
     v = _IDENTITY.copy()
     v[m - 1, m - 1] = v[n - 1, n - 1] = math.cos(half)
@@ -289,16 +297,6 @@ def two_frequency_propagator(
     va = single_frequency_propagator(e, a, axis, phase, flip_a, params)
     vb = single_frequency_propagator(e, b, axis, phase, flip_b, params)
     return va @ vb
-
-
-def _pulse_duration(pulse: PulseSpec, params: SpinParameters, e: EigenSystem):
-    """Wall-clock length of a pulse, from its flip angle and h_rf."""
-    if params.h_rf <= 0.0:
-        raise SemanticError(
-            "free-evolution tracking needs pulse durations;"
-            " set h_rf > 0 so durations can be derived from flip angles"
-        )
-    return _pulse_length(params, pulse.flip, _drivable_element(e, pulse.transition, pulse.axis))
 
 
 def program_propagator(

@@ -15,8 +15,9 @@ and gate machinery downstream works with these labels only.
 
 Conventions fixed here and relied on everywhere else:
 
-* levels are labeled by descending energy (ties break by descending <Iz>,
-  and true coincidences raise :class:`~vspin.errors.DegenerateSpectrum`);
+* levels are labeled by descending energy; an exact tie is a degenerate
+  spectrum, and levels closer than ``DEGENERACY_TOL * scale`` raise
+  :class:`~vspin.errors.DegenerateSpectrum`;
 * each eigenvector's largest-magnitude component is made real positive,
   which pins the phases of all drive matrix elements.
 """
@@ -43,6 +44,8 @@ __all__ = [
 _MAGNETIC_NUMBERS = np.array([1.5, 0.5, -0.5, -1.5])
 # Levels closer than DEGENERACY_TOL * scale have no defined labels.
 DEGENERACY_TOL = 1e-9
+# diagonalize accepts |H - H^dagger| up to HERMITIAN_TOL * max|H|.
+HERMITIAN_TOL = 1e-12
 # Levels, and transition lines, closer than RESOLUTION_TOL * scale are not
 # resolved: regime_ok is false, or a selective pulse cannot tell the lines apart.
 RESOLUTION_TOL = 1e-6
@@ -174,15 +177,9 @@ def _fix_phases(states):
     return states
 
 
-def _label_order(energies, states):
-    """Sort key: descending energy, then descending <Iz>."""
-    _, _, iz = spin_operators()
-    iz_exp = np.real(np.einsum("ij,ij->j", states.conj(), iz @ states))
-    return sorted(range(len(energies)), key=lambda j: (-energies[j], -iz_exp[j]))
-
-
 def _assemble(energies, states, mixing, scale):
-    order = _label_order(energies, states)
+    # labels by descending energy; a tie never survives the gap check below
+    order = sorted(range(len(energies)), key=lambda j: -energies[j])
     energies = np.asarray([energies[j] for j in order], dtype=float)
     states = _fix_phases(np.stack([states[:, j] for j in order], axis=1).astype(complex))
     gaps = -np.diff(energies)
@@ -260,16 +257,18 @@ def diagonalize(hamiltonian, scale=None) -> EigenSystem:
 
     Applies the same label and phase conventions as the closed form, so the
     two routes can be compared state by state.  ``scale`` defaults to the
-    largest absolute eigenvalue.
+    largest absolute eigenvalue; a given one must be finite and > 0.
     """
+    if scale is not None and not (math.isfinite(scale) and scale > 0.0):
+        raise ValueError(f"scale must be finite and > 0, got {scale}")
     h = np.asarray(hamiltonian, dtype=complex)
     if h.shape != (4, 4):
         raise ValueError(f"expected a 4x4 operator, got shape {h.shape}")
     hnorm = max(np.max(np.abs(h)), np.finfo(float).tiny)
-    if np.max(np.abs(h - h.conj().T)) > 1e-12 * hnorm:
+    defect = np.max(np.abs(h - h.conj().T))
+    if defect > HERMITIAN_TOL * hnorm:
         raise NotHermitian(
-            f"max |H - H^dagger| = {np.max(np.abs(h - h.conj().T)):.3e} "
-            f"exceeds 1e-12 * {hnorm:.3e}"
+            f"max |H - H^dagger| = {defect:.3e} exceeds {HERMITIAN_TOL:g} * {hnorm:.3e}"
         )
     energies, states = np.linalg.eigh((h + h.conj().T) / 2.0)
     if scale is None:

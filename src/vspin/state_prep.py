@@ -42,6 +42,8 @@ __all__ = [
 ]
 
 HIGH_TEMPERATURE_LIMIT = 1e-3
+# temporal_average's input must be diagonal to DIAGONAL_TOL of its largest entry.
+DIAGONAL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -60,11 +62,15 @@ def in_high_temperature_regime(e: EigenSystem, spec: ThermalSpec) -> bool:
     return spec.beta_scale * float(np.max(np.abs(e.energies))) / e.scale <= HIGH_TEMPERATURE_LIMIT
 
 
+@np.errstate(over="ignore")  # an exponent below the float range is -inf, a weight of 0
 def thermal_state(e: EigenSystem, spec: ThermalSpec) -> np.ndarray:
-    """Boltzmann state exp(-beta H0)/Z, diagonal in the eigenbasis."""
-    exponents = -spec.beta_scale * e.energies / e.scale
-    # subtract the max before exponentiating; cancels in the normalization
-    weights = np.exp(exponents - np.max(exponents))
+    """Boltzmann state exp(-beta H0)/Z, diagonal in the eigenbasis.
+
+    Energies count from level 4, the lowest, so no exponent is positive.
+    """
+    if spec.beta_scale == 0.0:  # exact even when the level spread overflows
+        return np.eye(4, dtype=complex) / 4.0
+    weights = np.exp(-spec.beta_scale * (e.energies - e.energies[3]) / e.scale)
     return np.diag(weights / np.sum(weights)).astype(complex)
 
 
@@ -115,11 +121,11 @@ def temporal_average(rho_eq, e: EigenSystem, params: SpinParameters | None = Non
     rho = np.asarray(rho_eq, dtype=complex)
     if rho.shape != (4, 4):
         raise NotDiagonal(f"density matrix must be 4x4, got {rho.shape}")
-    off = rho - np.diag(np.diag(rho))
+    off = np.max(np.abs(rho - np.diag(np.diag(rho))))
     scale = max(float(np.max(np.abs(rho))), np.finfo(float).tiny)
-    if np.max(np.abs(off)) > 1e-12 * scale:
+    if off > DIAGONAL_TOL * scale:
         raise NotDiagonal(
-            f"off-diagonal magnitude {np.max(np.abs(off)):.3e} exceeds 1e-12 of the state scale"
+            f"off-diagonal magnitude {off:.3e} exceeds {DIAGONAL_TOL:g} of the state scale"
         )
     v1, v2 = averaging_propagators(e, params)
     rho_pp = (rho + v1 @ rho @ v1.conj().T + v2 @ rho @ v2.conj().T) / 3.0
@@ -134,12 +140,15 @@ def pseudo_pure_reference(a, b) -> np.ndarray:
     """Normalized (a 1 + b P_44) / (4a + b).
 
     Eigenvalues are a (three-fold) and a + b, so a >= 0, a + b >= 0 and
-    4a + b > 0 are required (NotPositive otherwise).  (a=0, b=1) is the
-    pure ground level; (a=1, b=0) is maximally mixed.
+    4a + b > 0 are required (NotPositive otherwise), all finite (ValueError).
+    (a=0, b=1) is the pure ground level; (a=1, b=0) is maximally mixed.
     """
     a = float(a)
     b = float(b)
     norm = 4.0 * a + b
+    for name, value in (("a", a), ("b", b), ("4a + b", norm)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if a < 0.0 or a + b < 0.0 or norm <= 0.0:
         raise NotPositive(
             f"(a={a:g}, b={b:g}) gives eigenvalues {a:g}, {a + b:g} with trace {norm:g}"

@@ -173,6 +173,17 @@ class TestSimulate:
         assert text == ""
         assert capsys.readouterr().err.startswith("vspin: error: line 1: ")
 
+    def test_free_evolution_needs_hrf(self, tmp_path, capsys):
+        prog = tmp_path / "ideal.vsp"
+        prog.write_text(
+            "system omega0=0.1 omegaQ=1 eta=0.5 gamma=1 hrf=0\n"
+            "pulse t=1,2 axis=Y phase=0 flip=pi\n"
+        )
+        code, text = run(["simulate", str(prog), "--include-free-evolution"])
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err == "vspin: error: h_rf must be > 0 to realize a pulse\n"
+
     def test_include_free_evolution_changes_result(self, tmp_path):
         # a pulse duration is derivable from hrf; tracking the static
         # phases over it must alter coherences of a non-diagonal state

@@ -47,6 +47,14 @@ class TestExpm4:
         u = expm4(-1j * 0.3 * h)
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-14
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 4, 4)])
+    def test_non_finite_refused(self, bad, shape):
+        a = np.zeros(shape, dtype=complex)
+        a[..., 1, 2] = bad
+        with pytest.raises(ValueError, match=r"^a must be finite"):
+            expm4(a)
+
 
 class TestInfidelity:
     def test_self_is_zero(self, rng):
@@ -165,6 +173,20 @@ class TestRotatingWaveValidation:
         u = to_interaction_frame(integrate_lab_frame(system), eigen, system.duration)
         v = single_frequency_propagator(eigen, (1, 2), "X", 0.0, np.pi)
         assert propagator_infidelity(u, v) <= 5e-3
+
+    @pytest.mark.parametrize("phase", [0.0, np.pi / 3, -2.1])
+    @pytest.mark.parametrize("axis", ["X", "Y"])
+    def test_drive_realizes_the_engine_phase_rule(self, eigen, axis, phase):
+        # the drive reads the engine's axis shift, so each axis and phase
+        # matches its own ideal pulse and not the other axis's
+        p = SpinParameters(0.1, 1.0, 0.5, h_rf=5e-4)
+        system = drive_for_pulse(p, eigen, (1, 2), axis, phase, np.pi)
+        u = to_interaction_frame(integrate_lab_frame(system), eigen, system.duration)
+        other = "Y" if axis == "X" else "X"
+        v = single_frequency_propagator(eigen, (1, 2), axis, phase, np.pi)
+        w = single_frequency_propagator(eigen, (1, 2), other, phase, np.pi)
+        assert propagator_infidelity(u, v) <= 5e-3
+        assert propagator_infidelity(u, w) > 0.1
 
     def test_convergence_order(self, params):
         study = convergence_study(params, (1, 2), ratio=1e-2, refinements=2)

@@ -67,6 +67,12 @@ class TestFlipAngle:
         with pytest.raises(ValueError):
             flip_angle(p, eigen, (1, 2), "Y", -1.0)
 
+    @pytest.mark.parametrize("duration", [np.nan, np.inf, -np.inf])
+    def test_non_finite_duration(self, eigen, duration):
+        p = SpinParameters(0.1, 1.0, 0.5, h_rf=0.1)
+        with pytest.raises(ValueError, match=r"^duration must be finite and >= 0, got"):
+            flip_angle(p, eigen, (1, 2), "Y", duration)
+
 
 class TestSingleFrequency:
     def test_zero_flip_identity(self, eigen):

@@ -9,7 +9,10 @@ Over random resolved spins, all six level pairs and both RF axes:
   down to |eta| = 1e-13 where the mixed lines' elements are ~eta;
 * nearest line - TransitionTable.nearest equals a brute-force minimum;
 * selectivity - SelectivityViolation is raised exactly when the nearest
-  other line is within 1e3 Rabi rates.
+  other line is within 1e3 Rabi rates;
+* realized duration - program_propagator(include_free_evolution=True)
+  and drive_for_pulse refuse h_rf = 0 with one ValueError, before they
+  look at drivability.
 """
 
 from dataclasses import replace
@@ -25,6 +28,7 @@ from vspin import (
     PulseStep,
     SelectivityViolation,
     SpinParameters,
+    TwoFrequencyStep,
     ZeroMatrixElement,
     closed_form_eigensystem,
     drive_for_pulse,
@@ -164,3 +168,22 @@ def test_undrivable_message_is_shared(eigen, pair):
             call()
         messages.add(str(info.value))
     assert len(messages) == 1
+
+
+@pytest.mark.parametrize("pair", [(1, 2), (2, 3)])
+def test_realized_duration_needs_h_rf(eigen, pair):
+    # (2, 3) is undrivable: h_rf is checked first on every path
+    params = SpinParameters(0.1, 1.0, 0.5, h_rf=0.0)
+    single = PulseProgram(params, (PulseStep(PulseSpec(pair)),))
+    rest = tuple(sorted({1, 2, 3, 4} - set(pair)))
+    double = PulseProgram(params, (TwoFrequencyStep(PulseSpec(pair), PulseSpec(rest)),))
+    messages = set()
+    for call in (
+        lambda: program_propagator(single, eigen, include_free_evolution=True),
+        lambda: program_propagator(double, eigen, include_free_evolution=True),
+        lambda: drive_for_pulse(params, eigen, pair, "Y"),
+    ):
+        with pytest.raises(ValueError) as info:
+            call()
+        messages.add(str(info.value))
+    assert messages == {"h_rf must be > 0 to realize a pulse"}

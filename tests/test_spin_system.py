@@ -186,6 +186,14 @@ class TestDiagonalize:
             diagonalize(np.diag([1.0, -1.0, -1.0, 1.0]))
         assert np.allclose(info.value.energies, [1.0, 1.0, -1.0, -1.0])
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_scale_refused(self, scale):
+        # the scale sets the degeneracy bound: a non-positive one would let
+        # the degenerate spin omega0 = eta = 0 through with labels
+        h = build_static_hamiltonian(SpinParameters(0.0, 1.0, 0.0))
+        with pytest.raises(ValueError, match=r"^scale must be finite and > 0, got"):
+            diagonalize(h, scale=scale)
+
     def test_residual_property(self, rng):
         for _ in range(50):
             a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -53,6 +55,19 @@ class TestThermalState:
         rho = thermal_state(eigen, ThermalSpec(beta_scale=1.5))
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-14)
         assert np.min(np.linalg.eigvalsh(rho)) >= 0.0
+
+    @pytest.mark.parametrize(
+        "spin, beta_scale",
+        [((1.0, 1.0, 0.5), 1.7e308), ((0.1, 1.0, 0.5), 1e308), ((0.1, 1.0, 0.5), 1e5)],
+    )
+    def test_large_beta_is_the_level_4_projector(self, spin, beta_scale):
+        e = closed_form_eigensystem(SpinParameters(*spin))
+        assert np.array_equal(thermal_state(e, ThermalSpec(beta_scale)), proj(4, 4))
+
+    def test_infinite_temperature_with_overflowing_spread(self):
+        # energies +-1.5e308 are accepted, but their difference overflows
+        e = closed_form_eigensystem(SpinParameters(1e308, 1.0, 0.5))
+        assert np.array_equal(thermal_state(e, ThermalSpec(0.0)), np.eye(4) / 4)
 
 
 class TestHighTemperature:
@@ -187,6 +202,15 @@ class TestPseudoPureReference:
     def test_trace_one(self):
         rho = pseudo_pure_reference(0.3, 0.7)
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "a, b, name",
+        [(np.nan, 0.0, "a"), (np.inf, 0.0, "a"), (1.0, np.nan, "b"), (1.0, np.inf, "b"),
+         (1e308, 1e308, "4a + b")],
+    )
+    def test_non_finite_refused(self, a, b, name):
+        with pytest.raises(ValueError, match="^" + re.escape(f"{name} must be finite, got")):
+            pseudo_pure_reference(a, b)
 
 
 class TestIdentityPartInvariance:
