@@ -6,100 +6,17 @@ compiles quantum gates (single-qubit rotations, CNOT) into
 transition-selective RF pulse programs, prepares pseudo-pure input states
 by temporal averaging, and validates every rotating-wave propagator
 against a brute-force lab-frame integrator.
+
+The package namespace is the union of the library modules' ``__all__``.
 """
 
-from .errors import (
-    DegenerateSpectrum,
-    IndexOutOfRange,
-    InvalidState,
-    NotDiagonal,
-    NotHermitian,
-    NotPositive,
-    ParseError,
-    ProgramError,
-    ProgramSyntaxError,
-    RegimeViolation,
-    SelectivityViolation,
-    SemanticError,
-    SharedLevel,
-    StepTooLarge,
-    VspinError,
-    ZeroMatrixElement,
-)
-from .lab_frame import (
-    DriveTerm,
-    DrivenSystem,
-    convergence_study,
-    drive_for_pulse,
-    expm4,
-    integrate_lab_frame,
-    propagator_infidelity,
-    rwa_infidelity,
-    rwa_sweep,
-    to_interaction_frame,
-)
-from .operator_algebra import (
-    OperatorExpansion,
-    Projector,
-    SelectionRules,
-    expand_in_eigenbasis,
-    free_evolution,
-    projector,
-    projector_product,
-    selection_rules,
-)
-from .pulse_engine import (
-    FreeEvolutionStep,
-    PulseProgram,
-    PulseSpec,
-    PulseStep,
-    TwoFrequencyStep,
-    apply_pulse_program,
-    flip_angle,
-    program_propagator,
-    single_frequency_propagator,
-    transition_matrix_element,
-    two_frequency_propagator,
-)
-from .spin_system import (
-    EigenSystem,
-    SpinParameters,
-    TransitionTable,
-    build_static_hamiltonian,
-    closed_form_eigensystem,
-    diagonalize,
-    spin_operators,
-    transition_table,
-)
-from .state_prep import (
-    ThermalSpec,
-    averaging_propagators,
-    high_temperature_coefficients,
-    high_temperature_state,
-    in_high_temperature_regime,
-    pseudo_pure_reference,
-    temporal_average,
-    thermal_state,
-)
-from .textio import (
-    format_density_matrix,
-    format_pulse_program,
-    parse_angle,
-    parse_density_matrix,
-    parse_pulse_program,
-)
-from .virtual_qubits import (
-    GateRequest,
-    TruthTableRow,
-    bits_to_level,
-    compile_cnot,
-    compile_gate,
-    compile_single_qubit_rotation,
-    embed_tensor_projector,
-    format_truth_table,
-    level_to_bits,
-    truth_table,
-    virtual_spin_components,
-)
+from .errors import *
+from .lab_frame import *
+from .operator_algebra import *
+from .pulse_engine import *
+from .spin_system import *
+from .state_prep import *
+from .textio import *
+from .virtual_qubits import *
 
 __version__ = "0.1.0"

@@ -5,6 +5,13 @@ are distinct from text-format problems (program syntax, density-matrix
 parsing) so that callers can map them to different failure modes.
 """
 
+__all__ = [
+    "VspinError", "DegenerateSpectrum", "NotHermitian", "IndexOutOfRange",
+    "ZeroMatrixElement", "SelectivityViolation", "SharedLevel", "InvalidState",
+    "NotDiagonal", "RegimeViolation", "NotPositive", "StepTooLarge",
+    "ProgramError", "ProgramSyntaxError", "SemanticError", "ParseError",
+]
+
 
 class VspinError(Exception):
     """Base class for all library errors."""
@@ -58,7 +65,7 @@ class NotPositive(VspinError):
 
 
 class StepTooLarge(VspinError):
-    """The lab-frame integrator's propagator product overflows double precision."""
+    """A lab-frame step needs too many squarings, or the propagator product overflows."""
 
 
 class ProgramError(VspinError):

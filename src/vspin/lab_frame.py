@@ -22,7 +22,8 @@ coefficient matrices with a DCT; K is the smallest degree whose tail
 (||Y||_1 / 2)^(K+1) / (K+1)! is below 2^-60, ||Y||_1 = sum_d ||Y_d||_1,
 above ||Y||_1 = 2 the factors are scaled by 2^-s and squared s times, and
 a drive-free system has K = 0.  Unsquared factors are within a few 1e-15
-of the exact exponential, and each squaring at most doubles that.
+of the exact exponential, and each squaring at most doubles that, so a
+step that needs more than _MAX_SQUARINGS squarings is refused.
 
 The grid is multiplied out in blocks of m steps.  On a uniform grid the
 block P_m(theta) = F(theta + (m-1) delta) ... F(theta), delta_d = Omega_d h,
@@ -109,8 +110,12 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 16
-# Taylor degrees and the largest 1-norm each handles at ~1e-16 accuracy.
+# Taylor degrees and the largest max row sum each handles at ~1e-16
+# accuracy (on the integrator's skew-Hermitian matrices, the 1-norm).
 _TAYLOR_STEPS = ((7, 0.035), (9, 0.11), (13, 0.43))
+# Each squaring at most doubles the error: after 52, 2^52 ulp of 1 is 1 and
+# no digit can be right, so expm4 and the step kernel take at most 51.
+_MAX_SQUARINGS = 51
 # Step kernel: Chebyshev truncation bound, far below one ulp of 1, and the
 # largest drive 1-norm interpolated without scaling and squaring (each
 # squaring doubles the roundoff; a larger bound widens the basis).
@@ -198,15 +203,18 @@ def expm4(a):
     """exp(A) for one or a stack of 4x4 matrices.
 
     Scaling-and-squaring with a truncated Taylor series; the degree is
-    chosen so the truncation error stays near 1e-16 of the result.
-    Raises ValueError when an entry, or the norm, is not finite.
+    chosen so the truncation error stays near 1e-16 of the result, and each
+    of the s squarings at most doubles it, to ~2^s ulp.  Raises ValueError
+    when an entry is not finite or the norm needs more than _MAX_SQUARINGS
+    squarings (above ~1e15).
     """
     a = np.asarray(a, dtype=complex)
     squeeze = a.ndim == 2
     stack = a[None, :, :] if squeeze else a
-    theta = float(np.max(np.sum(np.abs(stack), axis=-1))) if stack.size else 0.0
-    if not math.isfinite(theta):  # a nan or inf entry, or a norm beyond the float range
-        raise ValueError(f"a must be finite and of finite norm, got norm {theta}")
+    with np.errstate(over="ignore"):  # a row sum beyond the float range is inf
+        theta = float(np.max(np.sum(np.abs(stack), axis=-1))) if stack.size else 0.0
+    if not theta <= _TAYLOR_STEPS[-1][1] * 2.0**_MAX_SQUARINGS:  # also a nan or inf entry
+        raise ValueError(f"a must be finite and need <= {_MAX_SQUARINGS} squarings, got norm {theta}")
     degree, squarings = _taylor_degree(max(theta, np.finfo(float).tiny))
     scaled = stack / (2.0**squarings)
     eye = np.broadcast_to(np.eye(4, dtype=complex), scaled.shape)
@@ -240,32 +248,20 @@ def _project_unitary(u):
 
 
 def _chebyshev_degree(norm):
-    """Smallest K with Chebyshev tail (norm/2)^(K+1) / (K+1)! below _CHEB_TAIL.
+    """Smallest K with Chebyshev tail (norm/2)^(K+1) / (K+1)! below _CHEB_TAIL,
+    as a running product of the tail's factors norm / (2 (K+1)).
 
-    The tail rises while K + 1 < norm / 2, then falls, so it exceeds the
-    bound exactly below the answer, which doubling brackets and bisection
-    finds.  It is compared in logarithms: above norm ~ 1,400 it overflows.
-    Above norm ~ 1e305 the degree itself leaves the float range.
+    Callers pass norm <= _CHEB_NORM; above norm ~1,400 the product overflows.
     """
     if not math.isfinite(norm):
         raise ValueError(f"norm must be finite, got {norm}")
-    if norm <= 0.0:
-        return 0
-    log_half, log_bound = math.log(norm / 2.0), math.log(_CHEB_TAIL)
-
-    def above(k):
-        return (k + 1) * log_half - math.lgamma(k + 2) > log_bound
-
-    low, high = -1, 0  # above(low) holds for every K < 0
-    try:
-        while above(high):
-            low, high = high, 2 * high + 1
-    except OverflowError:
-        raise ValueError(f"norm too large for a Chebyshev degree, got {norm}") from None
-    while high - low > 1:
-        mid = (low + high) // 2
-        low, high = (mid, high) if above(mid) else (low, mid)
-    return high
+    degree, tail = 0, norm / 2.0
+    while tail > _CHEB_TAIL:
+        degree += 1
+        tail *= norm / (2.0 * (degree + 1))
+        if tail == math.inf:
+            raise ValueError(f"norm too large for a Chebyshev degree, got {norm!r}")
+    return degree
 
 
 def _step_kernel(h0, drives, h):
@@ -282,6 +278,9 @@ def _step_kernel(h0, drives, h):
     x = -1j * h * h0
     ys = np.array([-1j * h * d.amplitude * d.operator for d in drives]).reshape(-1, 4, 4)
     norm = float(np.abs(ys).sum(axis=1).max(axis=-1).sum())
+    if not norm <= _CHEB_NORM * 2.0**_MAX_SQUARINGS:  # also a nan or inf norm
+        raise StepTooLarge(f"a step of {h:.3g} s has drive norm {norm:.3g},"
+                           f" which needs more than {_MAX_SQUARINGS} squarings")
     squarings = int(np.ceil(np.log2(norm / _CHEB_NORM))) if norm > _CHEB_NORM else 0
     degree = _chebyshev_degree(norm / 2.0**squarings)
     order = np.arange(degree + 1)
@@ -423,7 +422,8 @@ def integrate_lab_frame(system: DrivenSystem, n_steps=None) -> np.ndarray:
     T.  ``n_steps`` overrides the step rule and always integrates the whole
     grid of T (used for convergence studies).
     Raises StepTooLarge when the power overflows double precision (from
-    about 1e16 periods on the default spin).
+    about 1e16 periods on the default spin), or when one step's drive norm
+    needs more than _MAX_SQUARINGS squarings.
     """
     if system.duration == 0.0:
         return np.eye(4, dtype=complex)

@@ -293,6 +293,14 @@ class TestPseudoPure:
         code, _ = run(["pseudo-pure", "--beta-scale", "0.5", *BASE])
         assert code == 3
 
+    @pytest.mark.parametrize(("omega0", "expected"), [("0.1", 3), ("3", 0)])
+    def test_realized_cycle_runs_only_above_the_level_crossing(self, capsys, omega0, expected):
+        # the cycle drives (2,3), undrivable below the crossing of levels 3
+        # and 4 (omega0 ~ 1.97 at eta = 0.5) and drivable above it
+        code, _ = run(["pseudo-pure", "--omega0", omega0, "--eta", "0.5", "--hrf", "1e-5"])
+        assert code == expected
+        assert ("ZeroMatrixElement" in capsys.readouterr().err) == (expected == 3)
+
 
 class TestOracleCheck:
     def test_csv_output(self):

@@ -11,6 +11,7 @@ from vspin import (
     DrivenSystem,
     DriveTerm,
     SpinParameters,
+    StepTooLarge,
     build_static_hamiltonian,
     closed_form_eigensystem,
     convergence_study,
@@ -22,6 +23,7 @@ from vspin import (
     propagator_infidelity,
     rwa_infidelity,
     single_frequency_propagator,
+    spin_operators,
     to_interaction_frame,
 )
 from vspin.lab_frame import _params_for_ratio
@@ -54,6 +56,29 @@ class TestExpm4:
         a[..., 1, 2] = bad
         with pytest.raises(ValueError, match=r"^a must be finite"):
             expm4(a)
+
+    @pytest.mark.parametrize("norm", [1e100, 1e300])
+    def test_norm_past_the_squaring_bound_refused(self, norm):
+        # 2^s ulp reaches 1 after 52 squarings: the result would hold no digit
+        a = np.zeros((4, 4), dtype=complex)
+        a[0, 1], a[1, 0] = -1j * norm, -1j * norm
+        with pytest.raises(ValueError, match=r"^a must be finite"):
+            expm4(a)
+
+    @pytest.mark.parametrize("entries", [[1e308], [5e307], [1e308, 1e308]])
+    def test_entries_near_the_float_range_refused(self, entries):
+        a = np.zeros((4, 4), dtype=complex)
+        a[0, : len(entries)] = entries
+        with pytest.raises(ValueError, match=r"^a must be finite"):
+            expm4(a)
+
+    def test_the_squaring_bound_is_the_last_norm_accepted(self):
+        bound = lab_frame._TAYLOR_STEPS[-1][1] * 2.0**lab_frame._MAX_SQUARINGS
+        a = np.zeros((4, 4), dtype=complex)
+        a[0, 1], a[1, 0] = -1j * bound, -1j * bound
+        assert np.isfinite(expm4(a)).all()
+        with pytest.raises(ValueError, match=r"^a must be finite"):
+            expm4(a * (1.0 + 2.0**-52))
 
 
 class TestInfidelity:
@@ -127,6 +152,15 @@ class TestIntegrator:
             DrivenSystem(h0=poisoned, duration=1.0)
         with pytest.raises(ValueError, match=r"^drive operator must be finite"):
             DriveTerm(operator=poisoned, amplitude=1.0, frequency=1.0)
+
+    @pytest.mark.parametrize(("amplitude", "step"), [(1e308, 10.0), (1e308, 1.0), (1e300, 1.0)])
+    def test_step_past_the_squaring_bound_refused(self, params, amplitude, step):
+        # a norm that overflows to inf, and a finite one needing ~1,000 squarings
+        drive = DriveTerm(operator=spin_operators()[0], amplitude=amplitude, frequency=1.0)
+        system = DrivenSystem(h0=build_static_hamiltonian(params), drives=(drive,),
+                              duration=1.0, step=step)
+        with pytest.raises(StepTooLarge, match="squarings"):
+            integrate_lab_frame(system)
 
 
 class TestInteractionFrame:
@@ -339,6 +373,14 @@ class TestStepKernel:
             expected = scipy.linalg.expm(-1j * h * _hamiltonian(h0, drives, t))
             assert np.max(np.abs(u - expected)) <= 1e-14
 
+    def test_the_squaring_bound_is_the_last_norm_accepted(self):
+        h0, (drive,), h = KERNEL_CASES["strong"]
+        norm = h * drive.amplitude * np.max(np.sum(np.abs(drive.operator), axis=0))
+        bound = lab_frame._CHEB_NORM * 2.0**lab_frame._MAX_SQUARINGS
+        lab_frame._step_kernel(h0, (drive,), 0.99 * h * bound / norm)
+        with pytest.raises(StepTooLarge):
+            lab_frame._step_kernel(h0, (drive,), 1.01 * h * bound / norm)
+
     def test_coarse_step_squares(self):
         _, (drive,), h = KERNEL_CASES["strong-coarse"]
         norm = h * drive.amplitude * np.max(np.sum(np.abs(drive.operator), axis=0))
@@ -438,34 +480,32 @@ class TestProjection:
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-14
 
 
-def _chebyshev_degree_loop(norm):
-    """The degree rule as a running product of the tail's factors: the
-    reference below norm ~1,400, above which the product overflows to inf
-    and the loop never ends."""
-    degree, tail = 0, norm / 2.0
-    while tail > lab_frame._CHEB_TAIL:
-        degree += 1
-        tail *= norm / (2.0 * (degree + 1))
-    return degree
+def _chebyshev_degree_log(norms, max_degree=60):
+    """The degree rule in logarithms: the smallest K whose tail
+    (norm/2)^(K+1) / (K+1)! is not above _CHEB_TAIL, for each norm."""
+    k = np.arange(max_degree + 1)
+    log_tail = (k + 1) * np.log(norms / 2.0)[:, None] - scipy.special.gammaln(k + 2)
+    below = log_tail <= np.log(lab_frame._CHEB_TAIL)
+    assert below[:, -1].all()
+    return below.argmax(axis=1)
 
 
 class TestChebyshevDegree:
     def test_matches_the_running_product_up_to_the_callers_bound(self):
-        # every caller passes a norm in (0, _CHEB_NORM]
+        # the running product against the log rule; every caller passes a
+        # norm in (0, _CHEB_NORM]
         norms = np.concatenate([
             np.linspace(0.0, lab_frame._CHEB_NORM, 20001)[1:],
             np.geomspace(1e-25, lab_frame._CHEB_NORM, 2000),
         ])
-        for norm in norms:
-            assert lab_frame._chebyshev_degree(float(norm)) == _chebyshev_degree_loop(norm)
+        expected = _chebyshev_degree_log(norms)
+        for norm, degree in zip(norms, expected):
+            assert lab_frame._chebyshev_degree(float(norm)) == degree
 
     def test_large_norm_terminates(self):
-        degree = lab_frame._chebyshev_degree(1500.0)
-        log_tail = (np.array([degree, degree + 1]) * np.log(750.0)
-                    - scipy.special.gammaln([degree + 1, degree + 2]))
-        # the tail of degree K is (norm/2)^(K+1) / (K+1)!: above the bound at
-        # K - 1, below it at K
-        assert log_tail[1] <= np.log(lab_frame._CHEB_TAIL) < log_tail[0]
+        # the running product overflows above norm ~1,400: a prompt refusal
+        with pytest.raises(ValueError, match=re.escape(repr(1500.0))):
+            lab_frame._chebyshev_degree(1500.0)
 
     @pytest.mark.parametrize("norm", [np.nan, np.inf])
     def test_non_finite_norm_raises(self, norm):
