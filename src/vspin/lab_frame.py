@@ -93,7 +93,6 @@ from .spin_system import (
     EigenSystem,
     SpinParameters,
     closed_form_eigensystem,
-    transition_table,
 )
 
 __all__ = [
@@ -282,6 +281,13 @@ def _step_kernel(h0, drives, h):
         raise StepTooLarge(f"a step of {h:.3g} s has drive norm {norm:.3g},"
                            f" which needs more than {_MAX_SQUARINGS} squarings")
     squarings = int(np.ceil(np.log2(norm / _CHEB_NORM))) if norm > _CHEB_NORM else 0
+    # the node matrices X + sum_d c_d Y_d, |c_d| <= 1, have row sums at most
+    # ||X|| + ||Y||_1 (row and column sums agree on Hermitian drives), which
+    # after the squarings must stay in expm4's range
+    step_norm = float(np.abs(x).sum(axis=-1).max()) + norm
+    if not step_norm <= _TAYLOR_STEPS[-1][1] * 2.0 ** (_MAX_SQUARINGS + squarings):
+        raise StepTooLarge(f"a step of {h:.3g} s has norm {step_norm:.3g},"
+                           f" which needs more than {_MAX_SQUARINGS} squarings")
     degree = _chebyshev_degree(norm / 2.0**squarings)
     order = np.arange(degree + 1)
     nodes = np.cos(np.pi * (order + 0.5) / (degree + 1))
@@ -422,8 +428,8 @@ def integrate_lab_frame(system: DrivenSystem, n_steps=None) -> np.ndarray:
     T.  ``n_steps`` overrides the step rule and always integrates the whole
     grid of T (used for convergence studies).
     Raises StepTooLarge when the power overflows double precision (from
-    about 1e16 periods on the default spin), or when one step's drive norm
-    needs more than _MAX_SQUARINGS squarings.
+    about 1e16 periods on the default spin), or when one step's norm
+    ||-i h H(t)|| needs more than _MAX_SQUARINGS squarings.
     """
     if system.duration == 0.0:
         return np.eye(4, dtype=complex)
@@ -493,7 +499,7 @@ def drive_for_pulse(
 def _params_for_ratio(params: SpinParameters, e, transition, axis, ratio):
     """Rescale h_rf so gamma * h_rf * |element| = ratio * min_gap."""
     element = _drivable_element(e, transition, axis)
-    min_gap, _ = transition_table(e).nearest(*_normalize_transition(transition))
+    min_gap, _ = e.transitions.nearest(*_normalize_transition(transition))
     h_rf = float(ratio) * min_gap / (params.gamma * abs(element))
     return replace(params, h_rf=h_rf)
 

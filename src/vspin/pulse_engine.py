@@ -49,7 +49,6 @@ from .spin_system import (
     SpinParameters,
     closed_form_eigensystem,
     spin_operators,
-    transition_table,
 )
 
 __all__ = [
@@ -238,7 +237,7 @@ def _check_physics(e, transition, axis, params):
     """Drivability and selectivity preconditions of a realized pulse."""
     m, n = transition
     rabi = params.gamma * params.h_rf * abs(_drivable_element(e, transition, axis))
-    table = transition_table(e)
+    table = e.transitions
     gap, (p, q) = table.nearest(m, n)
     if gap <= SELECTIVITY_FACTOR * rabi:
         raise SelectivityViolation(

@@ -22,6 +22,7 @@ Conventions fixed here and relied on everywhere else:
   which pins the phases of all drive matrix elements.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -100,6 +101,7 @@ class EigenSystem:
                    gap exceeds RESOLUTION_TOL * scale)
     scale          reference angular frequency for relative tolerances
                    (omegaQ when built from SpinParameters)
+    transitions    transition_table(self), built on first access
     """
 
     energies: np.ndarray
@@ -107,6 +109,11 @@ class EigenSystem:
     mixing_angles: tuple | None
     regime_ok: bool
     scale: float
+
+    @functools.cached_property
+    def transitions(self):
+        # cached in the instance __dict__, which the frozen dataclass allows
+        return transition_table(self)
 
     def energy(self, m):
         """Energy of level m in 1..4."""

@@ -1,11 +1,13 @@
+import contextlib
 import io
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vspin import parse_density_matrix, parse_pulse_program
-from vspin.cli import run_command
+from vspin.cli import build_parser, run_command
 
 
 def run(argv):
@@ -358,3 +360,50 @@ class TestUsage:
     def test_bad_parameter_value(self):
         code, _ = run(["eigensystem", "--eta", "2.0"])
         assert code == 2
+
+
+IDEAL = str(Path(__file__).parent / "golden" / "ideal.vsp")
+SUBCOMMANDS = ["eigensystem", "transitions", "simulate", "compile-gate",
+               "pseudo-pure", "truth-table", "oracle-check"]
+REUSE_ARGVS = [
+    ["--help"],
+    *([command, "--help"] for command in SUBCOMMANDS),
+    [],
+    ["frobnicate"],
+    ["compile-gate", "--kind", "swap", "--target", "R"],
+    ["transitions", "--eta"],
+    ["simulate", IDEAL, "--include-free-evolution"],
+    ["simulate", IDEAL],
+    ["truth-table", "--gate", "cnot-S", "--hrf", "1.0"],
+    ["truth-table", "--gate", "cnot-S"],
+]
+
+
+class TestParserReuse:
+    @staticmethod
+    def call(argv):
+        """(exit code, stdout= text, sys.stdout text, sys.stderr text)."""
+        out, stdout, stderr = io.StringIO(), io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = run_command(argv, stdout=out)
+        return code, out.getvalue(), stdout.getvalue(), stderr.getvalue()
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_reused_parser_answers_as_a_fresh_one(self, monkeypatch):
+        fresh = {}
+        for columns in ("50", "80"):
+            monkeypatch.setenv("COLUMNS", columns)
+            for argv in REUSE_ARGVS:
+                build_parser.cache_clear()
+                fresh[columns, *argv] = self.call(argv)
+        assert fresh["80", "truth-table", "--gate", "cnot-S", "--hrf", "1.0"][0] == 3
+        assert fresh["50", "--help"] != fresh["80", "--help"]
+        # one parser for every call below: flag values, help widths and the
+        # streams written to must all come from the call itself
+        build_parser.cache_clear()
+        for columns in ("50", "80", "50"):
+            monkeypatch.setenv("COLUMNS", columns)
+            for argv in [*REUSE_ARGVS, *reversed(REUSE_ARGVS)]:
+                assert self.call(argv) == fresh[columns, *argv], (columns, argv)

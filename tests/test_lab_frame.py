@@ -162,6 +162,17 @@ class TestIntegrator:
         with pytest.raises(StepTooLarge, match="squarings"):
             integrate_lab_frame(system)
 
+    def test_static_norm_counts_toward_the_squaring_bound(self, eigen):
+        # a common energy offset only adds a global phase, but it sets the
+        # norm the step kernel exponentiates
+        def free(offset):
+            h0 = np.diag(eigen.energies) + offset * np.eye(4)
+            return integrate_lab_frame(DrivenSystem(h0=h0, duration=3.7))
+
+        assert propagator_infidelity(free(1e10), free_evolution(eigen, 3.7)) <= 1e-10
+        with pytest.raises(StepTooLarge, match=r"^a step of 3\.7 s has norm 3\.7e\+17"):
+            free(1e17)
+
 
 class TestInteractionFrame:
     def test_free_evolution_maps_to_identity(self, eigen):

@@ -1,10 +1,13 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from vspin import spin_system
 from vspin import (
     FreeEvolutionStep,
+    GateRequest,
     InvalidState,
     PulseProgram,
     PulseSpec,
@@ -15,6 +18,7 @@ from vspin import (
     TwoFrequencyStep,
     apply_pulse_program,
     closed_form_eigensystem,
+    compile_gate,
     flip_angle,
     free_evolution,
     program_propagator,
@@ -300,3 +304,17 @@ class TestApplyProgram:
         duration = (np.pi / 2) / (2 * p.gamma * p.h_rf * elem)
         expected = free_evolution(eigen, duration) @ v_bare
         assert np.max(np.abs(v_full - expected)) <= 1e-12
+
+
+def test_physics_program_builds_the_transition_table_once(monkeypatch, params):
+    # each of the rotation's two realized pulses checks selectivity, against
+    # the eigensystem's one table, when compiled and again when propagated
+    built = []
+    table = spin_system.transition_table
+    monkeypatch.setattr(spin_system, "transition_table", lambda e: built.append(e) or table(e))
+    p = replace(params, h_rf=1e-5)
+    e = closed_form_eigensystem(p)
+    program, _ = compile_gate(e, p, GateRequest(kind="rotation", target="R", axis="X", angle=1.0))
+    program_propagator(program, e)
+    assert isinstance(program.steps[0], TwoFrequencyStep)
+    assert len(built) == 1 and built[0] is e

@@ -270,6 +270,10 @@ class TestTransitionTable:
         e = closed_form_eigensystem(SpinParameters(omega0=0.1, omegaQ=2.0, eta=0.3))
         assert transition_table(e).margin == RESOLUTION_TOL * e.scale == 2e-6
 
+    def test_eigensystem_keeps_its_table(self, eigen):
+        assert eigen.transitions is eigen.transitions
+        assert eigen.transitions == transition_table(eigen)
+
 
 class TestNonFinite:
     @pytest.mark.parametrize("field", ["omega0", "omegaQ", "gamma", "h_rf"])
