@@ -42,11 +42,15 @@ wide for blocks to pay keep m = 1, one factor per step.
 When every drive has the same |Omega|, H(t) is periodic with
 T_d = 2 pi / |Omega| (Floquet; Shirley, Phys. Rev. 138, B979, 1965), so
 
-    U(T) = U_tail(tau) U_period^N,   N = floor(T / T_d),  tau = T - N T_d
+    U(T) = U(tau) U_period^N,   N = floor(T / T_d),  tau = T - N T_d
 
-Only one period and the tail are integrated on the grid (the step divides
-T_d, and the tail restarts at t = 0); the power takes about 2 log2 N
-products, so the cost grows with log N rather than with N.
+Only one period is integrated, on a grid of n steps of h = T_d / n, the
+largest h not above the target step.  The remainder is the period's own
+first tau: it reuses the period's first k = floor(tau / h) steps, then one
+step of tau - k h, so U_period = R P_k and U(T) = F P_k U_period^N, with
+P_k the product of the first k steps, R that of the other n - k, and F
+the partial step.  The power takes about 2 log2 N products, so the cost
+grows with log N rather than with N.
 Two-frequency drives, drive-free systems and an explicit step count
 integrate the whole grid, whose step divides T.
 
@@ -158,7 +162,7 @@ class DrivenSystem:
               h = 2 pi / (200 Omega_max); the actual step is the largest
               not above it that divides the drive period T_d when every
               drive shares one |Omega| and T >= T_d (the remainder after
-              whole periods gets its own divisor), and T otherwise
+              whole periods reuses the period's steps), and T otherwise
     """
 
     h0: np.ndarray
@@ -246,21 +250,35 @@ def _project_unitary(u):
     return w @ vh
 
 
-def _chebyshev_degree(norm):
-    """Smallest K with Chebyshev tail (norm/2)^(K+1) / (K+1)! below _CHEB_TAIL,
-    as a running product of the tail's factors norm / (2 (K+1)).
+def _chebyshev_degrees(norm):
+    """Yield the smallest K with Chebyshev tail (norm/2)^(K+1) / (K+1)! below
+    _CHEB_TAIL for norm, 2 norm, 4 norm, ..., the tail a running product of
+    its factors norm / (2 (K+1)).
 
-    Callers pass norm <= _CHEB_NORM; above norm ~1,400 the product overflows.
+    Doubling the norm doubles each factor, so it multiplies the tail of
+    degree K by 2^(K+1), exactly in floating point, and the degree only
+    grows: each degree continues from the last one.
     """
     if not math.isfinite(norm):
         raise ValueError(f"norm must be finite, got {norm}")
     degree, tail = 0, norm / 2.0
-    while tail > _CHEB_TAIL:
-        degree += 1
-        tail *= norm / (2.0 * (degree + 1))
-        if tail == math.inf:
-            raise ValueError(f"norm too large for a Chebyshev degree, got {norm!r}")
-    return degree
+    while True:
+        while tail > _CHEB_TAIL:
+            degree += 1
+            tail *= norm / (2.0 * (degree + 1))
+            if tail == math.inf:
+                raise ValueError(f"norm too large for a Chebyshev degree, got {norm!r}")
+        yield degree
+        norm *= 2.0
+        tail *= 2.0 ** (degree + 1)
+
+
+def _chebyshev_degree(norm):
+    """Smallest K with Chebyshev tail (norm/2)^(K+1) / (K+1)! below _CHEB_TAIL.
+
+    Callers pass norm <= _CHEB_NORM; above norm ~1,400 the product overflows.
+    """
+    return next(_chebyshev_degrees(norm))
 
 
 def _step_kernel(h0, drives, h):
@@ -275,8 +293,9 @@ def _step_kernel(h0, drives, h):
     norm = ||Y||_1.
     """
     x = -1j * h * h0
-    ys = np.array([-1j * h * d.amplitude * d.operator for d in drives]).reshape(-1, 4, 4)
-    norm = float(np.abs(ys).sum(axis=1).max(axis=-1).sum())
+    with np.errstate(over="ignore", invalid="ignore"):  # a norm past the float range is refused
+        ys = np.array([-1j * h * d.amplitude * d.operator for d in drives]).reshape(-1, 4, 4)
+        norm = float(np.abs(ys).sum(axis=1).max(axis=-1).sum())
     if not norm <= _CHEB_NORM * 2.0**_MAX_SQUARINGS:  # also a nan or inf norm
         raise StepTooLarge(f"a step of {h:.3g} s has drive norm {norm:.3g},"
                            f" which needs more than {_MAX_SQUARINGS} squarings")
@@ -334,8 +353,9 @@ def _block_size(n_steps, dims, norm, chunk):
     within one chunk.
     """
     best, m = (n_steps, 1, 0), 2
+    degrees = _chebyshev_degrees(m * norm)
     while m * norm <= _CHEB_NORM:
-        degree = _chebyshev_degree(m * norm)
+        degree = next(degrees)
         nodes = (2 * degree + 1) ** dims * m
         # node steps only grow with m, so no longer block can do better
         if nodes > chunk or nodes + _BLOCK_SETUP >= best[0]:
@@ -384,28 +404,42 @@ def _block_kernel(factors, drives, h, m, degree):
     return blocks, coeffs.shape[0]
 
 
-def _grid_product(h0, drives, h, n_steps):
-    """Exponential-midpoint product of n_steps steps of h, starting at t = 0."""
+def _grid_product(h0, drives, h, n_steps, split=None):
+    """Exponential-midpoint product of n_steps steps of h, starting at t = 0;
+    with ``split`` = k, the pair (product of steps 0..k-1, product of steps
+    k..n_steps-1), from the same kernels."""
     factors, width, norm = _step_kernel(h0, drives, h)
     # a basis holds no more floats than a (_CHUNK, 4, 4) complex stack: the
     # chunks' bases, and the step basis of a block kernel's nodes
     m, degree = _block_size(n_steps, len(drives), norm, min(_CHUNK, _CHUNK * 32 // width))
     passes = [(m, *_block_kernel(factors, drives, h, m, degree))] if m > 1 else []
     passes.append((1, factors, width))
-    total = np.eye(4, dtype=complex)
-    done = 0
-    # whole m-step blocks, then the steps left over, one chunk of at most
-    # _CHUNK steps at a time to bound the memory of the factor stacks
-    for stride, kernel, width in passes:
-        chunk = max(1, min(_CHUNK // stride, _CHUNK * 32 // width))
-        end = done + (n_steps - done) // stride * stride
-        while done < end:
-            count = min(chunk, (end - done) // stride)
-            t_mid = (done + np.arange(0, stride * count, stride) + 0.5) * h
-            phases = np.array([d.frequency * t_mid + d.phase for d in drives]).reshape(-1, count)
-            total = _ordered_product(kernel(phases)) @ total
-            done += stride * count
-    return total
+    products = []
+    for done, stop in [(0, n_steps)] if split is None else [(0, split), (split, n_steps)]:
+        total = np.eye(4, dtype=complex)
+        # whole m-step blocks, then the steps left over, one chunk of at most
+        # _CHUNK steps at a time to bound the memory of the factor stacks
+        for stride, kernel, width in passes:
+            chunk = max(1, min(_CHUNK // stride, _CHUNK * 32 // width))
+            end = done + (stop - done) // stride * stride
+            while done < end:
+                count = min(chunk, (end - done) // stride)
+                t_mid = (done + np.arange(0, stride * count, stride) + 0.5) * h
+                phases = np.array([d.frequency * t_mid + d.phase for d in drives]).reshape(-1, count)
+                total = _ordered_product(kernel(phases)) @ total
+                done += stride * count
+        products.append(total)
+    return products[0] if split is None else tuple(products)
+
+
+def _partial_step(h0, drives, t, delta):
+    """exp(-i delta H(t)): one exponential-midpoint step off the grid, with
+    H(t) = h0 + sum_d A_d cos(Omega_d t + phi_d) O_d."""
+    h = h0 + sum(d.amplitude * np.cos(d.frequency * t + d.phase) * d.operator for d in drives)
+    try:
+        return expm4(-1j * delta * h)
+    except ValueError:  # only past expm4's squarings, which the step kernel's may exceed
+        raise StepTooLarge(f"a step of {delta:.3g} s needs more than {_MAX_SQUARINGS} squarings") from None
 
 
 def _drive_period(drives):
@@ -421,11 +455,11 @@ def integrate_lab_frame(system: DrivenSystem, n_steps=None) -> np.ndarray:
 
     Without ``n_steps``, a drive of one frequency makes H(t) periodic with
     T_d = 2 pi / |Omega|: one period is integrated with the largest step
-    not above the target that divides T_d, raised to the power
-    N = floor(T / T_d) by repeated squaring, and followed by the remaining
-    tau = T - N T_d, integrated again from t = 0 with a step that divides
-    tau.  With N = 0, several drive frequencies or none, the step divides
-    T.  ``n_steps`` overrides the step rule and always integrates the whole
+    not above the target that divides T_d and raised to the power
+    N = floor(T / T_d) by repeated squaring; the remainder
+    tau = T - N T_d reuses the period's grid (see the module docstring).
+    With N = 0, several drive frequencies or none, the step divides T.
+    ``n_steps`` overrides the step rule and always integrates the whole
     grid of T (used for convergence studies).
     Raises StepTooLarge when the power overflows double precision (from
     about 1e16 periods on the default spin), or when one step's norm
@@ -435,30 +469,35 @@ def integrate_lab_frame(system: DrivenSystem, n_steps=None) -> np.ndarray:
         return np.eye(4, dtype=complex)
     h0 = (system.h0 + system.h0.conj().T) / 2.0
     drives = system.drives
-    grids = [(system.duration, 1)]  # (span, power), in time order
+    periods = 0
     if n_steps is None:
         target = system.step if system.step is not None else system.default_step()
         period = _drive_period(drives)
         periods = int(system.duration // period) if period else 0
-        if periods:
-            # H(t + T_d) = H(t), so the remainder is integrated from t = 0 again
-            grids = [(period, periods), (system.duration - periods * period, 1)]
-    total = None
-    for span, power in grids:
-        if not span > 0.0:  # no remainder after whole periods
-            continue
-        count = max(int(n_steps) if n_steps is not None else int(np.ceil(span / target)), 1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            u = np.linalg.matrix_power(_grid_product(h0, drives, span / count, count), power)
-        # checked before the next grid: near overflow the remainder is garbage
-        if not np.isfinite(u).all():
-            raise StepTooLarge(
-                f"the power of {power:.3g} drive periods of {count} steps each"
-                " overflows double precision"
-            )
-        total = u if total is None else u @ total
-    # the only re-projection: see the module docstring
-    return _project_unitary(total)
+    if not periods:
+        count = max(int(n_steps) if n_steps is not None else int(np.ceil(system.duration / target)), 1)
+        # each route re-projects once: see the module docstring
+        return _project_unitary(_grid_product(h0, drives, system.duration / count, count))
+    count = max(int(np.ceil(period / target)), 1)
+    h = period / count
+    # H(t + T_d) = H(t): the remainder is the period's first tau, its first
+    # k steps and one step of delta; tau <= 0 (rounding) leaves none, and
+    # k <= count holds when tau has lost its digits at huge N
+    tau = system.duration - periods * period
+    k = min(int(tau // h), count) if tau > 0.0 else 0
+    delta = tau - k * h
+    head, rest = _grid_product(h0, drives, h, count, k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.linalg.matrix_power(rest @ head, periods)
+    # checked before the remainder: near overflow it is garbage
+    if not np.isfinite(total).all():
+        raise StepTooLarge(
+            f"the power of {periods:.3g} drive periods of {count} steps each"
+            " overflows double precision"
+        )
+    if delta > 0.0:
+        head = _partial_step(h0, drives, k * h + delta / 2.0, delta) @ head
+    return _project_unitary(head @ total)
 
 
 def to_interaction_frame(u, e: EigenSystem, t, t0=0.0) -> np.ndarray:

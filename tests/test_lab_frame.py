@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import replace
 
@@ -162,6 +163,16 @@ class TestIntegrator:
         with pytest.raises(StepTooLarge, match="squarings"):
             integrate_lab_frame(system)
 
+    def test_partial_step_past_the_squaring_bound_refused(self):
+        # the grid's factors take 51 squarings on top of expm4's; the
+        # remainder's one step (norm 1.7e15) goes to expm4 whole, whose 51
+        # squarings reach norm 9.7e14
+        drive = DriveTerm(operator=spin_operators()[0], amplitude=2e15, frequency=1.0)
+        system = DrivenSystem(h0=np.zeros((4, 4)), drives=(drive,), duration=2.0 * np.pi, step=1.0)
+        assert np.isfinite(integrate_lab_frame(system)).all()
+        with pytest.raises(StepTooLarge, match=r"^a step of 0\.449 s needs more than 51 squarings"):
+            integrate_lab_frame(replace(system, duration=3.0 * np.pi))
+
     def test_static_norm_counts_toward_the_squaring_bound(self, eigen):
         # a common energy offset only adds a global phase, but it sets the
         # norm the step kernel exponentiates
@@ -257,6 +268,13 @@ def _period(system):
     return 2.0 * np.pi / abs(system.drives[0].frequency)
 
 
+def _grid_step(system):
+    """The period route's step h = T_d / ceil(T_d / target)."""
+    period = _period(system)
+    target = system.step if system.step is not None else system.default_step()
+    return period / math.ceil(period / target)
+
+
 def _pulse_cases():
     rng = np.random.default_rng(20261017)
     cases = {f"{m}{n}-{axis}": _seeded_pulse(rng, (m, n), axis) for m, n in LINES for axis in "XY"}
@@ -268,6 +286,20 @@ def _pulse_cases():
     cases["explicit-step"] = replace(stepped, step=0.7 * stepped.default_step())
     # thousands of periods: N-th power of one period, projected once
     cases["weak-many-periods"] = _seeded_pulse(rng, (1, 2), "Y", ratio=1e-4)
+    # remainders on the period's own grid of steps h
+    rounded = _seeded_pulse(rng, (2, 4), "X")
+    period, n = _period(rounded), 3
+    while not (n * period // period == n and math.fmod(n * period, period) > 0.0):
+        n += 1
+    # 0 < T - n T_d exactly, but T - n * period rounds to 0: no remainder
+    cases["remainder-rounds-to-zero"] = replace(rounded, duration=n * period)
+    below = _seeded_pulse(rng, (3, 4), "Y")
+    cases["remainder-below-one-step"] = replace(below, duration=2 * _period(below) + 0.4 * _grid_step(below))
+    exact = _seeded_pulse(rng, (1, 3), "X")
+    period, h = _period(exact), _grid_step(exact)
+    n = round(period / h)
+    k = next(k for k in range(n // 2, n) if (2 * period + k * h) - 2 * period == k * h)
+    cases["remainder-on-the-grid"] = replace(exact, duration=2 * period + k * h)
     return cases
 
 
@@ -279,9 +311,9 @@ def _count_grid_steps(monkeypatch):
     counts = []
     real = lab_frame._grid_product
 
-    def counting(h0, drives, h, n_steps):
+    def counting(h0, drives, h, n_steps, *args):
         counts.append(n_steps)
-        return real(h0, drives, h, n_steps)
+        return real(h0, drives, h, n_steps, *args)
 
     monkeypatch.setattr(lab_frame, "_grid_product", counting)
     return counts
@@ -308,6 +340,60 @@ class TestPeriodPath:
         integrate_lab_frame(system)
         assert sum(counts) == int(np.ceil(period / system.default_step()))
 
+    @pytest.mark.parametrize(("name", "partial"), [
+        ("whole-periods", False),
+        ("remainder-rounds-to-zero", False),
+        ("remainder-below-one-step", True),
+        ("remainder-on-the-grid", False),
+        ("12-Y", True),
+    ])
+    def test_remainder_takes_the_first_steps_of_the_period(self, monkeypatch, name, partial):
+        # tau = T - N T_d is the period's first k = floor(tau / h) steps and
+        # one step of tau - k h, when that is positive
+        system = PULSE_CASES[name]
+        period, h = _period(system), _grid_step(system)
+        periods = int(system.duration // period)
+        tau = system.duration - periods * period
+        splits, steps = [], []
+        real_grid, real_step = lab_frame._grid_product, lab_frame._partial_step
+
+        def grid(h0, drives, h, n_steps, split=None):
+            splits.append(split)
+            return real_grid(h0, drives, h, n_steps, split)
+
+        def step(h0, drives, t, delta):
+            steps.append((t, delta))
+            return real_step(h0, drives, t, delta)
+
+        monkeypatch.setattr(lab_frame, "_grid_product", grid)
+        monkeypatch.setattr(lab_frame, "_partial_step", step)
+        integrate_lab_frame(system)
+        k = int(tau // h) if tau > 0.0 else 0
+        assert periods >= 2 and splits == [k]
+        if partial:
+            delta = tau - k * h
+            assert 0.0 < delta < h and steps == [(k * h + delta / 2.0, delta)]
+        else:
+            assert steps == []
+        if name == "remainder-rounds-to-zero":
+            assert tau == 0.0 < math.fmod(system.duration, period)
+        if name == "remainder-below-one-step":
+            assert k == 0
+        if name == "remainder-on-the-grid":
+            assert k > 0 and tau == k * h
+
+    @pytest.mark.parametrize("name", [n for n, s in PULSE_CASES.items() if s.duration >= _period(s)])
+    def test_one_kernel_and_one_period_of_steps(self, monkeypatch, name):
+        system = PULSE_CASES[name]
+        kernels = []
+        real = lab_frame._step_kernel
+        monkeypatch.setattr(lab_frame, "_step_kernel", lambda *args: kernels.append(args) or real(*args))
+        counts = _count_grid_steps(monkeypatch)
+        integrate_lab_frame(system)
+        target = system.step if system.step is not None else system.default_step()
+        assert len(kernels) == 1
+        assert counts == [math.ceil(_period(system) / target)]
+
 
 class TestRouting:
     def test_explicit_steps_take_the_full_grid(self, monkeypatch):
@@ -331,7 +417,7 @@ class TestRouting:
         per = int(np.ceil(_period(system) / system.default_step()))
         counts = _count_grid_steps(monkeypatch)
         integrate_lab_frame(system)
-        assert sum(counts) <= 2 * per + 2
+        assert sum(counts) == per
 
 
 def _kernel_cases():
@@ -470,6 +556,45 @@ class TestBlockKernel:
         chunk = min(lab_frame._CHUNK, lab_frame._CHUNK * 32 // width)
         m, _ = lab_frame._block_size(n_steps, len(drives), norm, chunk)
         assert (m > 1) == blocks
+
+
+def _block_size_by_fresh_degrees(n_steps, dims, norm, chunk):
+    """_block_size's search with a fresh _chebyshev_degree call per doubling."""
+    best, m = (n_steps, 1, 0), 2
+    while m * norm <= lab_frame._CHEB_NORM:
+        degree = lab_frame._chebyshev_degree(m * norm)
+        nodes = (2 * degree + 1) ** dims * m
+        if nodes > chunk or nodes + lab_frame._BLOCK_SETUP >= best[0]:
+            break
+        best = min(best, (nodes + n_steps // m + n_steps % m + lab_frame._BLOCK_SETUP, m, degree))
+        m *= 2
+    return best[1:]
+
+
+# drive norms per step: 0, a wide and a dense sweep (the integrator's steps
+# have norms ~1e-3 to 1e-2), and the powers of two the doublings meet
+BLOCK_NORMS = np.unique(np.concatenate([
+    [0.0], np.geomspace(1e-12, lab_frame._CHEB_NORM, 120), np.linspace(1e-4, 0.1, 80),
+    lab_frame._CHEB_NORM / 2.0 ** np.arange(1, 30),
+]))
+
+
+class TestBlockSize:
+    def test_doubled_degrees_match_fresh_ones(self):
+        for norm in BLOCK_NORMS:
+            doublings = int(np.log2(lab_frame._CHEB_NORM / norm)) + 1 if norm > 0.0 else 40
+            degrees = lab_frame._chebyshev_degrees(float(norm))
+            for j in range(doublings):
+                assert next(degrees) == lab_frame._chebyshev_degree(float(norm) * 2.0**j)
+
+    @pytest.mark.parametrize("dims", [1, 2, 3])
+    def test_matches_the_search_by_fresh_degrees(self, dims):
+        steps = np.unique(np.geomspace(1, 1e7, 36).astype(int))
+        for n_steps in [*steps, 600, 601, 1023, 1024, 1025]:
+            for chunk in (64, 4096, lab_frame._CHUNK):
+                for norm in BLOCK_NORMS:
+                    args = (int(n_steps), dims, float(norm), chunk)
+                    assert lab_frame._block_size(*args) == _block_size_by_fresh_degrees(*args)
 
 
 class TestProjection:
