@@ -28,14 +28,26 @@ step that needs more than _MAX_SQUARINGS squarings is refused.
 The grid is multiplied out in blocks of m steps.  On a uniform grid the
 block P_m(theta) = F(theta + (m-1) delta) ... F(theta), delta_d = Omega_d h,
 depends only on the drive phases theta at its first midpoint, smoothly and
-2 pi-periodically, so its Fourier coefficient of order j is bounded by
-(m ||Y||_1 / 2)^j / j! (the same tail rule, degree M).  P_m is sampled on
-the L^D phase grid 2 pi l / L, L = 2M + 1, with one call of the step
-kernel and one ordered product of L^D m factors; an FFT gives the
-coefficients, and each chunk of blocks is read off them with one real
-GEMM.  Steps after the last whole block take the step factors directly.
-m is the power of two that minimizes the work in steps,
-L^D m + n/m + (n mod m) plus a measured set-up cost for m > 1, with
+2 pi-periodically, and its Fourier coefficients of total order
+|j_1| + ... + |j_D| = j are bounded by (m ||Y||_1 / 2)^j / j! (the same
+tail rule, degree M).  So only the modes of the total-degree set
+{|j|_1 <= M} are kept.  P_m is sampled at the N nodes
+theta_l = 2 pi (l z mod N) / N of a rank-1 lattice on which j -> z.j mod N
+is one-to-one over that set (Kaemmerer, SIAM J. Numer. Anal. 51, 2773,
+2013), with one call of the step kernel and one ordered product of N m
+factors.  One length-N FFT then gives each kept coefficient, aliased only
+with modes of total order above M, which the tail rule puts below 2^-60
+as it does the modes dropped outright.  Each chunk of blocks is read off
+them with one real GEMM over the products of 1, cos(k_d theta_d) and
+sin(k_d theta_d) with k_1 + ... + k_D <= M, one basis function per kept
+mode.  One drive takes N = 2M + 1, z = 1, the uniform grid; two take
+N = 2M^2 + 2M + 1, z = (1, 2M + 1), about half the (2M + 1)^2 tensor
+grid, since the l1 balls of radius M tile the plane (Golomb & Welch, SIAM
+J. Appl. Math. 18, 302, 1970); three or more take N = L^D,
+z = (1, L, ..., L^(D-1)), L = 2M + 1, the tensor grid's size, one-to-one
+on its whole cube.  Steps after the last whole block take the step
+factors directly.  m is the power of two that minimizes the work in steps,
+N m + n/m + (n mod m) plus a measured set-up cost for m > 1, with
 m ||Y||_1 at most 2.  Grids too short, drives too strong and bases too
 wide for blocks to pay keep m = 1, one factor per step.
 
@@ -77,6 +89,8 @@ cosine drive's phase is the engine phase plus ``pulse_engine.AXIS_SHIFT``
 plus pi/2 plus arg<psi_m| I_axis |psi_n>.  Its duration is the engine's.
 """
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -94,6 +108,7 @@ from .pulse_engine import (
     single_frequency_propagator,
 )
 from .spin_system import (
+    HERMITIAN_TOL,
     EigenSystem,
     SpinParameters,
     closed_form_eigensystem,
@@ -128,11 +143,14 @@ _CHEB_NORM = 2.0
 # transform, Python), in grid steps of ~0.4 us; measured on a 2-core
 # machine, where one-drive blocks start to pay at ~700 steps.
 _BLOCK_SETUP = 500
+_EYE = np.eye(4, dtype=complex)
+_EYE.flags.writeable = False
 
 
 @dataclass(frozen=True)
 class DriveTerm:
-    """One cosine drive A * O * cos(Omega t + phi); every value finite."""
+    """One cosine drive A * O * cos(Omega t + phi); every value finite, and
+    the 4x4 operator O Hermitian within spin_system.HERMITIAN_TOL."""
 
     operator: np.ndarray
     amplitude: float
@@ -145,6 +163,10 @@ class DriveTerm:
             raise ValueError(f"drive operator must be 4x4, got {op.shape}")
         if not np.isfinite(op).all():
             raise ValueError("drive operator must be finite")
+        # diagonalize's rule; the operator is kept as given, not symmetrized
+        if np.max(np.abs(op - op.conj().T)) > HERMITIAN_TOL * np.max(np.abs(op)):
+            raise ValueError(f"drive operator must be Hermitian within {HERMITIAN_TOL:g}"
+                             " of its largest entry")
         object.__setattr__(self, "operator", op)
         for name in ("amplitude", "frequency", "phase"):
             if not np.isfinite(getattr(self, name)):
@@ -220,12 +242,12 @@ def expm4(a):
         raise ValueError(f"a must be finite and need <= {_MAX_SQUARINGS} squarings, got norm {theta}")
     degree, squarings = _taylor_degree(max(theta, np.finfo(float).tiny))
     scaled = stack / (2.0**squarings)
-    eye = np.broadcast_to(np.eye(4, dtype=complex), scaled.shape)
-    result = eye + scaled
+    result = _EYE + scaled
     term = scaled
     for k in range(2, degree + 1):
-        term = term @ scaled / k
-        result = result + term
+        term = term @ scaled  # a new array, so the in-place steps leave scaled be
+        term /= k
+        result += term
     for _ in range(squarings):
         result = result @ result
     return result[0] if squeeze else result
@@ -345,18 +367,19 @@ def _step_kernel(h0, drives, h):
 
 def _block_size(n_steps, dims, norm, chunk):
     """(m, degree): the power-of-two block length that minimizes the work
-    L^D m + n/m + (n mod m) + _BLOCK_SETUP [m > 1], in grid steps, and the
-    Fourier degree of its blocks (L = 2 degree + 1 nodes per drive, D = dims).
+    N m + n/m + (n mod m) + _BLOCK_SETUP [m > 1], in grid steps, and the
+    Fourier degree of its blocks (N the size of their lattice for D = dims
+    drives, see _rank1_lattice).
 
     Blocks stay within _CHEB_NORM of drive 1-norm (norm = ||Y||_1 per step),
-    like the step kernel's unsquared factors, and their L^D m node steps
+    like the step kernel's unsquared factors, and their N m node steps
     within one chunk.
     """
     best, m = (n_steps, 1, 0), 2
     degrees = _chebyshev_degrees(m * norm)
     while m * norm <= _CHEB_NORM:
         degree = next(degrees)
-        nodes = (2 * degree + 1) ** dims * m
+        nodes = _rank1_lattice(dims, degree)[0] * m
         # node steps only grow with m, so no longer block can do better
         if nodes > chunk or nodes + _BLOCK_SETUP >= best[0]:
             break
@@ -365,40 +388,94 @@ def _block_size(n_steps, dims, norm, chunk):
     return best[1:]
 
 
+def _rank1_lattice(dims, degree):
+    """(N, z): a rank-1 lattice whose map j -> z.j mod N is one-to-one on
+    the total-degree set {j in Z^dims : |j|_1 <= degree} (module docstring)."""
+    size = 2 * degree + 1
+    if dims == 2:
+        return 2 * degree * (degree + 1) + 1, (1, size)
+    return size**dims, tuple(size**d for d in range(dims))
+
+
+@functools.cache
+def _lattice(dims, degree):
+    """(nodes, rows, layout, index, weight), read-only, for the block kernel
+    of ``dims`` drives at Fourier degree ``degree``.
+
+    nodes   (dims, N) lattice phases 2 pi (l z mod N) / N
+    rows    (dims, width) each kept basis function's row per drive in
+            1, cos theta, sin theta, cos 2 theta, sin 2 theta, ... (row r
+            has order (r + 1) // 2); the orders of a function sum to at
+            most degree
+    layout  per drive, the width so far and its groups (sel, n): each
+            product so far in sel, of total order g, times the drive's
+            first n = 2 (degree - g) + 1 rows, in the order of ``rows``
+    index   (width, 2^dims) lattice FFT bins of each function's modes, and
+    weight  (width, 2^dims) their weights: the function's coefficient is
+            sum_s weight[., s] c[index[., s]], as cos k = (e^{ik} + e^{-ik}) / 2
+            and sin k = (e^{ik} - e^{-ik}) / 2i
+    """
+    size, z = _rank1_lattice(dims, degree)
+    z = np.array(z, dtype=np.int64).reshape(dims, 1)
+    nodes = (z * np.arange(size)) % size * (2.0 * np.pi / size)
+    rows, layout = np.zeros((0, 1), dtype=np.int64), []
+    for _ in range(dims):
+        total = ((rows + 1) // 2).sum(axis=0)
+        groups = tuple((np.flatnonzero(total == g), 2 * (degree - g) + 1) for g in range(total.max() + 1))
+        rows = np.concatenate([
+            np.vstack([np.repeat(rows[:, sel], n, axis=1), np.tile(np.arange(n), len(sel))])
+            for sel, n in groups
+        ], axis=1)
+        layout.append((rows.shape[1], groups))
+    order = ((rows + 1) // 2)[:, :, None]
+    # one column per sign pattern of the modes (+-k_1, ..., +-k_D)
+    signs = np.array(list(itertools.product((1, -1), repeat=dims)), dtype=np.int64).T
+    signs = signs.reshape(dims, 1, 2**dims)
+    index = (order * signs * z[:, :, None]).sum(axis=0) % size
+    sine = (rows % 2 == 0)[:, :, None] & (order > 0)
+    # a constant row takes its one mode once: weight 0 on the sign -1
+    weight = np.where(sine, 1j * signs, np.where(order > 0, 1.0, signs > 0)).prod(axis=0)
+    for table in (nodes, rows, index, weight, *(sel for _, groups in layout for sel, _ in groups)):
+        table.flags.writeable = False
+    return nodes, rows, tuple(layout), index, weight
+
+
 def _block_kernel(factors, drives, h, m, degree):
     """(blocks, width): blocks(phases) gives the m-step products
     P_m(theta) = F(theta + (m-1) delta) ... F(theta) at each block's first
     midpoint phases theta, delta_d = Omega_d h.
 
-    P_m is smooth and periodic in theta, so it is sampled on the L^D tensor
-    grid theta_l = 2 pi l / L and expanded in the width L^D real basis of
-    products of 1, cos(k theta_d), sin(k theta_d), k <= degree.
+    P_m is smooth and periodic in theta, so it is sampled at the N nodes of
+    a rank-1 lattice (_rank1_lattice) and expanded in the real basis of
+    products of 1, cos(k_d theta_d), sin(k_d theta_d) with total order
+    k_1 + ... + k_D <= degree, one function per mode of the total-degree
+    set: width 2 degree + 1 for one drive, N for two.
     """
-    size, dims = 2 * degree + 1, len(drives)
-    nodes = np.indices((size,) * dims).reshape(dims, size**dims) * (2.0 * np.pi / size)
-    delta = np.array([d.frequency * h for d in drives]).reshape(dims, 1, 1)
-    phases = (nodes[:, :, None] + delta * np.arange(m)).reshape(dims, size**dims * m)
+    nodes, _, layout, index, weight = _lattice(len(drives), degree)
+    size = nodes.shape[1]
+    delta = np.array([d.frequency * h for d in drives]).reshape(-1, 1, 1)
+    phases = (nodes[:, :, None] + delta * np.arange(m)).reshape(len(drives), size * m)
     values = _ordered_product(factors(phases).reshape(-1, m, 4, 4))
-    coeffs = np.fft.fftn(values.reshape((size,) * dims + (16,)), axes=range(dims)) / size**dims
-    # c_k e^{ik theta} + c_-k e^{-ik theta} = (c_k + c_-k) cos k theta + i (c_k - c_-k) sin k theta
-    k = np.arange(1, degree + 1)
-    real = np.zeros((size, size), dtype=complex)
-    real[0, 0] = 1.0
-    real[2 * k - 1, k] = real[2 * k - 1, size - k] = 1.0
-    real[2 * k, k], real[2 * k, size - k] = 1j, -1j
-    for axis in range(dims):
-        coeffs = np.moveaxis(np.tensordot(real, coeffs, axes=([1], [axis])), 0, axis)
-    coeffs = np.ascontiguousarray(coeffs.reshape(-1, 16)).view(float)
+    fourier = np.fft.fft(values.reshape(size, 16), axis=0) / size
+    # interleaved real/imaginary columns: one real GEMM yields complex blocks
+    coeffs = (weight[:, :, None] * fourier[index]).sum(axis=1).view(float)
 
     def blocks(phases):
         basis = np.ones((1, phases.shape[1]))
-        for theta in phases:
+        for theta, (width, groups) in zip(phases, layout):
             # cos and sin of k theta by rotation, accurate to k ulp of 1
             c, s = np.cos(theta), np.sin(theta)
-            rows = [np.ones_like(theta), c, s]
+            trig = [np.ones_like(theta), c, s]
             for _ in range(degree - 1):
-                rows += [rows[-2] * c - rows[-1] * s, rows[-1] * c + rows[-2] * s]
-            basis = (basis[:, None] * np.array(rows[:size])).reshape(-1, len(theta))
+                trig += [trig[-2] * c - trig[-1] * s, trig[-1] * c + trig[-2] * s]
+            trig = np.array(trig)
+            # only the kept products are formed, each group in one call
+            grown, at = np.empty((width, len(theta))), 0
+            for sel, n in groups:
+                part = grown[at : at + len(sel) * n].reshape(len(sel), n, -1)
+                np.multiply(basis[sel, None], trig[:n], out=part)
+                at += len(sel) * n
+            basis = grown
         return (basis.T @ coeffs).view(complex).reshape(-1, 4, 4)
 
     return blocks, coeffs.shape[0]

@@ -28,6 +28,24 @@ from vspin import (
     to_interaction_frame,
 )
 from vspin.lab_frame import _params_for_ratio
+from vspin.spin_system import HERMITIAN_TOL
+
+
+def _expm4_out_of_place(a):
+    """expm4's Taylor loop as it was written before it worked in place."""
+    a = np.asarray(a, dtype=complex)
+    stack = a[None, :, :] if a.ndim == 2 else a
+    theta = float(np.max(np.sum(np.abs(stack), axis=-1)))
+    degree, squarings = lab_frame._taylor_degree(max(theta, np.finfo(float).tiny))
+    scaled = stack / (2.0**squarings)
+    result = np.broadcast_to(np.eye(4, dtype=complex), scaled.shape) + scaled
+    term = scaled
+    for k in range(2, degree + 1):
+        term = term @ scaled / k
+        result = result + term
+    for _ in range(squarings):
+        result = result @ result
+    return result[0] if a.ndim == 2 else result
 
 
 class TestExpm4:
@@ -72,6 +90,15 @@ class TestExpm4:
         a[0, : len(entries)] = entries
         with pytest.raises(ValueError, match=r"^a must be finite"):
             expm4(a)
+
+    def test_taylor_loop_matches_the_out_of_place_loop_bytewise(self, rng):
+        # every Taylor degree, with and without squarings, on 1 to 25 matrices
+        for count in (1, 2, 5, 25):
+            for scale in (0.005, 0.05, 0.3, 3.0, 40.0):
+                shape = (count, 4, 4)
+                a = scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / 4.0
+                assert expm4(a).tobytes() == _expm4_out_of_place(a).tobytes()
+                assert expm4(a[0]).tobytes() == _expm4_out_of_place(a[0]).tobytes()
 
     def test_the_squaring_bound_is_the_last_norm_accepted(self):
         bound = lab_frame._TAYLOR_STEPS[-1][1] * 2.0**lab_frame._MAX_SQUARINGS
@@ -153,6 +180,22 @@ class TestIntegrator:
             DrivenSystem(h0=poisoned, duration=1.0)
         with pytest.raises(ValueError, match=r"^drive operator must be finite"):
             DriveTerm(operator=poisoned, amplitude=1.0, frequency=1.0)
+
+    def test_non_hermitian_drive_operator_refused(self):
+        with pytest.raises(ValueError, match=r"^drive operator must be Hermitian"):
+            DriveTerm(operator=np.triu(np.ones((4, 4))), amplitude=0.05, frequency=1.0)
+
+    def test_drive_operator_hermitian_to_rounding_kept_as_given(self, eigen):
+        # diagonalize's rule: |O - O^dagger| up to HERMITIAN_TOL * max|O|
+        operator = eigen.to_eigen(spin_operators()[0])
+        assert np.max(np.abs(operator - operator.conj().T)) > 0.0
+        drive = DriveTerm(operator=operator, amplitude=0.05, frequency=1.0)
+        assert drive.operator.tobytes() == operator.tobytes()
+        skew = np.zeros((4, 4), dtype=complex)
+        skew[0, 1] = 2.0 * HERMITIAN_TOL
+        DriveTerm(operator=np.eye(4) + skew / 2.0, amplitude=1.0, frequency=1.0)
+        with pytest.raises(ValueError, match=r"^drive operator must be Hermitian"):
+            DriveTerm(operator=np.eye(4) + skew, amplitude=1.0, frequency=1.0)
 
     @pytest.mark.parametrize(("amplitude", "step"), [(1e308, 10.0), (1e308, 1.0), (1e300, 1.0)])
     def test_step_past_the_squaring_bound_refused(self, params, amplitude, step):
@@ -499,6 +542,38 @@ def _forced_block(monkeypatch, m):
                         lambda n_steps, dims, norm, chunk: (m, lab_frame._chebyshev_degree(m * norm)))
 
 
+def _tensor_grid_block_kernel(factors, drives, h, m, degree):
+    """The block kernel as it was before the lattice: P_m sampled on the L^D
+    tensor grid 2 pi l / L, L = 2 degree + 1, and read off the full L^D
+    basis of products of 1, cos(k theta_d), sin(k theta_d), k <= degree."""
+    size, dims = 2 * degree + 1, len(drives)
+    nodes = np.indices((size,) * dims).reshape(dims, size**dims) * (2.0 * np.pi / size)
+    delta = np.array([d.frequency * h for d in drives]).reshape(dims, 1, 1)
+    phases = (nodes[:, :, None] + delta * np.arange(m)).reshape(dims, size**dims * m)
+    values = lab_frame._ordered_product(factors(phases).reshape(-1, m, 4, 4))
+    coeffs = np.fft.fftn(values.reshape((size,) * dims + (16,)), axes=range(dims)) / size**dims
+    k = np.arange(1, degree + 1)
+    real = np.zeros((size, size), dtype=complex)
+    real[0, 0] = 1.0
+    real[2 * k - 1, k] = real[2 * k - 1, size - k] = 1.0
+    real[2 * k, k], real[2 * k, size - k] = 1j, -1j
+    for axis in range(dims):
+        coeffs = np.moveaxis(np.tensordot(real, coeffs, axes=([1], [axis])), 0, axis)
+    coeffs = np.ascontiguousarray(coeffs.reshape(-1, 16)).view(float)
+
+    def blocks(phases):
+        basis = np.ones((1, phases.shape[1]))
+        for theta in phases:
+            c, s = np.cos(theta), np.sin(theta)
+            rows = [np.ones_like(theta), c, s]
+            for _ in range(degree - 1):
+                rows += [rows[-2] * c - rows[-1] * s, rows[-1] * c + rows[-2] * s]
+            basis = (basis[:, None] * np.array(rows[:size])).reshape(-1, len(theta))
+        return (basis.T @ coeffs).view(complex).reshape(-1, 4, 4)
+
+    return blocks, coeffs.shape[0]
+
+
 # (case, block length): the coarse strong step, whose blocks the integrator
 # never takes, with short blocks only
 BLOCK_CASES = [(name, m) for name in KERNEL_CASES for m in (2, 8) if (name, m) != ("strong-coarse", 8)]
@@ -519,6 +594,37 @@ class TestBlockKernel:
         for j in range(m):
             expected = factors(theta + j * delta) @ expected
         assert np.max(np.abs(blocks(theta) - expected)) <= 1e-14
+
+    def test_two_drive_blocks_at_high_degree(self):
+        # drives scaled so that m = 8 steps reach m ||Y||_1 = 1.92, just
+        # under _CHEB_NORM: degree 19, the widest two-drive lattice
+        h0, drives, h = KERNEL_CASES["2-weak"]
+        norm = lab_frame._step_kernel(h0, drives, h)[2]
+        drives = tuple(replace(d, amplitude=d.amplitude * 0.24 / norm) for d in drives)
+        factors, _, norm = lab_frame._step_kernel(h0, drives, h)
+        m = 8
+        degree = lab_frame._chebyshev_degree(m * norm)
+        assert m * norm > lab_frame._CHEB_NORM / 2.0 and degree >= 10
+        blocks, width = lab_frame._block_kernel(factors, drives, h, m, degree)
+        assert width == lab_frame._rank1_lattice(2, degree)[0] == 2 * degree * (degree + 1) + 1
+        theta = np.random.default_rng(degree).uniform(0.0, 2.0 * np.pi, size=(2, 40))
+        delta = np.array([d.frequency * h for d in drives]).reshape(-1, 1)
+        expected = np.eye(4)
+        for j in range(m):
+            expected = factors(theta + j * delta) @ expected
+        assert np.max(np.abs(blocks(theta) - expected)) <= 1e-14
+
+    @pytest.mark.parametrize("name", ["0-weak", "1-weak", "strong"])
+    def test_one_drive_blocks_equal_the_tensor_grid_bytewise(self, name):
+        h0, drives, h = KERNEL_CASES[name]
+        factors, _, norm = lab_frame._step_kernel(h0, drives, h)
+        theta = np.random.default_rng(7).uniform(0.0, 2.0 * np.pi, size=(len(drives), 300))
+        for m in (2, 8, 16):
+            degree = lab_frame._chebyshev_degree(m * norm)
+            blocks, width = lab_frame._block_kernel(factors, drives, h, m, degree)
+            reference, reference_width = _tensor_grid_block_kernel(factors, drives, h, m, degree)
+            assert width == reference_width
+            assert blocks(theta).tobytes() == reference(theta).tobytes()
 
     @pytest.mark.parametrize("name", ["0-weak", "1-weak", "2-weak"])
     @pytest.mark.parametrize(("m", "n_steps"), [
@@ -559,11 +665,12 @@ class TestBlockKernel:
 
 
 def _block_size_by_fresh_degrees(n_steps, dims, norm, chunk):
-    """_block_size's search with a fresh _chebyshev_degree call per doubling."""
+    """_block_size's search with a fresh _chebyshev_degree call per doubling,
+    counting the N m node steps of a block kernel's lattice."""
     best, m = (n_steps, 1, 0), 2
     while m * norm <= lab_frame._CHEB_NORM:
         degree = lab_frame._chebyshev_degree(m * norm)
-        nodes = (2 * degree + 1) ** dims * m
+        nodes = lab_frame._rank1_lattice(dims, degree)[0] * m
         if nodes > chunk or nodes + lab_frame._BLOCK_SETUP >= best[0]:
             break
         best = min(best, (nodes + n_steps // m + n_steps % m + lab_frame._BLOCK_SETUP, m, degree))
@@ -577,6 +684,39 @@ BLOCK_NORMS = np.unique(np.concatenate([
     [0.0], np.geomspace(1e-12, lab_frame._CHEB_NORM, 120), np.linspace(1e-4, 0.1, 80),
     lab_frame._CHEB_NORM / 2.0 ** np.arange(1, 30),
 ]))
+
+
+class TestLattice:
+    @pytest.mark.parametrize("dims", [1, 2, 3])
+    def test_one_to_one_on_the_total_degree_set(self, dims):
+        for degree in range(11):
+            size, z = lab_frame._rank1_lattice(dims, degree)
+            modes = np.indices((2 * degree + 1,) * dims).reshape(dims, -1).T - degree
+            modes = modes[np.abs(modes).sum(axis=1) <= degree]
+            bins = (modes @ np.array(z)) % size
+            assert len(np.unique(bins)) == len(modes) <= size
+            if dims <= 2:  # the lattice has no node to spare
+                assert len(modes) == size
+
+    @pytest.mark.parametrize("dims", [0, 1, 2, 3])
+    def test_tables_read_off_each_kept_mode(self, dims):
+        # a trigonometric polynomial of total degree M sampled at the
+        # lattice nodes is read off exactly by the tables
+        degree = 3
+        nodes, rows, _, index, weight = lab_frame._lattice(dims, degree)
+        size = lab_frame._rank1_lattice(dims, degree)[0]
+        assert nodes.shape == (dims, size) and rows.shape[1] == index.shape[0] == weight.shape[0]
+        kept = np.random.default_rng(dims).normal(size=rows.shape[1])
+
+        def poly(phases):
+            basis = np.ones((rows.shape[1], phases.shape[1]))
+            for r, t in zip(rows, phases):  # row 0 is 1, 2k - 1 cos(k t), 2k sin(k t)
+                angle = np.outer((r + 1) // 2, t)
+                basis *= np.where((r % 2 == 1)[:, None], np.cos(angle), np.sin(angle) + (r == 0)[:, None])
+            return kept @ basis
+
+        fourier = np.fft.fft(poly(nodes)) / size
+        assert np.max(np.abs((weight * fourier[index]).sum(axis=1) - kept)) <= 1e-13
 
 
 class TestBlockSize:
