@@ -33,6 +33,7 @@ from .pulse_engine import apply_pulse_program
 from .spin_system import SpinParameters, closed_form_eigensystem
 from .state_prep import ThermalSpec, high_temperature_state, temporal_average
 from .textio import (
+    _parse_pair,
     format_density_matrix,
     format_number,
     format_pulse_program,
@@ -221,9 +222,9 @@ def _cmd_oracle_check(args, out):
     ratios = [float(r) for r in str(args.ratio).split(",") if r.strip()]
     if not ratios:
         raise ValueError("no ratios given")
-    m, n = (int(x) for x in str(args.transition).split(","))
+    transition = _parse_pair(str(args.transition))
     out.write("ratio,infidelity\n")
-    for ratio, infidelity in rwa_sweep(params, transition=(m, n), ratios=ratios):
+    for ratio, infidelity in rwa_sweep(params, transition=transition, ratios=ratios):
         out.write(f"{format_number(ratio)},{format_number(infidelity)}\n")
     return 0
 

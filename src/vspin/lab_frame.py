@@ -12,44 +12,37 @@ component.  The propagator is integrated with the exponential-midpoint rule
 which is exactly unitary per step (the exponential of a Hermitian midpoint
 Hamiltonian) and second-order accurate in h.
 
-Every step factor is exp(X + sum_d c_d Y_d) with X = -i h H0,
-Y_d = -i h A_d O_d and c_d = cos(theta_d), theta_d = Omega_d t + phi_d the
-drive phases at the step's midpoint: an entire function of the c_d
-(Chebyshev propagation; Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984).
-So the step kernel exponentiates only the (K+1)^D Chebyshev-node
-Hamiltonians, in one ``expm4`` call per grid, and turns them into
-coefficient matrices with a DCT; K is the smallest degree whose tail
-(||Y||_1 / 2)^(K+1) / (K+1)! is below 2^-60, ||Y||_1 = sum_d ||Y_d||_1,
-above ||Y||_1 = 2 the factors are scaled by 2^-s and squared s times, and
-a drive-free system has K = 0.  Unsquared factors are within a few 1e-15
-of the exact exponential, and each squaring at most doubles that, so a
-step that needs more than _MAX_SQUARINGS squarings is refused.
-
-The grid is multiplied out in blocks of m steps.  On a uniform grid the
-block P_m(theta) = F(theta + (m-1) delta) ... F(theta), delta_d = Omega_d h,
-depends only on the drive phases theta at its first midpoint, smoothly and
-2 pi-periodically, and its Fourier coefficients of total order
-|j_1| + ... + |j_D| = j are bounded by (m ||Y||_1 / 2)^j / j! (the same
-tail rule, degree M).  So only the modes of the total-degree set
-{|j|_1 <= M} are kept.  P_m is sampled at the N nodes
-theta_l = 2 pi (l z mod N) / N of a rank-1 lattice on which j -> z.j mod N
-is one-to-one over that set (Kaemmerer, SIAM J. Numer. Anal. 51, 2773,
-2013), with one call of the step kernel and one ordered product of N m
-factors.  One length-N FFT then gives each kept coefficient, aliased only
-with modes of total order above M, which the tail rule puts below 2^-60
-as it does the modes dropped outright.  Each chunk of blocks is read off
-them with one real GEMM over the products of 1, cos(k_d theta_d) and
-sin(k_d theta_d) with k_1 + ... + k_D <= M, one basis function per kept
-mode.  One drive takes N = 2M + 1, z = 1, the uniform grid; two take
-N = 2M^2 + 2M + 1, z = (1, 2M + 1), about half the (2M + 1)^2 tensor
-grid, since the l1 balls of radius M tile the plane (Golomb & Welch, SIAM
-J. Appl. Math. 18, 302, 1970); three or more take N = L^D,
-z = (1, L, ..., L^(D-1)), L = 2M + 1, the tensor grid's size, one-to-one
-on its whole cube.  Steps after the last whole block take the step
-factors directly.  m is the power of two that minimizes the work in steps,
-N m + n/m + (n mod m) plus a measured set-up cost for m > 1, with
-m ||Y||_1 at most 2.  Grids too short, drives too strong and bases too
-wide for blocks to pay keep m = 1, one factor per step.
+Every step factor F(theta) = exp(X + sum_d cos(theta_d) Y_d), with
+X = -i h H0, Y_d = -i h A_d O_d and theta_d = Omega_d t + phi_d the drive
+phases at its midpoint, and on a uniform grid every block of m steps
+P_m(theta) = F(theta + (m-1) delta) ... F(theta), delta_d = Omega_d h, is a
+smooth, 2 pi-periodic function of theta alone, whose Fourier coefficients
+of total order |j_1| + ... + |j_D| = j are bounded by (nu / 2)^j / j!,
+nu = m ||Y||_1 = m sum_d ||Y_d||_1 (Tal-Ezer & Kosloff, J. Chem. Phys. 81,
+3967, 1984).  So only the modes {|j|_1 <= M} are kept, M the smallest
+degree with tail (nu / 2)^(M+1) / (M+1)! below 2^-60.  The function is
+sampled at the N nodes theta_l = 2 pi (l z mod N) / N of a rank-1 lattice
+on which j -> z.j mod N is one-to-one over that set (Kaemmerer, SIAM J.
+Numer. Anal. 51, 2773, 2013): one length-N FFT gives each kept
+coefficient, aliased only with modes the tail rule puts below 2^-60.  Each
+chunk of steps or blocks is read off them with one real GEMM over the
+products of 1, cos(k_d theta_d) and sin(k_d theta_d), k_1 + ... + k_D <= M.
+F is even in each phase, so it keeps only the cosine products, M + 1 for
+one drive and (M + 1)(M + 2) / 2 for two, and exponentiates only the first
+half of the nodes, node N - l being node l mirrored, in one ``expm4`` call
+per grid.  One drive takes N = 2M + 1, z = 1; two take N = 2M^2 + 2M + 1,
+z = (1, 2M + 1), about half the (2M + 1)^2 tensor grid, as the l1 balls of
+radius M tile the plane (Golomb & Welch, SIAM J. Appl. Math. 18, 302,
+1970); three or more take the tensor grid, N = L^D, z = (1, L, ...,
+L^(D-1)), L = 2M + 1.  Above ||Y||_1 = 2 the step factors are scaled by
+2^-s and squared s times; unsquared they are within a few 1e-15 of the
+exact exponential, each squaring at most doubles that, and a step that
+needs more than _MAX_SQUARINGS squarings is refused.  A block is sampled
+with one step-kernel call and one ordered product of N m factors; steps
+after the last whole block take the step factors directly.  m is the power
+of two that minimizes the work in steps, N m + n/m + (n mod m) plus a
+measured set-up cost for m > 1, with m ||Y||_1 at most 2; short grids,
+strong drives and wide bases keep m = 1, one factor per step.
 
 When every drive has the same |Omega|, H(t) is periodic with
 T_d = 2 pi / |Omega| (Floquet; Shirley, Phys. Rev. 138, B979, 1965), so
@@ -134,11 +127,11 @@ _TAYLOR_STEPS = ((7, 0.035), (9, 0.11), (13, 0.43))
 # Each squaring at most doubles the error: after 52, 2^52 ulp of 1 is 1 and
 # no digit can be right, so expm4 and the step kernel take at most 51.
 _MAX_SQUARINGS = 51
-# Step kernel: Chebyshev truncation bound, far below one ulp of 1, and the
-# largest drive 1-norm interpolated without scaling and squaring (each
+# Fourier kernels: the truncation bound, far below one ulp of 1, and the
+# largest drive 1-norm read off without scaling and squaring (each
 # squaring doubles the roundoff; a larger bound widens the basis).
-_CHEB_TAIL = 2.0**-60
-_CHEB_NORM = 2.0
+_FOURIER_TAIL = 2.0**-60
+_FOURIER_NORM = 2.0
 # Set-up of the block kernel beyond its node steps (FFT, coefficient
 # transform, Python), in grid steps of ~0.4 us; measured on a 2-core
 # machine, where one-drive blocks start to pay at ~700 steps.
@@ -272,56 +265,49 @@ def _project_unitary(u):
     return w @ vh
 
 
-def _chebyshev_degrees(norm):
-    """Yield the smallest K with Chebyshev tail (norm/2)^(K+1) / (K+1)! below
-    _CHEB_TAIL for norm, 2 norm, 4 norm, ..., the tail a running product of
-    its factors norm / (2 (K+1)).
+def _fourier_degrees(norm):
+    """Yield the smallest M with Fourier tail (norm/2)^(M+1) / (M+1)! below
+    _FOURIER_TAIL for norm, 2 norm, 4 norm, ..., the tail a running product
+    of its factors norm / (2 (M+1)).
 
     Doubling the norm doubles each factor, so it multiplies the tail of
-    degree K by 2^(K+1), exactly in floating point, and the degree only
+    degree M by 2^(M+1), exactly in floating point, and the degree only
     grows: each degree continues from the last one.
     """
     if not math.isfinite(norm):
         raise ValueError(f"norm must be finite, got {norm}")
     degree, tail = 0, norm / 2.0
     while True:
-        while tail > _CHEB_TAIL:
+        while tail > _FOURIER_TAIL:
             degree += 1
             tail *= norm / (2.0 * (degree + 1))
             if tail == math.inf:
-                raise ValueError(f"norm too large for a Chebyshev degree, got {norm!r}")
+                raise ValueError(f"norm too large for a Fourier degree, got {norm!r}")
         yield degree
         norm *= 2.0
         tail *= 2.0 ** (degree + 1)
 
 
-def _chebyshev_degree(norm):
-    """Smallest K with Chebyshev tail (norm/2)^(K+1) / (K+1)! below _CHEB_TAIL.
+def _fourier_degree(norm):
+    """Smallest M with Fourier tail (norm/2)^(M+1) / (M+1)! below _FOURIER_TAIL.
 
-    Callers pass norm <= _CHEB_NORM; above norm ~1,400 the product overflows.
+    Callers pass norm <= _FOURIER_NORM; above norm ~1,400 the product overflows.
     """
-    return next(_chebyshev_degrees(norm))
+    return next(_fourier_degrees(norm))
 
 
 def _step_kernel(h0, drives, h):
-    """(factors, width, norm): factors(phases) gives exp(-i h H(t)) at each midpoint.
-
-    ``phases`` is the (D, count) array of drive phases Omega_d t + phi_d at
-    the midpoints t.
-
-    The factors interpolate exp(X + sum_d c_d Y_d) at the (K+1)^D Chebyshev
-    nodes of the cube [-1, 1]^D (see the module docstring); width (K+1)^D
-    is the number of basis functions T_k1(c_1) ... T_kD(c_D) per step, and
-    norm = ||Y||_1.
-    """
+    """(factors, width, norm): factors(phases) gives exp(-i h H(t)) at each
+    midpoint t, from the (D, count) drive phases Omega_d t + phi_d there,
+    read off the width cosine products (module docstring); norm = ||Y||_1."""
     x = -1j * h * h0
     with np.errstate(over="ignore", invalid="ignore"):  # a norm past the float range is refused
         ys = np.array([-1j * h * d.amplitude * d.operator for d in drives]).reshape(-1, 4, 4)
         norm = float(np.abs(ys).sum(axis=1).max(axis=-1).sum())
-    if not norm <= _CHEB_NORM * 2.0**_MAX_SQUARINGS:  # also a nan or inf norm
+    if not norm <= _FOURIER_NORM * 2.0**_MAX_SQUARINGS:  # also a nan or inf norm
         raise StepTooLarge(f"a step of {h:.3g} s has drive norm {norm:.3g},"
                            f" which needs more than {_MAX_SQUARINGS} squarings")
-    squarings = int(np.ceil(np.log2(norm / _CHEB_NORM))) if norm > _CHEB_NORM else 0
+    squarings = int(np.ceil(np.log2(norm / _FOURIER_NORM))) if norm > _FOURIER_NORM else 0
     # the node matrices X + sum_d c_d Y_d, |c_d| <= 1, have row sums at most
     # ||X|| + ||Y||_1 (row and column sums agree on Hermitian drives), which
     # after the squarings must stay in expm4's range
@@ -329,40 +315,20 @@ def _step_kernel(h0, drives, h):
     if not step_norm <= _TAYLOR_STEPS[-1][1] * 2.0 ** (_MAX_SQUARINGS + squarings):
         raise StepTooLarge(f"a step of {h:.3g} s has norm {step_norm:.3g},"
                            f" which needs more than {_MAX_SQUARINGS} squarings")
-    degree = _chebyshev_degree(norm / 2.0**squarings)
-    order = np.arange(degree + 1)
-    nodes = np.cos(np.pi * (order + 0.5) / (degree + 1))
-    stack = x[None]
-    for y in ys:  # node grid, the last drive varying fastest
-        stack = (stack[:, None] + nodes[:, None, None] * y).reshape(-1, 4, 4)
-    values = expm4(stack / 2.0**squarings)
-    # DCT-II along each drive axis turns node values into coefficients; the
-    # angle k (2j+1) pi / (2K+2) is reduced mod 2 pi in integers, which keeps
-    # the cosines, and so the coefficients, accurate to an ulp
-    angles = np.outer(order, 2 * order + 1) % (4 * degree + 4)
-    dct = np.cos(np.pi * angles / (2 * degree + 2)) * 2.0 / (degree + 1)
-    dct[0] /= 2.0
-    coeffs = values.reshape((degree + 1,) * len(drives) + (16,))
-    for axis in range(len(drives)):
-        coeffs = np.moveaxis(np.tensordot(dct, coeffs, axes=([1], [axis])), 0, axis)
-    # interleaved real/imaginary columns: one real GEMM yields complex factors
-    coeffs = np.ascontiguousarray(coeffs.reshape(-1, 16)).view(float)
+    degree = _fourier_degree(norm / 2.0**squarings)
+    nodes = _lattice(len(drives), degree, True)[0]
+    # F(-theta) = F(theta), and node N - l is node l mirrored
+    half = nodes[:, : nodes.shape[1] // 2 + 1]
+    values = expm4((x + np.tensordot(np.cos(half), ys, axes=(0, 0))) / 2.0**squarings)
+    read, width = _phase_kernel(np.concatenate([values, values[:0:-1]]), len(drives), degree, True)
 
     def factors(phases):
-        basis = np.ones((1, phases.shape[1]))
-        for theta in phases:
-            # T_k(c) by the three-term recurrence: cos(k theta) would lose
-            # k |theta| ulp of accuracy when theta = Omega t is large
-            cheb = [np.ones_like(theta), np.cos(theta)]
-            for _ in range(degree - 1):
-                cheb.append(2.0 * cheb[1] * cheb[-1] - cheb[-2])
-            basis = (basis[:, None] * np.array(cheb[: degree + 1])).reshape(-1, len(theta))
-        u = (basis.T @ coeffs).view(complex).reshape(-1, 4, 4)
+        u = read(phases)
         for _ in range(squarings):
             u = u @ u
         return u
 
-    return factors, coeffs.shape[0], norm
+    return factors, width, norm
 
 
 def _block_size(n_steps, dims, norm, chunk):
@@ -371,13 +337,13 @@ def _block_size(n_steps, dims, norm, chunk):
     Fourier degree of its blocks (N the size of their lattice for D = dims
     drives, see _rank1_lattice).
 
-    Blocks stay within _CHEB_NORM of drive 1-norm (norm = ||Y||_1 per step),
+    Blocks stay within _FOURIER_NORM of drive 1-norm (norm = ||Y||_1 per step),
     like the step kernel's unsquared factors, and their N m node steps
     within one chunk.
     """
     best, m = (n_steps, 1, 0), 2
-    degrees = _chebyshev_degrees(m * norm)
-    while m * norm <= _CHEB_NORM:
+    degrees = _fourier_degrees(m * norm)
+    while m * norm <= _FOURIER_NORM:
         degree = next(degrees)
         nodes = _rank1_lattice(dims, degree)[0] * m
         # node steps only grow with m, so no longer block can do better
@@ -398,18 +364,16 @@ def _rank1_lattice(dims, degree):
 
 
 @functools.cache
-def _lattice(dims, degree):
-    """(nodes, rows, layout, index, weight), read-only, for the block kernel
-    of ``dims`` drives at Fourier degree ``degree``.
+def _lattice(dims, degree, even):
+    """(nodes, layout, index, weight), read-only, to read off a function of
+    ``dims`` drive phases at Fourier degree ``degree`` (module docstring).
 
     nodes   (dims, N) lattice phases 2 pi (l z mod N) / N
-    rows    (dims, width) each kept basis function's row per drive in
-            1, cos theta, sin theta, cos 2 theta, sin 2 theta, ... (row r
-            has order (r + 1) // 2); the orders of a function sum to at
-            most degree
     layout  per drive, the width so far and its groups (sel, n): each
-            product so far in sel, of total order g, times the drive's
-            first n = 2 (degree - g) + 1 rows, in the order of ``rows``
+            product so far in sel, of total order g, times the drive's first
+            n rows, those of order up to degree - g, of 1, cos theta,
+            sin theta, cos 2 theta, sin 2 theta, ..., or of 1, cos theta,
+            cos 2 theta, ... for a function ``even`` in each phase
     index   (width, 2^dims) lattice FFT bins of each function's modes, and
     weight  (width, 2^dims) their weights: the function's coefficient is
             sum_s weight[., s] c[index[., s]], as cos k = (e^{ik} + e^{-ik}) / 2
@@ -418,56 +382,57 @@ def _lattice(dims, degree):
     size, z = _rank1_lattice(dims, degree)
     z = np.array(z, dtype=np.int64).reshape(dims, 1)
     nodes = (z * np.arange(size)) % size * (2.0 * np.pi / size)
+    per_order = 1 if even else 2  # rows per order above 0
     rows, layout = np.zeros((0, 1), dtype=np.int64), []
     for _ in range(dims):
-        total = ((rows + 1) // 2).sum(axis=0)
-        groups = tuple((np.flatnonzero(total == g), 2 * (degree - g) + 1) for g in range(total.max() + 1))
+        total = ((rows + per_order - 1) // per_order).sum(axis=0)
+        groups = tuple((np.flatnonzero(total == g), per_order * (degree - g) + 1) for g in range(total.max() + 1))
         rows = np.concatenate([
             np.vstack([np.repeat(rows[:, sel], n, axis=1), np.tile(np.arange(n), len(sel))])
             for sel, n in groups
         ], axis=1)
         layout.append((rows.shape[1], groups))
-    order = ((rows + 1) // 2)[:, :, None]
+    order = ((rows + per_order - 1) // per_order)[:, :, None]
     # one column per sign pattern of the modes (+-k_1, ..., +-k_D)
     signs = np.array(list(itertools.product((1, -1), repeat=dims)), dtype=np.int64).T
     signs = signs.reshape(dims, 1, 2**dims)
     index = (order * signs * z[:, :, None]).sum(axis=0) % size
-    sine = (rows % 2 == 0)[:, :, None] & (order > 0)
+    sine = (rows % 2 == 0)[:, :, None] & (order > 0) & (not even)
     # a constant row takes its one mode once: weight 0 on the sign -1
     weight = np.where(sine, 1j * signs, np.where(order > 0, 1.0, signs > 0)).prod(axis=0)
-    for table in (nodes, rows, index, weight, *(sel for _, groups in layout for sel, _ in groups)):
+    for table in (nodes, index, weight, *(sel for _, groups in layout for sel, _ in groups)):
         table.flags.writeable = False
-    return nodes, rows, tuple(layout), index, weight
+    return nodes, tuple(layout), index, weight
 
 
-def _block_kernel(factors, drives, h, m, degree):
-    """(blocks, width): blocks(phases) gives the m-step products
-    P_m(theta) = F(theta + (m-1) delta) ... F(theta) at each block's first
-    midpoint phases theta, delta_d = Omega_d h.
-
-    P_m is smooth and periodic in theta, so it is sampled at the N nodes of
-    a rank-1 lattice (_rank1_lattice) and expanded in the real basis of
-    products of 1, cos(k_d theta_d), sin(k_d theta_d) with total order
-    k_1 + ... + k_D <= degree, one function per mode of the total-degree
-    set: width 2 degree + 1 for one drive, N for two.
-    """
-    nodes, _, layout, index, weight = _lattice(len(drives), degree)
-    size = nodes.shape[1]
-    delta = np.array([d.frequency * h for d in drives]).reshape(-1, 1, 1)
-    phases = (nodes[:, :, None] + delta * np.arange(m)).reshape(len(drives), size * m)
-    values = _ordered_product(factors(phases).reshape(-1, m, 4, 4))
-    fourier = np.fft.fft(values.reshape(size, 16), axis=0) / size
-    # interleaved real/imaginary columns: one real GEMM yields complex blocks
+def _phase_kernel(values, dims, degree, even):
+    """(read, width): read(phases) gives, at the (dims, count) drive phases,
+    the function that takes the (N, 4, 4) ``values`` at the nodes of
+    _lattice(dims, degree, even), read off width basis functions."""
+    _, layout, index, weight = _lattice(dims, degree, even)
+    # FFT roundoff scales with the values, nearly their mean for weak drives,
+    # and would bias every step alike: the mean goes to the constant mode
+    mean = values.reshape(-1, 16).mean(axis=0)
+    fourier = np.fft.fft(values.reshape(-1, 16) - mean, axis=0) / len(values)
+    fourier[0] += mean
+    # interleaved real/imaginary columns: one real GEMM yields complex matrices
     coeffs = (weight[:, :, None] * fourier[index]).sum(axis=1).view(float)
 
-    def blocks(phases):
+    def read(phases):
         basis = np.ones((1, phases.shape[1]))
         for theta, (width, groups) in zip(phases, layout):
-            # cos and sin of k theta by rotation, accurate to k ulp of 1
-            c, s = np.cos(theta), np.sin(theta)
-            trig = [np.ones_like(theta), c, s]
-            for _ in range(degree - 1):
-                trig += [trig[-2] * c - trig[-1] * s, trig[-1] * c + trig[-2] * s]
+            # cos (and sin) of k theta from theta's, accurate to k ulp of 1:
+            # cos(k theta) would lose k |theta| ulp when theta = Omega t is large
+            c = np.cos(theta)
+            if even:  # T_k(cos theta) by the three-term recurrence
+                trig = [np.ones_like(theta), c]
+                for _ in range(degree - 1):
+                    trig.append(2.0 * c * trig[-1] - trig[-2])
+            else:  # by rotation
+                s = np.sin(theta)
+                trig = [np.ones_like(theta), c, s]
+                for _ in range(degree - 1):
+                    trig += [trig[-2] * c - trig[-1] * s, trig[-1] * c + trig[-2] * s]
             trig = np.array(trig)
             # only the kept products are formed, each group in one call
             grown, at = np.empty((width, len(theta))), 0
@@ -478,7 +443,19 @@ def _block_kernel(factors, drives, h, m, degree):
             basis = grown
         return (basis.T @ coeffs).view(complex).reshape(-1, 4, 4)
 
-    return blocks, coeffs.shape[0]
+    return read, coeffs.shape[0]
+
+
+def _block_kernel(factors, drives, h, m, degree):
+    """(blocks, width): blocks(phases) gives the m-step products
+    P_m(theta) = F(theta + (m-1) delta) ... F(theta) at each block's first
+    midpoint phases theta, delta_d = Omega_d h, read off the width products
+    of 1, cos and sin (module docstring): 2 degree + 1 for one drive, N for two."""
+    nodes = _lattice(len(drives), degree, False)[0]
+    delta = np.array([d.frequency * h for d in drives]).reshape(-1, 1, 1)
+    phases = (nodes[:, :, None] + delta * np.arange(m)).reshape(len(drives), nodes.shape[1] * m)
+    values = _ordered_product(factors(phases).reshape(-1, m, 4, 4))
+    return _phase_kernel(values, len(drives), degree, False)
 
 
 def _grid_product(h0, drives, h, n_steps, split=None):
@@ -664,8 +641,11 @@ def convergence_study(
 
     Integrates with n, 2n, 4n, ... steps and returns a dict with the
     pairwise-deviation order estimates and the deviation ratios against the
-    Richardson-extrapolated reference.
+    Richardson-extrapolated reference.  Raises ValueError when
+    ``refinements`` is below 1: the reference needs two runs.
     """
+    if refinements < 1:
+        raise ValueError(f"refinements must be >= 1, got {refinements}")
     e = closed_form_eigensystem(params)
     scaled = _params_for_ratio(params, e, transition, axis, ratio)
     system = drive_for_pulse(scaled, e, transition, axis, 0.0, flip)

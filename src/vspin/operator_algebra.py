@@ -90,10 +90,17 @@ def expand_in_eigenbasis(operator, e: EigenSystem) -> OperatorExpansion:
 
 
 def free_evolution(e: EigenSystem, t) -> np.ndarray:
-    """D(t) = sum_m P_mm exp(-i eps_m t), diagonal in the eigenbasis."""
+    """D(t) = sum_m P_mm exp(-i eps_m t), diagonal in the eigenbasis.
+
+    Raises ValueError when t or a phase eps_m t is not finite.
+    """
     if not np.isfinite(t):
         raise ValueError(f"duration must be finite, got {t}")
-    return np.diag(np.exp(-1j * e.energies * float(t)))
+    with np.errstate(over="ignore"):  # an overflowing phase is refused below
+        phases = e.energies * float(t)
+    if not np.isfinite(phases).all():
+        raise ValueError(f"free evolution over duration {t} overflows its phases")
+    return np.diag(np.exp(-1j * phases))
 
 
 @dataclass(frozen=True)

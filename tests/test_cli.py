@@ -8,6 +8,7 @@ import pytest
 
 from vspin import parse_density_matrix, parse_pulse_program
 from vspin.cli import build_parser, run_command
+from vspin.textio import _parse_pair
 
 
 def run(argv):
@@ -175,6 +176,24 @@ class TestSimulate:
         assert text == ""
         assert capsys.readouterr().err.startswith("vspin: error: line 1: ")
 
+    def test_overflowing_free_evolution_exit_2(self, tmp_path, capsys):
+        # dt is finite, but its phases eps_m dt are not: no nan matrix, no warning
+        prog = tmp_path / "p.vsp"
+        prog.write_text(
+            "system omega0=0.1 omegaQ=5 eta=0.5 gamma=1 hrf=0\n"
+            "pulse t=1,2 axis=Y phase=0 flip=pi/2\n"
+            "free dt=1e308\n"
+        )
+        rho_file = Path(__file__).parent / "golden" / "rho.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, text = run(["simulate", str(prog), "--initial", str(rho_file)])
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err == (
+            "vspin: error: free evolution over duration 1e+308 overflows its phases\n"
+        )
+
     def test_free_evolution_needs_hrf(self, tmp_path, capsys):
         prog = tmp_path / "ideal.vsp"
         prog.write_text(
@@ -317,6 +336,16 @@ class TestOracleCheck:
     def test_undrivable_transition_exit_3(self):
         code, _ = run(["oracle-check", "--ratio", "0.01", "--transition", "2,3", *BASE])
         assert code == 3
+
+    @pytest.mark.parametrize("pair", ["1,2,3", "1", "a,b"])
+    def test_malformed_transition_exit_2_with_the_grammars_message(self, capsys, pair):
+        # the pulse-program grammar's m,n rule, and its message
+        with pytest.raises(ValueError) as rule:
+            _parse_pair(pair)
+        code, text = run(["oracle-check", "--ratio", "0.01", "--transition", pair, *BASE])
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err == f"vspin: error: {rule.value}\n"
 
     @pytest.mark.parametrize("ratio", ["1e-30", "1e-300"])
     def test_overflowing_period_power_exit_3_without_warnings(self, capsys, ratio):

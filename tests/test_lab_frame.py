@@ -292,6 +292,14 @@ class TestRotatingWaveValidation:
         assert study["orders"][0] >= 1.9
         assert study["richardson_ratios"][0] >= 3.5
 
+    @pytest.mark.parametrize("refinements", [0, -1])
+    def test_convergence_needs_one_refinement(self, params, refinements):
+        # the Richardson reference combines the two finest runs
+        with pytest.raises(ValueError, match=f"refinements must be >= 1, got {refinements}$"):
+            convergence_study(params, (1, 2), ratio=1e-2, refinements=refinements)
+        study = convergence_study(params, (1, 2), ratio=1e-2, refinements=1)
+        assert len(study["deviations"]) == 1 and study["orders"] == study["richardson_ratios"] == []
+
 
 LINES = ((1, 2), (3, 4), (1, 3), (2, 4))  # the drivable lines
 
@@ -502,7 +510,7 @@ def _hamiltonian(h0, drives, t):
 
 
 class TestStepKernel:
-    """Chebyshev step factors against scipy's matrix exponential."""
+    """Step factors read off the lattice against scipy's matrix exponential."""
 
     @pytest.mark.parametrize("case", list(KERNEL_CASES.values()), ids=list(KERNEL_CASES))
     def test_factors_match_expm(self, case):
@@ -513,10 +521,31 @@ class TestStepKernel:
             expected = scipy.linalg.expm(-1j * h * _hamiltonian(h0, drives, t))
             assert np.max(np.abs(u - expected)) <= 1e-14
 
+    @pytest.mark.parametrize("name", ["1-weak", "2-weak", "3-weak", "strong"])
+    def test_factors_share_no_common_error(self, name):
+        # every step reads the same coefficients, so their roundoff is an
+        # error common to all factors, which a grid adds up step by step;
+        # averaged over many midpoints it stays below half an ulp of 1 (no
+        # drive leaves expm4's own error, and squarings double it)
+        h0, drives, h = KERNEL_CASES[name]
+        t_mid = (np.arange(1000) + 0.5) * h
+        factors, *_ = lab_frame._step_kernel(h0, drives, h)
+        expected = [scipy.linalg.expm(-1j * h * _hamiltonian(h0, drives, t)) for t in t_mid]
+        assert np.max(np.abs(np.mean(factors(_phases(drives, t_mid)) - expected, axis=0))) <= 1e-16
+
+    @pytest.mark.parametrize("name", ["1-weak", "2-weak"])
+    def test_basis_is_the_cosines_of_total_degree(self, name):
+        # K + 1 functions for one drive, (K + 1)(K + 2) / 2 for two
+        h0, drives, h = KERNEL_CASES[name]
+        _, width, norm = lab_frame._step_kernel(h0, drives, h)
+        degree = lab_frame._fourier_degree(norm)
+        assert norm <= lab_frame._FOURIER_NORM and degree >= 4
+        assert width == [degree + 1, (degree + 1) * (degree + 2) // 2][len(drives) - 1]
+
     def test_the_squaring_bound_is_the_last_norm_accepted(self):
         h0, (drive,), h = KERNEL_CASES["strong"]
         norm = h * drive.amplitude * np.max(np.sum(np.abs(drive.operator), axis=0))
-        bound = lab_frame._CHEB_NORM * 2.0**lab_frame._MAX_SQUARINGS
+        bound = lab_frame._FOURIER_NORM * 2.0**lab_frame._MAX_SQUARINGS
         lab_frame._step_kernel(h0, (drive,), 0.99 * h * bound / norm)
         with pytest.raises(StepTooLarge):
             lab_frame._step_kernel(h0, (drive,), 1.01 * h * bound / norm)
@@ -524,7 +553,7 @@ class TestStepKernel:
     def test_coarse_step_squares(self):
         _, (drive,), h = KERNEL_CASES["strong-coarse"]
         norm = h * drive.amplitude * np.max(np.sum(np.abs(drive.operator), axis=0))
-        assert norm > 2.0 * lab_frame._CHEB_NORM
+        assert norm > 2.0 * lab_frame._FOURIER_NORM
 
     @pytest.mark.parametrize("case", list(KERNEL_CASES.values()), ids=list(KERNEL_CASES))
     def test_integrate_matches_expm_product(self, case):
@@ -539,7 +568,7 @@ class TestStepKernel:
 def _forced_block(monkeypatch, m):
     """Make _grid_product take m-step blocks whatever the grid length."""
     monkeypatch.setattr(lab_frame, "_block_size",
-                        lambda n_steps, dims, norm, chunk: (m, lab_frame._chebyshev_degree(m * norm)))
+                        lambda n_steps, dims, norm, chunk: (m, lab_frame._fourier_degree(m * norm)))
 
 
 def _tensor_grid_block_kernel(factors, drives, h, m, degree):
@@ -551,7 +580,10 @@ def _tensor_grid_block_kernel(factors, drives, h, m, degree):
     delta = np.array([d.frequency * h for d in drives]).reshape(dims, 1, 1)
     phases = (nodes[:, :, None] + delta * np.arange(m)).reshape(dims, size**dims * m)
     values = lab_frame._ordered_product(factors(phases).reshape(-1, m, 4, 4))
-    coeffs = np.fft.fftn(values.reshape((size,) * dims + (16,)), axes=range(dims)) / size**dims
+    mean = values.reshape(-1, 16).mean(axis=0)  # the kernel's roundoff guard
+    coeffs = np.fft.fftn((values.reshape(-1, 16) - mean).reshape((size,) * dims + (16,)),
+                         axes=range(dims)) / size**dims
+    coeffs[(0,) * dims] += mean
     k = np.arange(1, degree + 1)
     real = np.zeros((size, size), dtype=complex)
     real[0, 0] = 1.0
@@ -587,7 +619,7 @@ class TestBlockKernel:
     def test_blocks_match_factor_products(self, name, m):
         h0, drives, h = KERNEL_CASES[name]
         factors, _, norm = lab_frame._step_kernel(h0, drives, h)
-        blocks, _ = lab_frame._block_kernel(factors, drives, h, m, lab_frame._chebyshev_degree(m * norm))
+        blocks, _ = lab_frame._block_kernel(factors, drives, h, m, lab_frame._fourier_degree(m * norm))
         theta = np.random.default_rng(m).uniform(0.0, 2.0 * np.pi, size=(len(drives), 40))
         delta = np.array([d.frequency * h for d in drives]).reshape(-1, 1)
         expected = np.eye(4)
@@ -597,14 +629,14 @@ class TestBlockKernel:
 
     def test_two_drive_blocks_at_high_degree(self):
         # drives scaled so that m = 8 steps reach m ||Y||_1 = 1.92, just
-        # under _CHEB_NORM: degree 19, the widest two-drive lattice
+        # under _FOURIER_NORM: degree 19, the widest two-drive lattice
         h0, drives, h = KERNEL_CASES["2-weak"]
         norm = lab_frame._step_kernel(h0, drives, h)[2]
         drives = tuple(replace(d, amplitude=d.amplitude * 0.24 / norm) for d in drives)
         factors, _, norm = lab_frame._step_kernel(h0, drives, h)
         m = 8
-        degree = lab_frame._chebyshev_degree(m * norm)
-        assert m * norm > lab_frame._CHEB_NORM / 2.0 and degree >= 10
+        degree = lab_frame._fourier_degree(m * norm)
+        assert m * norm > lab_frame._FOURIER_NORM / 2.0 and degree >= 10
         blocks, width = lab_frame._block_kernel(factors, drives, h, m, degree)
         assert width == lab_frame._rank1_lattice(2, degree)[0] == 2 * degree * (degree + 1) + 1
         theta = np.random.default_rng(degree).uniform(0.0, 2.0 * np.pi, size=(2, 40))
@@ -620,7 +652,7 @@ class TestBlockKernel:
         factors, _, norm = lab_frame._step_kernel(h0, drives, h)
         theta = np.random.default_rng(7).uniform(0.0, 2.0 * np.pi, size=(len(drives), 300))
         for m in (2, 8, 16):
-            degree = lab_frame._chebyshev_degree(m * norm)
+            degree = lab_frame._fourier_degree(m * norm)
             blocks, width = lab_frame._block_kernel(factors, drives, h, m, degree)
             reference, reference_width = _tensor_grid_block_kernel(factors, drives, h, m, degree)
             assert width == reference_width
@@ -648,7 +680,7 @@ class TestBlockKernel:
         assert np.max(np.abs(u - expected)) <= 1e-13
 
     @pytest.mark.parametrize(("name", "n_steps", "blocks"), [
-        ("strong-coarse", LONG_GRID, False),  # one step's drive norm is beyond _CHEB_NORM
+        ("strong-coarse", LONG_GRID, False),  # one step's drive norm is beyond _FOURIER_NORM
         ("strong", None, False),  # one drive period: the block set-up does not pay
         ("3-weak", 3000, False),  # L^3 node steps do not pay
         ("1-weak", 3000, True),
@@ -665,11 +697,11 @@ class TestBlockKernel:
 
 
 def _block_size_by_fresh_degrees(n_steps, dims, norm, chunk):
-    """_block_size's search with a fresh _chebyshev_degree call per doubling,
+    """_block_size's search with a fresh _fourier_degree call per doubling,
     counting the N m node steps of a block kernel's lattice."""
     best, m = (n_steps, 1, 0), 2
-    while m * norm <= lab_frame._CHEB_NORM:
-        degree = lab_frame._chebyshev_degree(m * norm)
+    while m * norm <= lab_frame._FOURIER_NORM:
+        degree = lab_frame._fourier_degree(m * norm)
         nodes = lab_frame._rank1_lattice(dims, degree)[0] * m
         if nodes > chunk or nodes + lab_frame._BLOCK_SETUP >= best[0]:
             break
@@ -681,8 +713,8 @@ def _block_size_by_fresh_degrees(n_steps, dims, norm, chunk):
 # drive norms per step: 0, a wide and a dense sweep (the integrator's steps
 # have norms ~1e-3 to 1e-2), and the powers of two the doublings meet
 BLOCK_NORMS = np.unique(np.concatenate([
-    [0.0], np.geomspace(1e-12, lab_frame._CHEB_NORM, 120), np.linspace(1e-4, 0.1, 80),
-    lab_frame._CHEB_NORM / 2.0 ** np.arange(1, 30),
+    [0.0], np.geomspace(1e-12, lab_frame._FOURIER_NORM, 120), np.linspace(1e-4, 0.1, 80),
+    lab_frame._FOURIER_NORM / 2.0 ** np.arange(1, 30),
 ]))
 
 
@@ -701,31 +733,50 @@ class TestLattice:
     @pytest.mark.parametrize("dims", [0, 1, 2, 3])
     def test_tables_read_off_each_kept_mode(self, dims):
         # a trigonometric polynomial of total degree M sampled at the
-        # lattice nodes is read off exactly by the tables
+        # lattice nodes is read off exactly, and a cosine polynomial (even in
+        # each phase) exactly by the even tables, one function per cosine
         degree = 3
-        nodes, rows, _, index, weight = lab_frame._lattice(dims, degree)
-        size = lab_frame._rank1_lattice(dims, degree)[0]
-        assert nodes.shape == (dims, size) and rows.shape[1] == index.shape[0] == weight.shape[0]
-        kept = np.random.default_rng(dims).normal(size=rows.shape[1])
+        rng = np.random.default_rng(dims)
+        modes = np.indices((2 * degree + 1,) * dims).reshape(dims, (2 * degree + 1) ** dims).T - degree
+        modes = modes[np.abs(modes).sum(axis=1) <= degree]
+        cosines, inverse = np.unique(np.abs(modes), axis=0, return_inverse=True)
+        theta = rng.uniform(0.0, 2.0 * np.pi, size=(dims, 40))
+        for even, width in ((False, len(modes)), (True, len(cosines))):
+            coeffs = rng.normal(size=(width, 16)) + 1j * rng.normal(size=(width, 16))
+            if even:  # c_j depends on |j_1|, ..., |j_D| alone
+                coeffs = coeffs[inverse.ravel()]
 
-        def poly(phases):
-            basis = np.ones((rows.shape[1], phases.shape[1]))
-            for r, t in zip(rows, phases):  # row 0 is 1, 2k - 1 cos(k t), 2k sin(k t)
-                angle = np.outer((r + 1) // 2, t)
-                basis *= np.where((r % 2 == 1)[:, None], np.cos(angle), np.sin(angle) + (r == 0)[:, None])
-            return kept @ basis
+            def poly(phases):
+                return np.exp(1j * phases.T @ modes.T) @ coeffs
 
-        fourier = np.fft.fft(poly(nodes)) / size
-        assert np.max(np.abs((weight * fourier[index]).sum(axis=1) - kept)) <= 1e-13
+            nodes = lab_frame._lattice(dims, degree, even)[0]
+            assert nodes.shape == (dims, lab_frame._rank1_lattice(dims, degree)[0])
+            read, kept = lab_frame._phase_kernel(poly(nodes).reshape(-1, 4, 4), dims, degree, even)
+            assert kept == width
+            assert np.max(np.abs(read(theta).reshape(-1, 16) - poly(theta))) <= 1e-13
+
+    @pytest.mark.parametrize("name", list(KERNEL_CASES))
+    def test_mirrored_node_values(self, name):
+        # the step kernel exponentiates nodes 0..N // 2 and takes node N - l's
+        # value from node l; its phases are 2 pi - theta_l only to a few ulp,
+        # which moves a node matrix by ~1e-15 times its drive norm ||Y||_1 / 2^s
+        # (at most 2), and its exponential, a unitary, by no more
+        h0, drives, h = KERNEL_CASES[name]
+        norm = lab_frame._step_kernel(h0, drives, h)[2]
+        scale = 2.0 ** max(0, math.ceil(math.log2(norm / lab_frame._FOURIER_NORM))) if norm else 1.0
+        nodes = lab_frame._lattice(len(drives), lab_frame._fourier_degree(norm / scale), True)[0]
+        ys = np.array([-1j * h * d.amplitude * d.operator for d in drives]).reshape(-1, 4, 4)
+        values = lab_frame.expm4((-1j * h * h0 + np.tensordot(np.cos(nodes), ys, axes=(0, 0))) / scale)
+        assert np.max(np.abs(values[:0:-1] - values[1:]), initial=0.0) <= 1e-15 * max(1.0, norm / scale)
 
 
 class TestBlockSize:
     def test_doubled_degrees_match_fresh_ones(self):
         for norm in BLOCK_NORMS:
-            doublings = int(np.log2(lab_frame._CHEB_NORM / norm)) + 1 if norm > 0.0 else 40
-            degrees = lab_frame._chebyshev_degrees(float(norm))
+            doublings = int(np.log2(lab_frame._FOURIER_NORM / norm)) + 1 if norm > 0.0 else 40
+            degrees = lab_frame._fourier_degrees(float(norm))
             for j in range(doublings):
-                assert next(degrees) == lab_frame._chebyshev_degree(float(norm) * 2.0**j)
+                assert next(degrees) == lab_frame._fourier_degree(float(norm) * 2.0**j)
 
     @pytest.mark.parametrize("dims", [1, 2, 3])
     def test_matches_the_search_by_fresh_degrees(self, dims):
@@ -756,40 +807,43 @@ class TestProjection:
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-14
 
 
-def _chebyshev_degree_log(norms, max_degree=60):
+def _fourier_degree_log(norms, max_degree=60):
     """The degree rule in logarithms: the smallest K whose tail
-    (norm/2)^(K+1) / (K+1)! is not above _CHEB_TAIL, for each norm."""
+    (norm/2)^(K+1) / (K+1)! is not above _FOURIER_TAIL, for each norm."""
     k = np.arange(max_degree + 1)
     log_tail = (k + 1) * np.log(norms / 2.0)[:, None] - scipy.special.gammaln(k + 2)
-    below = log_tail <= np.log(lab_frame._CHEB_TAIL)
+    below = log_tail <= np.log(lab_frame._FOURIER_TAIL)
     assert below[:, -1].all()
     return below.argmax(axis=1)
 
 
 class TestChebyshevDegree:
+    """_fourier_degree: the tail rule of a step factor's cosine (Chebyshev)
+    coefficients in the drive phases, and of a block's Fourier coefficients."""
+
     def test_matches_the_running_product_up_to_the_callers_bound(self):
         # the running product against the log rule; every caller passes a
-        # norm in (0, _CHEB_NORM]
+        # norm in (0, _FOURIER_NORM]
         norms = np.concatenate([
-            np.linspace(0.0, lab_frame._CHEB_NORM, 20001)[1:],
-            np.geomspace(1e-25, lab_frame._CHEB_NORM, 2000),
+            np.linspace(0.0, lab_frame._FOURIER_NORM, 20001)[1:],
+            np.geomspace(1e-25, lab_frame._FOURIER_NORM, 2000),
         ])
-        expected = _chebyshev_degree_log(norms)
+        expected = _fourier_degree_log(norms)
         for norm, degree in zip(norms, expected):
-            assert lab_frame._chebyshev_degree(float(norm)) == degree
+            assert lab_frame._fourier_degree(float(norm)) == degree
 
     def test_large_norm_terminates(self):
         # the running product overflows above norm ~1,400: a prompt refusal
         with pytest.raises(ValueError, match=re.escape(repr(1500.0))):
-            lab_frame._chebyshev_degree(1500.0)
+            lab_frame._fourier_degree(1500.0)
 
     @pytest.mark.parametrize("norm", [np.nan, np.inf])
     def test_non_finite_norm_raises(self, norm):
         with pytest.raises(ValueError):
-            lab_frame._chebyshev_degree(norm)
+            lab_frame._fourier_degree(norm)
 
     @pytest.mark.parametrize("norm", [1e306, 1.7e308, np.finfo(float).max])
     def test_degree_beyond_the_float_range_raises(self, norm):
         # the degree ~ e * norm / 2 no longer fits a float for lgamma
         with pytest.raises(ValueError, match=re.escape(repr(float(norm)))):
-            lab_frame._chebyshev_degree(float(norm))
+            lab_frame._fourier_degree(float(norm))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,14 @@ class TestFreeEvolution:
     def test_rejects_non_finite(self, eigen):
         with pytest.raises(ValueError):
             free_evolution(eigen, np.inf)
+
+    @pytest.mark.parametrize("t", [float(np.finfo(float).max), -float(np.finfo(float).max)])
+    def test_rejects_an_overflowing_phase(self, eigen, t):
+        # t is finite, but eps_m t is not (max |eps_m| > 1); the suite turns a
+        # RuntimeWarning into an error, so the refusal also emits none
+        assert np.max(np.abs(eigen.energies)) > 1.0
+        with pytest.raises(ValueError, match=re.escape(f"duration {t!r} overflows")):
+            free_evolution(eigen, t)
 
 
 class TestSelectionRules:
