@@ -44,6 +44,19 @@ of two that minimizes the work in steps, N m + n/m + (n mod m) plus a
 measured set-up cost for m > 1, with m ||Y||_1 at most 2; short grids,
 strong drives and wide bases keep m = 1, one factor per step.
 
+Every ordered product of factors or blocks is taken in the real form
+E(U) = [[Re U, -Im U], [Im U, Re U]] of each 4x4 matrix: E(U) E(V) = E(UV),
+and numpy multiplies float64 8x8 matrices about four times faster than
+complex 4x4 ones.  One GEMM of the factors' interleaved floats against a
+constant map of 0 and +-1 builds E exactly; the pairs are multiplied in
+the same tree as before, the first two levels a block of factors at a
+time, so the real forms hold no more bytes than half the stack and one
+block; and the product is read back as its complex-linear part
+(E11 + E22) / 2 + i (E21 - E12) / 2, the nearest real form.  Roundoff also
+fills the other part, [[A, B], [B, -A]], which no complex matrix has: read
+back as E11 + i E21, a drive-free grid of 66,536 steps in blocks of 64
+strays 7e-13 from its single-step product, against 4e-14.
+
 When every drive has the same |Omega|, H(t) is periodic with
 T_d = 2 pi / |Omega| (Floquet; Shirley, Phys. Rev. 138, B979, 1965), so
 
@@ -121,6 +134,9 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 16
+# factors _ordered_product takes into the real form at a time: a whole stack
+# in the real form would double its bytes
+_REAL_BLOCK = 256
 # Taylor degrees and the largest max row sum each handles at ~1e-16
 # accuracy (on the integrator's skew-Hermitian matrices, the 1-norm).
 _TAYLOR_STEPS = ((7, 0.035), (9, 0.11), (13, 0.43))
@@ -133,8 +149,9 @@ _MAX_SQUARINGS = 51
 _FOURIER_TAIL = 2.0**-60
 _FOURIER_NORM = 2.0
 # Set-up of the block kernel beyond its node steps (FFT, coefficient
-# transform, Python), in grid steps of ~0.4 us; measured on a 2-core
-# machine, where one-drive blocks start to pay at ~700 steps.
+# transform, Python), in grid steps of ~0.4-0.5 us; measured on a 2-core
+# machine, where one-drive blocks of 8 start to pay at ~600 steps and the
+# rule takes them from ~690.
 _BLOCK_SETUP = 500
 _EYE = np.eye(4, dtype=complex)
 _EYE.flags.writeable = False
@@ -246,17 +263,52 @@ def expm4(a):
     return result[0] if squeeze else result
 
 
+def _real_form():
+    """The (32, 64) map of a complex 4x4 matrix's interleaved floats onto its
+    real form E(U) = [[Re U, -Im U], [Im U, Re U]], read-only."""
+    embed = np.zeros((4, 4, 2, 8, 8))
+    row, col = np.indices((4, 4))
+    embed[row, col, 0, row, col] = embed[row, col, 0, row + 4, col + 4] = 1.0
+    embed[row, col, 1, row + 4, col] = 1.0
+    embed[row, col, 1, row, col + 4] = -1.0
+    embed = embed.reshape(32, 64)
+    embed.flags.writeable = False
+    return embed
+
+
+_REAL_FORM = _real_form()
+# E^T E = 2 I: E^T / 2 reads back (E11 + E22) / 2 + i (E21 - E12) / 2
+_COMPLEX_PART = _REAL_FORM.T / 2.0
+_COMPLEX_PART.flags.writeable = False
+
+
+def _pair_level(real):
+    """One level of the pairwise product: U_{2i+1} U_{2i} for each pair, and
+    the last matrix of an odd count as it is."""
+    pairs = len(real) // 2
+    combined = real[1 : 2 * pairs : 2] @ real[0 : 2 * pairs : 2]
+    if len(real) % 2:
+        combined = np.concatenate([combined, real[-1:]], axis=0)
+    return combined
+
+
 def _ordered_product(stack):
     """Product U_n ... U_1 of a time-ordered (n, 4, 4) stack (index 0 earliest),
-    or of each row of a (k, n, 4, 4) stack."""
-    stack = stack.swapaxes(0, -3)
-    while stack.shape[0] > 1:
-        pairs = stack.shape[0] // 2
-        combined = stack[1 : 2 * pairs : 2] @ stack[0 : 2 * pairs : 2]
-        if stack.shape[0] % 2:
-            combined = np.concatenate([combined, stack[-1:]], axis=0)
-        stack = combined
-    return stack[0]
+    or of each row of a (k, n, 4, 4) stack, multiplied pairwise in the real
+    form (module docstring)."""
+    n, lead = stack.shape[-3], stack.shape[:-3]
+    # the first two levels of pairs, about _REAL_BLOCK factors at a time: a
+    # block starts at a multiple of 4, so its pairs are those of the whole
+    step = max(4, _REAL_BLOCK // math.prod(lead) // 4 * 4)
+    real = np.empty((-(-n // 4), *lead, 8, 8))
+    for start in range(0, n, step):
+        block = np.ascontiguousarray(stack[..., start : start + step, :, :], dtype=complex)
+        block = (block.view(float).reshape(-1, 32) @ _REAL_FORM).reshape(*block.shape[:-2], 8, 8)
+        block = _pair_level(_pair_level(block.swapaxes(0, -3)))
+        real[start // 4 : start // 4 + len(block)] = block
+    while len(real) > 1:
+        real = _pair_level(real)
+    return (real[0].reshape(-1, 64) @ _COMPLEX_PART).view(complex).reshape(*lead, 4, 4)
 
 
 def _project_unitary(u):
@@ -418,30 +470,48 @@ def _phase_kernel(values, dims, degree, even):
     # interleaved real/imaginary columns: one real GEMM yields complex matrices
     coeffs = (weight[:, :, None] * fourier[index]).sum(axis=1).view(float)
 
-    def read(phases):
-        basis = np.ones((1, phases.shape[1]))
-        for theta, (width, groups) in zip(phases, layout):
-            # cos (and sin) of k theta from theta's, accurate to k ulp of 1:
-            # cos(k theta) would lose k |theta| ulp when theta = Omega t is large
-            c = np.cos(theta)
+    def basis(phases):
+        count = phases.shape[1]
+        if not dims:
+            return np.ones((1, count))
+        # later drives' products are allocated before the trig rows, which
+        # are freed first, so the read-off's output can take the rows'
+        # memory: a hole left beneath it grows the heap past twice its
+        # largest block, which glibc trims and the next call faults back in
+        grown = [np.empty((width, count)) for width, _ in layout[1:]]
+        # cos (and sin) of k theta from theta's, accurate to k ulp of 1:
+        # cos(k theta) would lose k |theta| ulp when theta = Omega t is large;
+        # every drive's rows in one pass
+        trig = np.empty((layout[0][0], dims, count))
+        trig[0] = 1.0
+        if len(trig) > 1:
+            c = np.cos(phases, out=trig[1])
             if even:  # T_k(cos theta) by the three-term recurrence
-                trig = [np.ones_like(theta), c]
-                for _ in range(degree - 1):
-                    trig.append(2.0 * c * trig[-1] - trig[-2])
+                twice = 2.0 * c
+                for k in range(2, len(trig)):
+                    np.multiply(twice, trig[k - 1], out=trig[k])
+                    trig[k] -= trig[k - 2]
             else:  # by rotation
-                s = np.sin(theta)
-                trig = [np.ones_like(theta), c, s]
-                for _ in range(degree - 1):
-                    trig += [trig[-2] * c - trig[-1] * s, trig[-1] * c + trig[-2] * s]
-            trig = np.array(trig)
-            # only the kept products are formed, each group in one call
-            grown, at = np.empty((width, len(theta))), 0
+                s = np.sin(phases, out=trig[2])
+                for k in range(3, len(trig), 2):
+                    np.multiply(trig[k - 2], c, out=trig[k])
+                    trig[k] -= trig[k - 1] * s
+                    np.multiply(trig[k - 1], c, out=trig[k + 1])
+                    trig[k + 1] += trig[k - 2] * s
+        # the first drive's rows are the basis so far; each later drive's
+        # kept products are formed, each group in one call
+        rows = trig[:, 0]
+        for d, (out, (_, groups)) in enumerate(zip(grown, layout[1:]), 1):
+            at = 0
             for sel, n in groups:
-                part = grown[at : at + len(sel) * n].reshape(len(sel), n, -1)
-                np.multiply(basis[sel, None], trig[:n], out=part)
+                part = out[at : at + len(sel) * n].reshape(len(sel), n, -1)
+                np.multiply(rows[sel, None], trig[:n, d], out=part)
                 at += len(sel) * n
-            basis = grown
-        return (basis.T @ coeffs).view(complex).reshape(-1, 4, 4)
+            rows = out
+        return rows
+
+    def read(phases):
+        return (basis(phases).T @ coeffs).view(complex).reshape(-1, 4, 4)
 
     return read, coeffs.shape[0]
 
@@ -464,7 +534,8 @@ def _grid_product(h0, drives, h, n_steps, split=None):
     k..n_steps-1), from the same kernels."""
     factors, width, norm = _step_kernel(h0, drives, h)
     # a basis holds no more floats than a (_CHUNK, 4, 4) complex stack: the
-    # chunks' bases, and the step basis of a block kernel's nodes
+    # chunks' bases, and the step basis of a block kernel's nodes; the real
+    # forms of a stack's product hold no more than half its bytes and a block
     m, degree = _block_size(n_steps, len(drives), norm, min(_CHUNK, _CHUNK * 32 // width))
     passes = [(m, *_block_kernel(factors, drives, h, m, degree))] if m > 1 else []
     passes.append((1, factors, width))

@@ -115,7 +115,13 @@ def _parse_pair(token):
     parts = token.split(",")
     if len(parts) != 2:
         raise ValueError("expected <m>,<n>")
-    return int(parts[0]), int(parts[1])
+    pair = []
+    for part in parts:
+        try:
+            pair.append(int(part))
+        except ValueError:
+            raise ValueError(f"expected <m>,<n>, not an integer: {part!r}") from None
+    return tuple(pair)
 
 
 class _Directive(NamedTuple):

@@ -347,6 +347,13 @@ class TestOracleCheck:
         assert text == ""
         assert capsys.readouterr().err == f"vspin: error: {rule.value}\n"
 
+    @pytest.mark.parametrize(("pair", "bad"), [("a,b", "'a'"), ("1,b", "'b'"), ("1.5,2", "'1.5'")])
+    def test_non_integer_transition_names_the_form_and_the_token(self, capsys, pair, bad):
+        code, text = run(["oracle-check", "--ratio", "0.01", "--transition", pair, *BASE])
+        assert (code, text) == (2, "")
+        err = capsys.readouterr().err
+        assert "<m>,<n>" in err and bad in err and "invalid literal" not in err
+
     @pytest.mark.parametrize("ratio", ["1e-30", "1e-300"])
     def test_overflowing_period_power_exit_3_without_warnings(self, capsys, ratio):
         # ~1e29 and ~1e299 drive periods: their power leaves double precision

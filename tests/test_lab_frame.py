@@ -471,6 +471,70 @@ class TestRouting:
         assert sum(counts) == per
 
 
+def _random_unitaries(rng, n):
+    return np.linalg.qr(rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4)))[0]
+
+
+def _real_form(u):
+    """E(U) = [[Re U, -Im U], [Im U, Re U]] of each matrix of a stack, built
+    by blocks."""
+    return np.block([[u.real, -u.imag], [u.imag, u.real]])
+
+
+class TestRealForm:
+    """_ordered_product multiplies in the real 8x8 form of each matrix."""
+
+    def test_the_map_builds_the_real_form_and_reads_it_back_exactly(self):
+        a = np.random.default_rng(1).normal(size=(500, 4, 4)) * np.logspace(-300, 300, 500)[:, None, None]
+        a = a + 1j * np.random.default_rng(2).normal(size=(500, 4, 4))
+        real = (a.view(float).reshape(-1, 32) @ lab_frame._REAL_FORM).reshape(-1, 8, 8)
+        assert np.array_equal(real, _real_form(a))
+        back = (real.reshape(-1, 64) @ lab_frame._COMPLEX_PART).view(complex).reshape(-1, 4, 4)
+        assert np.array_equal(back, a)
+        assert not lab_frame._REAL_FORM.flags.writeable and not lab_frame._COMPLEX_PART.flags.writeable
+
+    def test_products_of_real_forms_are_real_forms_of_products(self):
+        # E(A) E(B) = E(AB): the 8x8 product is the complex one, to roundoff
+        rng = np.random.default_rng(3)
+        a, b = _random_unitaries(rng, 200), _random_unitaries(rng, 200)
+        assert np.max(np.abs(_real_form(a) @ _real_form(b) - _real_form(a @ b))) <= 1e-15
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 31, 64 * 37 + 29])
+    def test_ordered_product_matches_the_complex_loop(self, n):
+        stack = _random_unitaries(np.random.default_rng(n), n)
+        expected = np.eye(4, dtype=complex)
+        for u in stack:
+            expected = u @ expected
+        u = lab_frame._ordered_product(stack)
+        assert u.shape == (4, 4) and u.dtype == complex
+        assert np.max(np.abs(u - expected)) <= 1e-14
+
+    @pytest.mark.parametrize("shape", [(5,), (lab_frame._REAL_BLOCK + 3,), (4 * lab_frame._REAL_BLOCK - 1,),
+                                       (3, 2 * lab_frame._REAL_BLOCK + 1), (61, 8), (85, 16), (700, 1)])
+    def test_blocks_keep_the_pairs_of_the_whole_stack(self, shape):
+        # taking the real form a block at a time changes no product: bytewise
+        # the pairwise product of the whole stack's real form
+        stack = _random_unitaries(np.random.default_rng(5), math.prod(shape)).reshape(*shape, 4, 4)
+        real = _real_form(stack).swapaxes(0, -3)
+        while len(real) > 1:
+            pairs = len(real) // 2
+            combined = real[1 : 2 * pairs : 2] @ real[0 : 2 * pairs : 2]
+            real = np.concatenate([combined, real[2 * pairs :]], axis=0)
+        expected = ((real[0][..., :4, :4] + real[0][..., 4:, 4:]) / 2
+                    + 1j * ((real[0][..., 4:, :4] - real[0][..., :4, 4:]) / 2))
+        assert lab_frame._ordered_product(stack).tobytes() == expected.tobytes()
+
+    def test_ordered_product_of_each_row(self):
+        stack = _random_unitaries(np.random.default_rng(11), 61 * 37).reshape(61, 37, 4, 4)
+        u = lab_frame._ordered_product(stack)
+        assert u.shape == (61, 4, 4)
+        for row, product in zip(stack, u):
+            expected = np.eye(4, dtype=complex)
+            for v in row:
+                expected = v @ expected
+            assert np.max(np.abs(product - expected)) <= 1e-14
+
+
 def _kernel_cases():
     """(h0, drives, h): weak drives at r = 1e-2 on 0 to 3 lines, and a drive
     of amplitude W (the spectral width) on the default step and on a step
@@ -734,26 +798,27 @@ class TestLattice:
     def test_tables_read_off_each_kept_mode(self, dims):
         # a trigonometric polynomial of total degree M sampled at the
         # lattice nodes is read off exactly, and a cosine polynomial (even in
-        # each phase) exactly by the even tables, one function per cosine
-        degree = 3
-        rng = np.random.default_rng(dims)
-        modes = np.indices((2 * degree + 1,) * dims).reshape(dims, (2 * degree + 1) ** dims).T - degree
-        modes = modes[np.abs(modes).sum(axis=1) <= degree]
-        cosines, inverse = np.unique(np.abs(modes), axis=0, return_inverse=True)
-        theta = rng.uniform(0.0, 2.0 * np.pi, size=(dims, 40))
-        for even, width in ((False, len(modes)), (True, len(cosines))):
-            coeffs = rng.normal(size=(width, 16)) + 1j * rng.normal(size=(width, 16))
-            if even:  # c_j depends on |j_1|, ..., |j_D| alone
-                coeffs = coeffs[inverse.ravel()]
+        # each phase) exactly by the even tables, one function per cosine;
+        # degrees 0 and 1 have no recurrence rows
+        for degree in (0, 1, 3):
+            rng = np.random.default_rng(dims)
+            modes = np.indices((2 * degree + 1,) * dims).reshape(dims, (2 * degree + 1) ** dims).T - degree
+            modes = modes[np.abs(modes).sum(axis=1) <= degree]
+            cosines, inverse = np.unique(np.abs(modes), axis=0, return_inverse=True)
+            theta = rng.uniform(0.0, 2.0 * np.pi, size=(dims, 40))
+            for even, width in ((False, len(modes)), (True, len(cosines))):
+                coeffs = rng.normal(size=(width, 16)) + 1j * rng.normal(size=(width, 16))
+                if even:  # c_j depends on |j_1|, ..., |j_D| alone
+                    coeffs = coeffs[inverse.ravel()]
 
-            def poly(phases):
-                return np.exp(1j * phases.T @ modes.T) @ coeffs
+                def poly(phases):
+                    return np.exp(1j * phases.T @ modes.T) @ coeffs
 
-            nodes = lab_frame._lattice(dims, degree, even)[0]
-            assert nodes.shape == (dims, lab_frame._rank1_lattice(dims, degree)[0])
-            read, kept = lab_frame._phase_kernel(poly(nodes).reshape(-1, 4, 4), dims, degree, even)
-            assert kept == width
-            assert np.max(np.abs(read(theta).reshape(-1, 16) - poly(theta))) <= 1e-13
+                nodes = lab_frame._lattice(dims, degree, even)[0]
+                assert nodes.shape == (dims, lab_frame._rank1_lattice(dims, degree)[0])
+                read, kept = lab_frame._phase_kernel(poly(nodes).reshape(-1, 4, 4), dims, degree, even)
+                assert kept == width
+                assert np.max(np.abs(read(theta).reshape(-1, 16) - poly(theta))) <= 1e-13
 
     @pytest.mark.parametrize("name", list(KERNEL_CASES))
     def test_mirrored_node_values(self, name):

@@ -307,9 +307,11 @@ EDITS = [
 ]
 
 # Outcomes of the 5,000 seed-12 program mutants, recorded before the parser
-# and formatter were folded into one directive table.
+# and formatter were folded into one directive table; re-pinned when an m,n
+# field that is not two integers began to name the <m>,<n> form, which changed
+# the message of 94 outcomes and nothing else.
 PINNED_KINDS = {"ProgramSyntaxError": 4856, "SemanticError": 7, "PulseProgram": 137}
-PINNED_DIGEST = "706f69dcfe4fe9e610e0a750200d330e19444f58e9714f2b62d63176a162b05a"
+PINNED_DIGEST = "5f0fc3d93c27b4bfa36ecb4727de8b08e38874fe669fa1eb82b7e0461fcdc489"
 
 
 def _mutants(texts, count, seed):
