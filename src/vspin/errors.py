@@ -65,7 +65,7 @@ class NotPositive(VspinError):
 
 
 class StepTooLarge(VspinError):
-    """A lab-frame step needs too many squarings, or the propagator product overflows."""
+    """A lab-frame grid needs too many steps or squarings, or its product overflows."""
 
 
 class ProgramError(VspinError):

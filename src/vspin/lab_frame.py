@@ -63,14 +63,14 @@ T_d = 2 pi / |Omega| (Floquet; Shirley, Phys. Rev. 138, B979, 1965), so
     U(T) = U(tau) U_period^N,   N = floor(T / T_d),  tau = T - N T_d
 
 Only one period is integrated, on a grid of n steps of h = T_d / n, the
-largest h not above the target step.  The remainder is the period's own
-first tau: it reuses the period's first k = floor(tau / h) steps, then one
-step of tau - k h, so U_period = R P_k and U(T) = F P_k U_period^N, with
-P_k the product of the first k steps, R that of the other n - k, and F
-the partial step.  The power takes about 2 log2 N products, so the cost
-grows with log N rather than with N.
-Two-frequency drives, drive-free systems and an explicit step count
-integrate the whole grid, whose step divides T.
+largest h not above DrivenSystem.default_step, the one target step of
+every grid.  The remainder is the period's own first tau: it reuses the
+period's first k = floor(tau / h) steps, then one step of tau - k h, so
+U_period = R P_k and U(T) = F P_k U_period^N, with P_k the product of the
+first k steps, R that of the other n - k, and F the partial step.  The
+power takes about 2 log2 N products, so the cost grows with log N rather
+than with N.  Two-frequency drives, drive-free systems and an explicit
+step count integrate the whole grid, whose step divides T.
 
 Whatever the route, the finished product is projected once onto the
 nearest unitary, its polar factor.  A rounded product of factors
@@ -117,6 +117,7 @@ from .spin_system import (
     HERMITIAN_TOL,
     EigenSystem,
     SpinParameters,
+    _non_hermitian,
     closed_form_eigensystem,
 )
 
@@ -134,6 +135,9 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 16
+# the most steps one grid takes: past 2^53 consecutive step indices j are no
+# longer distinct floats, and the midpoints (j + 1/2) h would repeat
+_MAX_STEPS = 2**53
 # factors _ordered_product takes into the real form at a time: a whole stack
 # in the real form would double its bytes
 _REAL_BLOCK = 256
@@ -157,6 +161,19 @@ _EYE = np.eye(4, dtype=complex)
 _EYE.flags.writeable = False
 
 
+def _hermitian_4x4(a, name):
+    """a as a complex 4x4 array, kept as given, not symmetrized; ValueError
+    naming it unless it is finite and Hermitian by spin_system's rule."""
+    a = np.asarray(a, dtype=complex)
+    if a.shape != (4, 4):
+        raise ValueError(f"{name} must be 4x4, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
+    if _non_hermitian(a):
+        raise ValueError(f"{name} must be Hermitian within {HERMITIAN_TOL:g} of its largest entry")
+    return a
+
+
 @dataclass(frozen=True)
 class DriveTerm:
     """One cosine drive A * O * cos(Omega t + phi); every value finite, and
@@ -168,16 +185,7 @@ class DriveTerm:
     phase: float = 0.0
 
     def __post_init__(self):
-        op = np.asarray(self.operator, dtype=complex)
-        if op.shape != (4, 4):
-            raise ValueError(f"drive operator must be 4x4, got {op.shape}")
-        if not np.isfinite(op).all():
-            raise ValueError("drive operator must be finite")
-        # diagonalize's rule; the operator is kept as given, not symmetrized
-        if np.max(np.abs(op - op.conj().T)) > HERMITIAN_TOL * np.max(np.abs(op)):
-            raise ValueError(f"drive operator must be Hermitian within {HERMITIAN_TOL:g}"
-                             " of its largest entry")
-        object.__setattr__(self, "operator", op)
+        object.__setattr__(self, "operator", _hermitian_4x4(self.operator, "drive operator"))
         for name in ("amplitude", "frequency", "phase"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -187,33 +195,24 @@ class DriveTerm:
 class DrivenSystem:
     """Static Hamiltonian plus drives on a uniform time grid.
 
-    h0        4x4 Hermitian, rad/s, finite
+    h0        4x4, rad/s, finite, Hermitian within spin_system.HERMITIAN_TOL
     drives    DriveTerm sequence
     duration  total time T >= 0, s, finite
-    step      finite target step h > 0, s, or None for the default rule
-              h = 2 pi / (200 Omega_max); the actual step is the largest
-              not above it that divides the drive period T_d when every
-              drive shares one |Omega| and T >= T_d (the remainder after
-              whole periods reuses the period's steps), and T otherwise
+
+    default_step() is the target step of every grid that integrate_lab_frame
+    sizes; there is no other.
     """
 
     h0: np.ndarray
     drives: tuple = field(default_factory=tuple)
     duration: float = 0.0
-    step: float | None = None
+    step = None  # not a field: read-only, for readers of the retired target step
 
     def __post_init__(self):
-        h0 = np.asarray(self.h0, dtype=complex)
-        if h0.shape != (4, 4):
-            raise ValueError(f"h0 must be 4x4, got {h0.shape}")
-        if not np.isfinite(h0).all():
-            raise ValueError("h0 must be finite")
-        object.__setattr__(self, "h0", h0)
+        object.__setattr__(self, "h0", _hermitian_4x4(self.h0, "h0"))
         object.__setattr__(self, "drives", tuple(self.drives))
         if not (np.isfinite(self.duration) and self.duration >= 0.0):
             raise ValueError(f"duration must be finite and >= 0, got {self.duration}")
-        if self.step is not None and not (np.isfinite(self.step) and self.step > 0.0):
-            raise ValueError(f"step must be finite and > 0, got {self.step}")
 
     def default_step(self):
         """h = 2 pi / (200 Omega_max), 200 samples of the fastest scale."""
@@ -317,35 +316,19 @@ def _project_unitary(u):
     return w @ vh
 
 
-def _fourier_degrees(norm):
-    """Yield the smallest M with Fourier tail (norm/2)^(M+1) / (M+1)! below
-    _FOURIER_TAIL for norm, 2 norm, 4 norm, ..., the tail a running product
-    of its factors norm / (2 (M+1)).
-
-    Doubling the norm doubles each factor, so it multiplies the tail of
-    degree M by 2^(M+1), exactly in floating point, and the degree only
-    grows: each degree continues from the last one.
-    """
+def _fourier_degree(norm):
+    """Smallest M with Fourier tail (norm/2)^(M+1) / (M+1)! below _FOURIER_TAIL,
+    the tail a running product of its factors norm / (2 (M+1)).  Callers pass
+    norm <= _FOURIER_NORM; above ~1,400 the product overflows: ValueError."""
     if not math.isfinite(norm):
         raise ValueError(f"norm must be finite, got {norm}")
     degree, tail = 0, norm / 2.0
-    while True:
-        while tail > _FOURIER_TAIL:
-            degree += 1
-            tail *= norm / (2.0 * (degree + 1))
-            if tail == math.inf:
-                raise ValueError(f"norm too large for a Fourier degree, got {norm!r}")
-        yield degree
-        norm *= 2.0
-        tail *= 2.0 ** (degree + 1)
-
-
-def _fourier_degree(norm):
-    """Smallest M with Fourier tail (norm/2)^(M+1) / (M+1)! below _FOURIER_TAIL.
-
-    Callers pass norm <= _FOURIER_NORM; above norm ~1,400 the product overflows.
-    """
-    return next(_fourier_degrees(norm))
+    while tail > _FOURIER_TAIL:
+        degree += 1
+        tail *= norm / (2.0 * (degree + 1))
+        if tail == math.inf:
+            raise ValueError(f"norm too large for a Fourier degree, got {norm!r}")
+    return degree
 
 
 def _step_kernel(h0, drives, h):
@@ -394,9 +377,8 @@ def _block_size(n_steps, dims, norm, chunk):
     within one chunk.
     """
     best, m = (n_steps, 1, 0), 2
-    degrees = _fourier_degrees(m * norm)
     while m * norm <= _FOURIER_NORM:
-        degree = next(degrees)
+        degree = _fourier_degree(m * norm)
         nodes = _rank1_lattice(dims, degree)[0] * m
         # node steps only grow with m, so no longer block can do better
         if nodes > chunk or nodes + _BLOCK_SETUP >= best[0]:
@@ -575,35 +557,46 @@ def _drive_period(drives):
     return 2.0 * np.pi / rates.pop()
 
 
+def _step_count(span, target):
+    """max(ceil(span / target), 1), the steps of at most ``target`` s that
+    cover ``span`` s; StepTooLarge above _MAX_STEPS of them."""
+    span, target = float(span), float(target)  # a Python float quotient overflows to inf quietly
+    steps = span / target if target > 0.0 else math.inf
+    if not steps <= _MAX_STEPS:
+        raise StepTooLarge(f"a grid of {span:.3g} s in steps of at most {target:.3g} s"
+                           " needs more than 2^53 steps")
+    return max(math.ceil(steps), 1)
+
+
 def integrate_lab_frame(system: DrivenSystem, n_steps=None) -> np.ndarray:
     """Propagator U(T, 0) of the full time-dependent Hamiltonian.
 
     Without ``n_steps``, a drive of one frequency makes H(t) periodic with
     T_d = 2 pi / |Omega|: one period is integrated with the largest step
-    not above the target that divides T_d and raised to the power
-    N = floor(T / T_d) by repeated squaring; the remainder
+    not above system.default_step() that divides T_d and raised to the
+    power N = floor(T / T_d) by repeated squaring; the remainder
     tau = T - N T_d reuses the period's grid (see the module docstring).
     With N = 0, several drive frequencies or none, the step divides T.
-    ``n_steps`` overrides the step rule and always integrates the whole
-    grid of T (used for convergence studies).
-    Raises StepTooLarge when the power overflows double precision (from
-    about 1e16 periods on the default spin), or when one step's norm
-    ||-i h H(t)|| needs more than _MAX_SQUARINGS squarings.
+    ``n_steps``, an integer in 1..2^53 (else ValueError), overrides the step
+    rule and always integrates the whole grid of T (convergence studies).
+    Raises StepTooLarge when a grid needs more than 2^53 steps, when the
+    power overflows double precision (from about 1e16 periods on the
+    default spin), or when one step's norm ||-i h H(t)|| needs more than
+    _MAX_SQUARINGS squarings.
     """
+    if n_steps is not None and not (isinstance(n_steps, (int, np.integer)) and 1 <= n_steps <= _MAX_STEPS):
+        raise ValueError(f"n_steps must be an integer in 1..2^53, got {n_steps!r}")
     if system.duration == 0.0:
         return np.eye(4, dtype=complex)
     h0 = (system.h0 + system.h0.conj().T) / 2.0
     drives = system.drives
-    periods = 0
-    if n_steps is None:
-        target = system.step if system.step is not None else system.default_step()
-        period = _drive_period(drives)
-        periods = int(system.duration // period) if period else 0
+    period = _drive_period(drives) if n_steps is None else None
+    periods = int(system.duration // period) if period else 0
     if not periods:
-        count = max(int(n_steps) if n_steps is not None else int(np.ceil(system.duration / target)), 1)
+        count = int(n_steps) if n_steps is not None else _step_count(system.duration, system.default_step())
         # each route re-projects once: see the module docstring
         return _project_unitary(_grid_product(h0, drives, system.duration / count, count))
-    count = max(int(np.ceil(period / target)), 1)
+    count = _step_count(period, system.default_step())
     h = period / count
     # H(t + T_d) = H(t): the remainder is the period's first tau, its first
     # k steps and one step of delta; tau <= 0 (rounding) leaves none, and
@@ -720,7 +713,7 @@ def convergence_study(
     e = closed_form_eigensystem(params)
     scaled = _params_for_ratio(params, e, transition, axis, ratio)
     system = drive_for_pulse(scaled, e, transition, axis, 0.0, flip)
-    base = int(np.ceil(system.duration / system.default_step()))
+    base = _step_count(system.duration, system.default_step())
     propagators = [
         integrate_lab_frame(system, n_steps=base * 2**k) for k in range(refinements + 1)
     ]

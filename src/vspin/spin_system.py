@@ -45,7 +45,7 @@ __all__ = [
 _MAGNETIC_NUMBERS = np.array([1.5, 0.5, -0.5, -1.5])
 # Levels closer than DEGENERACY_TOL * scale have no defined labels.
 DEGENERACY_TOL = 1e-9
-# diagonalize accepts |H - H^dagger| up to HERMITIAN_TOL * max|H|.
+# An operator is Hermitian when |H - H^dagger| <= HERMITIAN_TOL * max|H|.
 HERMITIAN_TOL = 1e-12
 # Levels, and transition lines, closer than RESOLUTION_TOL * scale are not
 # resolved: regime_ok is false, or a selective pulse cannot tell the lines apart.
@@ -259,6 +259,14 @@ def closed_form_eigensystem(p: SpinParameters) -> EigenSystem:
     return _assemble(energies, states.astype(complex), alpha, p.omegaQ)
 
 
+def _non_hermitian(a):
+    """(max|A - A^dagger|, max|A|) when the 4x4 A breaks the one Hermitian
+    rule, the first at most HERMITIAN_TOL times the second, else None."""
+    scale = max(abs(a).max(), np.finfo(float).tiny)
+    defect = abs(a - a.conj().T).max()
+    return (defect, scale) if defect > HERMITIAN_TOL * scale else None
+
+
 def diagonalize(hamiltonian, scale=None) -> EigenSystem:
     """Numerically diagonalize a Hermitian 4x4 operator.
 
@@ -271,12 +279,9 @@ def diagonalize(hamiltonian, scale=None) -> EigenSystem:
     h = np.asarray(hamiltonian, dtype=complex)
     if h.shape != (4, 4):
         raise ValueError(f"expected a 4x4 operator, got shape {h.shape}")
-    hnorm = max(np.max(np.abs(h)), np.finfo(float).tiny)
-    defect = np.max(np.abs(h - h.conj().T))
-    if defect > HERMITIAN_TOL * hnorm:
-        raise NotHermitian(
-            f"max |H - H^dagger| = {defect:.3e} exceeds {HERMITIAN_TOL:g} * {hnorm:.3e}"
-        )
+    if broken := _non_hermitian(h):
+        defect, hnorm = broken
+        raise NotHermitian(f"max |H - H^dagger| = {defect:.3e} exceeds {HERMITIAN_TOL:g} * {hnorm:.3e}")
     energies, states = np.linalg.eigh((h + h.conj().T) / 2.0)
     if scale is None:
         scale = max(np.max(np.abs(energies)), np.finfo(float).tiny)

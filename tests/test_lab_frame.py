@@ -165,8 +165,6 @@ class TestIntegrator:
         with pytest.raises(ValueError):
             DrivenSystem(h0=np.eye(4), duration=-1.0)
         with pytest.raises(ValueError):
-            DrivenSystem(h0=np.eye(4), duration=1.0, step=0.0)
-        with pytest.raises(ValueError):
             DriveTerm(operator=np.eye(4), amplitude=np.inf, frequency=1.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -174,8 +172,6 @@ class TestIntegrator:
         h0 = np.diag([1.0, 0.5, -0.5, -1.0]).astype(complex)
         poisoned = h0.copy()
         poisoned[0, 1] = poisoned[1, 0] = bad
-        with pytest.raises(ValueError, match=r"^step must be finite"):
-            DrivenSystem(h0=h0, duration=1.0, step=bad)
         with pytest.raises(ValueError, match=r"^h0 must be finite"):
             DrivenSystem(h0=poisoned, duration=1.0)
         with pytest.raises(ValueError, match=r"^drive operator must be finite"):
@@ -184,6 +180,16 @@ class TestIntegrator:
     def test_non_hermitian_drive_operator_refused(self):
         with pytest.raises(ValueError, match=r"^drive operator must be Hermitian"):
             DriveTerm(operator=np.triu(np.ones((4, 4))), amplitude=0.05, frequency=1.0)
+
+    def test_non_hermitian_h0_refused(self):
+        # the integrator and default_step would use its Hermitian part
+        with pytest.raises(ValueError, match=r"^h0 must be Hermitian within 1e-12 of its largest entry$"):
+            DrivenSystem(h0=np.triu(np.ones((4, 4))), duration=1.0)
+        skew = np.zeros((4, 4), dtype=complex)
+        skew[0, 1] = 2.0 * HERMITIAN_TOL
+        DrivenSystem(h0=np.eye(4) + skew / 2.0, duration=1.0)
+        with pytest.raises(ValueError, match=r"^h0 must be Hermitian"):
+            DrivenSystem(h0=np.eye(4) + skew, duration=1.0)
 
     def test_drive_operator_hermitian_to_rounding_kept_as_given(self, eigen):
         # diagonalize's rule: |O - O^dagger| up to HERMITIAN_TOL * max|O|
@@ -199,22 +205,42 @@ class TestIntegrator:
 
     @pytest.mark.parametrize(("amplitude", "step"), [(1e308, 10.0), (1e308, 1.0), (1e300, 1.0)])
     def test_step_past_the_squaring_bound_refused(self, params, amplitude, step):
-        # a norm that overflows to inf, and a finite one needing ~1,000 squarings
+        # a norm that overflows to inf, and a finite one needing ~1,000
+        # squarings, in one step of ``step`` s
         drive = DriveTerm(operator=spin_operators()[0], amplitude=amplitude, frequency=1.0)
-        system = DrivenSystem(h0=build_static_hamiltonian(params), drives=(drive,),
-                              duration=1.0, step=step)
+        system = DrivenSystem(h0=build_static_hamiltonian(params), drives=(drive,), duration=step)
         with pytest.raises(StepTooLarge, match="squarings"):
-            integrate_lab_frame(system)
+            integrate_lab_frame(system, n_steps=1)
 
     def test_partial_step_past_the_squaring_bound_refused(self):
-        # the grid's factors take 51 squarings on top of expm4's; the
-        # remainder's one step (norm 1.7e15) goes to expm4 whole, whose 51
-        # squarings reach norm 9.7e14
-        drive = DriveTerm(operator=spin_operators()[0], amplitude=2e15, frequency=1.0)
-        system = DrivenSystem(h0=np.zeros((4, 4)), drives=(drive,), duration=2.0 * np.pi, step=1.0)
+        # default_step reads |amplitude| = 1, not ||O||: a period of 200
+        # steps of 0.0314 s, whose factors (norm 2.9e15) take 51 squarings on
+        # top of expm4's; the remainder's half step (norm 1.5e15) goes to
+        # expm4 whole, whose 51 squarings reach norm 9.7e14
+        drive = DriveTerm(operator=5e16 * spin_operators()[0], amplitude=1.0, frequency=1.0)
+        system = DrivenSystem(h0=np.zeros((4, 4)), drives=(drive,), duration=4.0 * np.pi)
         assert np.isfinite(integrate_lab_frame(system)).all()
-        with pytest.raises(StepTooLarge, match=r"^a step of 0\.449 s needs more than 51 squarings"):
-            integrate_lab_frame(replace(system, duration=3.0 * np.pi))
+        with pytest.raises(StepTooLarge, match=r"^a step of 0\.0157 s needs more than 51 squarings"):
+            integrate_lab_frame(replace(system, duration=2.0 * np.pi * (2.0 + 0.5 / 200.0)))
+
+    @pytest.mark.parametrize("amplitude", [1e308, 1e300])
+    def test_default_step_past_the_step_count_refused(self, params, amplitude):
+        # 1e308 rounds the default step to 0.0, and 1e300 asks for ~3e301
+        # steps: both are refused before any grid is built
+        drive = DriveTerm(operator=spin_operators()[0], amplitude=amplitude, frequency=1.0)
+        system = DrivenSystem(h0=build_static_hamiltonian(params), drives=(drive,), duration=1.0)
+        with pytest.raises(StepTooLarge, match=r"^a grid of 1 s in steps of at most \S+ s needs more than 2\^53 steps$"):
+            integrate_lab_frame(system)
+        with pytest.raises(StepTooLarge, match=r"2\^53 steps$"):
+            integrate_lab_frame(replace(system, duration=100.0))  # the period's grid
+
+    @pytest.mark.parametrize("n_steps", [0, -1, 2.5, 2**53 + 1, np.float64(3.0), "3"])
+    def test_n_steps_must_be_an_integer_in_range(self, params, n_steps):
+        system = DrivenSystem(h0=build_static_hamiltonian(params), duration=1.0)
+        with pytest.raises(ValueError, match=r"^n_steps must be an integer in 1\.\.2\^53, got "):
+            integrate_lab_frame(system, n_steps=n_steps)
+        for n in (1, np.int64(3)):
+            assert np.isfinite(integrate_lab_frame(system, n_steps=n)).all()
 
     def test_static_norm_counts_toward_the_squaring_bound(self, eigen):
         # a common energy offset only adds a global phase, but it sets the
@@ -320,10 +346,9 @@ def _period(system):
 
 
 def _grid_step(system):
-    """The period route's step h = T_d / ceil(T_d / target)."""
+    """The period route's step h = T_d / ceil(T_d / default_step)."""
     period = _period(system)
-    target = system.step if system.step is not None else system.default_step()
-    return period / math.ceil(period / target)
+    return period / math.ceil(period / system.default_step())
 
 
 def _pulse_cases():
@@ -333,8 +358,7 @@ def _pulse_cases():
     cases["shorter-than-a-period"] = replace(short, duration=0.6 * _period(short))
     whole = _seeded_pulse(rng, (3, 4), "X")
     cases["whole-periods"] = replace(whole, duration=3 * _period(whole))
-    stepped = _seeded_pulse(rng, (1, 3), "Y")
-    cases["explicit-step"] = replace(stepped, step=0.7 * stepped.default_step())
+    _seeded_pulse(rng, (1, 3), "Y")  # a retired case's draw, kept so that later cases keep theirs
     # thousands of periods: N-th power of one period, projected once
     cases["weak-many-periods"] = _seeded_pulse(rng, (1, 2), "Y", ratio=1e-4)
     # remainders on the period's own grid of steps h
@@ -375,8 +399,7 @@ class TestPeriodPath:
 
     @pytest.mark.parametrize("system", list(PULSE_CASES.values()), ids=list(PULSE_CASES))
     def test_matches_full_grid_within_its_error(self, system):
-        target = system.step if system.step is not None else system.default_step()
-        n = int(np.ceil(system.duration / target))
+        n = int(np.ceil(system.duration / system.default_step()))
         u = integrate_lab_frame(system)
         coarse = integrate_lab_frame(system, n_steps=n)
         fine = integrate_lab_frame(system, n_steps=2 * n)
@@ -441,9 +464,8 @@ class TestPeriodPath:
         monkeypatch.setattr(lab_frame, "_step_kernel", lambda *args: kernels.append(args) or real(*args))
         counts = _count_grid_steps(monkeypatch)
         integrate_lab_frame(system)
-        target = system.step if system.step is not None else system.default_step()
         assert len(kernels) == 1
-        assert counts == [math.ceil(_period(system) / target)]
+        assert counts == [math.ceil(_period(system) / system.default_step())]
 
 
 class TestRouting:
@@ -760,28 +782,6 @@ class TestBlockKernel:
         assert (m > 1) == blocks
 
 
-def _block_size_by_fresh_degrees(n_steps, dims, norm, chunk):
-    """_block_size's search with a fresh _fourier_degree call per doubling,
-    counting the N m node steps of a block kernel's lattice."""
-    best, m = (n_steps, 1, 0), 2
-    while m * norm <= lab_frame._FOURIER_NORM:
-        degree = lab_frame._fourier_degree(m * norm)
-        nodes = lab_frame._rank1_lattice(dims, degree)[0] * m
-        if nodes > chunk or nodes + lab_frame._BLOCK_SETUP >= best[0]:
-            break
-        best = min(best, (nodes + n_steps // m + n_steps % m + lab_frame._BLOCK_SETUP, m, degree))
-        m *= 2
-    return best[1:]
-
-
-# drive norms per step: 0, a wide and a dense sweep (the integrator's steps
-# have norms ~1e-3 to 1e-2), and the powers of two the doublings meet
-BLOCK_NORMS = np.unique(np.concatenate([
-    [0.0], np.geomspace(1e-12, lab_frame._FOURIER_NORM, 120), np.linspace(1e-4, 0.1, 80),
-    lab_frame._FOURIER_NORM / 2.0 ** np.arange(1, 30),
-]))
-
-
 class TestLattice:
     @pytest.mark.parametrize("dims", [1, 2, 3])
     def test_one_to_one_on_the_total_degree_set(self, dims):
@@ -833,24 +833,6 @@ class TestLattice:
         ys = np.array([-1j * h * d.amplitude * d.operator for d in drives]).reshape(-1, 4, 4)
         values = lab_frame.expm4((-1j * h * h0 + np.tensordot(np.cos(nodes), ys, axes=(0, 0))) / scale)
         assert np.max(np.abs(values[:0:-1] - values[1:]), initial=0.0) <= 1e-15 * max(1.0, norm / scale)
-
-
-class TestBlockSize:
-    def test_doubled_degrees_match_fresh_ones(self):
-        for norm in BLOCK_NORMS:
-            doublings = int(np.log2(lab_frame._FOURIER_NORM / norm)) + 1 if norm > 0.0 else 40
-            degrees = lab_frame._fourier_degrees(float(norm))
-            for j in range(doublings):
-                assert next(degrees) == lab_frame._fourier_degree(float(norm) * 2.0**j)
-
-    @pytest.mark.parametrize("dims", [1, 2, 3])
-    def test_matches_the_search_by_fresh_degrees(self, dims):
-        steps = np.unique(np.geomspace(1, 1e7, 36).astype(int))
-        for n_steps in [*steps, 600, 601, 1023, 1024, 1025]:
-            for chunk in (64, 4096, lab_frame._CHUNK):
-                for norm in BLOCK_NORMS:
-                    args = (int(n_steps), dims, float(norm), chunk)
-                    assert lab_frame._block_size(*args) == _block_size_by_fresh_degrees(*args)
 
 
 class TestProjection:
