@@ -36,13 +36,14 @@ radius M tile the plane (Golomb & Welch, SIAM J. Appl. Math. 18, 302,
 1970); three or more take the tensor grid, N = L^D, z = (1, L, ...,
 L^(D-1)), L = 2M + 1.  Above ||Y||_1 = 2 the step factors are scaled by
 2^-s and squared s times; unsquared they are within a few 1e-15 of the
-exact exponential, each squaring at most doubles that, and a step that
-needs more than _MAX_SQUARINGS squarings is refused.  A block is sampled
-with one step-kernel call and one ordered product of N m factors; steps
-after the last whole block take the step factors directly.  m is the power
-of two that minimizes the work in steps, N m + n/m + (n mod m) plus a
-measured set-up cost for m > 1, with m ||Y||_1 at most 2; short grids,
-strong drives and wide bases keep m = 1, one factor per step.
+exact exponential, each squaring, the read-off's or ``expm4``'s, at most
+doubles that, and a step is refused unless ||X||_inf + ||Y||_1 is in
+``expm4``'s range, which holds both counts to _MAX_SQUARINGS in all.  A
+block is sampled with one step-kernel call and one ordered product of N m
+factors; steps after the last whole block take the step factors directly.
+m is the power of two that minimizes the work in steps, N m + n/m +
+(n mod m) plus a measured set-up cost for m > 1, with m ||Y||_1 at most 2;
+short grids, strong drives and wide bases keep m = 1, one factor per step.
 
 Every ordered product of factors or blocks is taken in the real form
 E(U) = [[Re U, -Im U], [Im U, Re U]] of each 4x4 matrix: E(U) E(V) = E(UV),
@@ -145,7 +146,8 @@ _REAL_BLOCK = 256
 # accuracy (on the integrator's skew-Hermitian matrices, the 1-norm).
 _TAYLOR_STEPS = ((7, 0.035), (9, 0.11), (13, 0.43))
 # Each squaring at most doubles the error: after 52, 2^52 ulp of 1 is 1 and
-# no digit can be right, so expm4 and the step kernel take at most 51.
+# no digit can be right, so expm4 takes at most 51, and so does a step
+# kernel, its read-off's and expm4's on its nodes counted together.
 _MAX_SQUARINGS = 51
 # Fourier kernels: the truncation bound, far below one ulp of 1, and the
 # largest drive 1-norm read off without scaling and squaring (each
@@ -198,9 +200,6 @@ class DrivenSystem:
     h0        4x4, rad/s, finite, Hermitian within spin_system.HERMITIAN_TOL
     drives    DriveTerm sequence
     duration  total time T >= 0, s, finite
-
-    default_step() is the target step of every grid that integrate_lab_frame
-    sizes; there is no other.
     """
 
     h0: np.ndarray
@@ -215,13 +214,16 @@ class DrivenSystem:
             raise ValueError(f"duration must be finite and >= 0, got {self.duration}")
 
     def default_step(self):
-        """h = 2 pi / (200 Omega_max), 200 samples of the fastest scale."""
+        """The target step of every grid integrate_lab_frame sizes: 2 pi /
+        (200 Omega_max), Omega_max the largest of h0's spectral width and each
+        drive's |frequency| and |amplitude|.  That is 200 samples of the
+        fastest scale only for drive operators of norm ~1, as it reads
+        |amplitude|, not |amplitude| ||operator||.  The step kernel refuses a
+        step past its squaring budget; sized by the norm, a 1e8 Ix drive would
+        take ~3e10 steps a period, too many until grids cost O(log n)."""
         w = np.linalg.eigvalsh((self.h0 + self.h0.conj().T) / 2.0)
-        scales = [w.max() - w.min()]
-        for d in self.drives:
-            scales.append(abs(d.frequency))
-            scales.append(abs(d.amplitude))
-        omega_max = max(max(scales), np.finfo(float).tiny)
+        rates = (abs(v) for d in self.drives for v in (d.frequency, d.amplitude))
+        omega_max = max(w.max() - w.min(), *rates, np.finfo(float).tiny)
         return 2.0 * np.pi / (200.0 * omega_max)
 
 
@@ -249,7 +251,7 @@ def expm4(a):
         theta = float(np.max(np.sum(np.abs(stack), axis=-1))) if stack.size else 0.0
     if not theta <= _TAYLOR_STEPS[-1][1] * 2.0**_MAX_SQUARINGS:  # also a nan or inf entry
         raise ValueError(f"a must be finite and need <= {_MAX_SQUARINGS} squarings, got norm {theta}")
-    degree, squarings = _taylor_degree(max(theta, np.finfo(float).tiny))
+    degree, squarings = _taylor_degree(theta)
     scaled = stack / (2.0**squarings)
     result = _EYE + scaled
     term = scaled
@@ -335,21 +337,17 @@ def _step_kernel(h0, drives, h):
     """(factors, width, norm): factors(phases) gives exp(-i h H(t)) at each
     midpoint t, from the (D, count) drive phases Omega_d t + phi_d there,
     read off the width cosine products (module docstring); norm = ||Y||_1."""
-    x = -1j * h * h0
     with np.errstate(over="ignore", invalid="ignore"):  # a norm past the float range is refused
+        x = -1j * h * h0
         ys = np.array([-1j * h * d.amplitude * d.operator for d in drives]).reshape(-1, 4, 4)
         norm = float(np.abs(ys).sum(axis=1).max(axis=-1).sum())
-    if not norm <= _FOURIER_NORM * 2.0**_MAX_SQUARINGS:  # also a nan or inf norm
-        raise StepTooLarge(f"a step of {h:.3g} s has drive norm {norm:.3g},"
-                           f" which needs more than {_MAX_SQUARINGS} squarings")
-    squarings = int(np.ceil(np.log2(norm / _FOURIER_NORM))) if norm > _FOURIER_NORM else 0
-    # the node matrices X + sum_d c_d Y_d, |c_d| <= 1, have row sums at most
-    # ||X|| + ||Y||_1 (row and column sums agree on Hermitian drives), which
-    # after the squarings must stay in expm4's range
-    step_norm = float(np.abs(x).sum(axis=-1).max()) + norm
-    if not step_norm <= _TAYLOR_STEPS[-1][1] * 2.0 ** (_MAX_SQUARINGS + squarings):
+        # node rows X + sum_d c_d Y_d, |c_d| <= 1, sum to <= ||X|| + ||Y||_1 (a Hermitian
+        # drive's row and column sums agree): in expm4's range, both squarings add to <= 51
+        step_norm = float(np.abs(x).sum(axis=-1).max()) + norm
+    if not step_norm <= _TAYLOR_STEPS[-1][1] * 2.0**_MAX_SQUARINGS:  # also a nan or inf norm
         raise StepTooLarge(f"a step of {h:.3g} s has norm {step_norm:.3g},"
                            f" which needs more than {_MAX_SQUARINGS} squarings")
+    squarings = int(np.ceil(np.log2(norm / _FOURIER_NORM))) if norm > _FOURIER_NORM else 0
     degree = _fourier_degree(norm / 2.0**squarings)
     nodes = _lattice(len(drives), degree, True)[0]
     # F(-theta) = F(theta), and node N - l is node l mirrored
@@ -545,7 +543,8 @@ def _partial_step(h0, drives, t, delta):
     h = h0 + sum(d.amplitude * np.cos(d.frequency * t + d.phase) * d.operator for d in drives)
     try:
         return expm4(-1j * delta * h)
-    except ValueError:  # only past expm4's squarings, which the step kernel's may exceed
+    except ValueError:  # delta < h, but the step kernel bounds the drives'
+        # column sums, and their row sums may exceed them within HERMITIAN_TOL
         raise StepTooLarge(f"a step of {delta:.3g} s needs more than {_MAX_SQUARINGS} squarings") from None
 
 
@@ -586,8 +585,6 @@ def integrate_lab_frame(system: DrivenSystem, n_steps=None) -> np.ndarray:
     """
     if n_steps is not None and not (isinstance(n_steps, (int, np.integer)) and 1 <= n_steps <= _MAX_STEPS):
         raise ValueError(f"n_steps must be an integer in 1..2^53, got {n_steps!r}")
-    if system.duration == 0.0:
-        return np.eye(4, dtype=complex)
     h0 = (system.h0 + system.h0.conj().T) / 2.0
     drives = system.drives
     period = _drive_period(drives) if n_steps is None else None
@@ -654,10 +651,12 @@ def drive_for_pulse(
 
 
 def _params_for_ratio(params: SpinParameters, e, transition, axis, ratio):
-    """Rescale h_rf so gamma * h_rf * |element| = ratio * min_gap."""
+    """Rescale h_rf so gamma * h_rf * |element| = ratio * min_gap, ratio finite and > 0."""
+    if not (math.isfinite(ratio := float(ratio)) and ratio > 0.0):
+        raise ValueError(f"ratio must be finite and > 0, got {ratio}")
     element = _drivable_element(e, transition, axis)
     min_gap, _ = e.transitions.nearest(*_normalize_transition(transition))
-    h_rf = float(ratio) * min_gap / (params.gamma * abs(element))
+    h_rf = ratio * min_gap / (params.gamma * abs(element))
     return replace(params, h_rf=h_rf)
 
 

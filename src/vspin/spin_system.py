@@ -94,9 +94,9 @@ class EigenSystem:
     states         shape (4, 4) complex; column j is level j+1 in the
                    construction (|chi>) basis, phase-fixed
     mixing_angles  (alpha_plus, alpha_minus) for closed-form systems,
-                   defined by tan(alpha) = sqrt(3) [B + (1 +- 2c)] / eta
-                   with c = omega0 / (2 omegaQ); None for systems produced
-                   by numerical diagonalization
+                   alpha = pi/2 - atan2(eta/sqrt(3), 1 +- 2c) / 2 with
+                   c = omega0 / (2 omegaQ); None for systems produced by
+                   numerical diagonalization
     regime_ok      True when the four levels are well resolved (minimum
                    gap exceeds RESOLUTION_TOL * scale)
     scale          reference angular frequency for relative tolerances
@@ -219,12 +219,10 @@ def closed_form_eigensystem(p: SpinParameters) -> EigenSystem:
     """Diagonalize the static Hamiltonian block-analytically.
 
     With c = omega0 / (2 omegaQ) and B+- = sqrt((1 +- 2c)^2 + eta^2/3) the
-    block eigenvalues are omegaQ * (+-c +- B); the mixing angle of each 2x2
-    block follows from atan2(eta/sqrt(3), B + (1 +- 2c)), which stays
-    well-conditioned at eta = 0 where the blocks are already diagonal.
-    Above c = 1/2 the sum B- + d, d = 1 - 2c, cancels; there the same angle
-    comes from tan = (B- - d) / (eta/sqrt(3)), by (B- + d)(B- - d) = eta^2/3,
-    which also holds in the limit eta -> 0.
+    block eigenvalues are omegaQ * (+-c +- B); each 2x2 block's mixing angle
+    is theta+- = atan2(eta/sqrt(3), 1 +- 2c) / 2, half the polar angle of its
+    (half-difference, coupling) pair, one formula in every regime: atan2
+    does not cancel, and at eta = 0 the blocks come out diagonal.
 
     Raises DegenerateSpectrum when two levels coincide within
     ``DEGENERACY_TOL * omegaQ`` (for example omega0 = 0, eta = 0) or when
@@ -232,17 +230,11 @@ def closed_form_eigensystem(p: SpinParameters) -> EigenSystem:
     """
     c = p.omega0 / (2.0 * p.omegaQ)
     eta_r = p.eta / np.sqrt(3.0)
-    d = 1.0 - 2.0 * c
     b_plus = np.hypot(1.0 + 2.0 * c, eta_r)
-    b_minus = np.hypot(d, eta_r)
-
-    # Block {-3/2, +1/2}: basis indices (3, 1); half-difference 1 + 2c.
-    theta_p = np.arctan2(eta_r, b_plus + (1.0 + 2.0 * c))
-    # Block {+3/2, -1/2}: basis indices (0, 2); half-difference d.
-    if d >= 0.0:
-        theta_m = np.arctan2(eta_r, b_minus + d)
-    else:
-        theta_m = np.copysign(np.arctan2(b_minus - d, abs(eta_r)), eta_r)
+    b_minus = np.hypot(1.0 - 2.0 * c, eta_r)
+    # Block {-3/2, +1/2}: basis indices (3, 1); block {+3/2, -1/2}: (0, 2).
+    theta_p = np.arctan2(eta_r, 1.0 + 2.0 * c) / 2.0
+    theta_m = np.arctan2(eta_r, 1.0 - 2.0 * c) / 2.0
 
     energies = p.omegaQ * np.array(
         [c + b_plus, c - b_plus, -c + b_minus, -c - b_minus]

@@ -354,6 +354,12 @@ class TestOracleCheck:
         err = capsys.readouterr().err
         assert "<m>,<n>" in err and bad in err and "invalid literal" not in err
 
+    @pytest.mark.parametrize("ratio", ["-0.01", "nan", "inf", "0"])
+    def test_refused_ratio_exit_2_naming_the_ratio(self, capsys, ratio):
+        code, text = run(["oracle-check", "--ratio", ratio, *BASE])
+        assert (code, text) == (2, "ratio,infidelity\n")
+        assert capsys.readouterr().err == f"vspin: error: ratio must be finite and > 0, got {float(ratio)}\n"
+
     @pytest.mark.parametrize("ratio", ["1e-30", "1e-300"])
     def test_overflowing_period_power_exit_3_without_warnings(self, capsys, ratio):
         # ~1e29 and ~1e299 drive periods: their power leaves double precision

@@ -139,11 +139,16 @@ class TestIntegrator:
         u = integrate_lab_frame(DrivenSystem(h0=h, drives=(), duration=t))
         assert np.max(np.abs(u - scipy.linalg.expm(-1j * h * t))) <= 1e-10
 
-    def test_zero_duration_identity(self, params):
+    def test_zero_duration_identity(self, params, eigen):
         h = build_static_hamiltonian(params)
         assert np.array_equal(
             integrate_lab_frame(DrivenSystem(h0=h, duration=0.0)), np.eye(4, dtype=complex)
         )
+        # a driven pulse of no length takes the general path, one step of 0 s
+        p = SpinParameters(0.1, 1.0, 0.5, h_rf=1e-3)
+        system = replace(drive_for_pulse(p, eigen, (1, 2), "Y", 0.0, np.pi), duration=0.0)
+        for n_steps in (None, 1, 5):
+            assert np.array_equal(integrate_lab_frame(system, n_steps), np.eye(4, dtype=complex))
 
     def test_unitarity_defect(self, params, eigen):
         p = SpinParameters(0.1, 1.0, 0.5, h_rf=1e-3)
@@ -214,14 +219,18 @@ class TestIntegrator:
 
     def test_partial_step_past_the_squaring_bound_refused(self):
         # default_step reads |amplitude| = 1, not ||O||: a period of 200
-        # steps of 0.0314 s, whose factors (norm 2.9e15) take 51 squarings on
-        # top of expm4's; the remainder's half step (norm 1.5e15) goes to
-        # expm4 whole, whose 51 squarings reach norm 9.7e14
+        # steps of 0.0314 s, each of norm 2.9e15, past the 9.7e14 that holds
+        # the read-off's and expm4's squarings to 51 together, with or
+        # without a remainder
         drive = DriveTerm(operator=5e16 * spin_operators()[0], amplitude=1.0, frequency=1.0)
         system = DrivenSystem(h0=np.zeros((4, 4)), drives=(drive,), duration=4.0 * np.pi)
-        assert np.isfinite(integrate_lab_frame(system)).all()
+        for duration in (4.0 * np.pi, 2.0 * np.pi * (2.0 + 0.5 / 200.0)):
+            with pytest.raises(StepTooLarge, match=r"^a step of 0\.0314 s has norm 2\.93e\+15, which needs more than 51 squarings"):
+                integrate_lab_frame(replace(system, duration=duration))
+        # the remainder's half step (norm 1.5e15) goes to expm4 whole, whose
+        # refusal becomes the integrator's
         with pytest.raises(StepTooLarge, match=r"^a step of 0\.0157 s needs more than 51 squarings"):
-            integrate_lab_frame(replace(system, duration=2.0 * np.pi * (2.0 + 0.5 / 200.0)))
+            lab_frame._partial_step(system.h0, system.drives, 0.0, 0.0157)
 
     @pytest.mark.parametrize("amplitude", [1e308, 1e300])
     def test_default_step_past_the_step_count_refused(self, params, amplitude):
@@ -272,6 +281,17 @@ class TestRotatingWaveValidation:
         # ratio 1e-2 keeps the run cheap; the full sweep lives in acceptance
         infid = rwa_infidelity(params, eigen, (1, 2), ratio=1e-2)
         assert infid <= 1e-1
+
+    @pytest.mark.parametrize("ratio", [np.nan, np.inf, -np.inf, 0.0, -0.01])
+    def test_ratio_must_be_finite_and_positive(self, params, eigen, ratio):
+        # refused as the ratio the caller gave, not as the h_rf made from it
+        message = rf"^ratio must be finite and > 0, got {re.escape(str(ratio))}$"
+        with pytest.raises(ValueError, match=message):
+            rwa_infidelity(params, eigen, (1, 2), ratio=ratio)
+        with pytest.raises(ValueError, match=message):
+            convergence_study(params, ratio=ratio)
+        with pytest.raises(ValueError, match=message):
+            lab_frame.rwa_sweep(params, ratios=(ratio,))
 
     def test_interaction_frame_matches_ideal_pulse(self, params, eigen):
         p = SpinParameters(0.1, 1.0, 0.5, h_rf=5e-4)
@@ -629,9 +649,12 @@ class TestStepKernel:
         assert width == [degree + 1, (degree + 1) * (degree + 2) // 2][len(drives) - 1]
 
     def test_the_squaring_bound_is_the_last_norm_accepted(self):
+        # one budget for the read-off's and expm4's squarings together:
+        # ||X||_inf + ||Y||_1 at most expm4's bound
         h0, (drive,), h = KERNEL_CASES["strong"]
-        norm = h * drive.amplitude * np.max(np.sum(np.abs(drive.operator), axis=0))
-        bound = lab_frame._FOURIER_NORM * 2.0**lab_frame._MAX_SQUARINGS
+        norm = h * (np.max(np.sum(np.abs(h0), axis=1))
+                    + drive.amplitude * np.max(np.sum(np.abs(drive.operator), axis=0)))
+        bound = lab_frame._TAYLOR_STEPS[-1][1] * 2.0**lab_frame._MAX_SQUARINGS
         lab_frame._step_kernel(h0, (drive,), 0.99 * h * bound / norm)
         with pytest.raises(StepTooLarge):
             lab_frame._step_kernel(h0, (drive,), 1.01 * h * bound / norm)
