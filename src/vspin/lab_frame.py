@@ -40,7 +40,11 @@ exact exponential, each squaring, the read-off's or ``expm4``'s, at most
 doubles that, and a step is refused unless ||X||_inf + ||Y||_1 is in
 ``expm4``'s range, which holds both counts to _MAX_SQUARINGS in all.  A
 block is sampled with one step-kernel call and one ordered product of N m
-factors; steps after the last whole block take the step factors directly.
+factors.  As a function of its first midpoint phases a block may start at
+any step, so a grid is one time-ordered sequence of factors: its first r
+steps, whole blocks from step r on, and the steps after the last block,
+each step a step factor; r = 0 unless the product of the grid's first k
+steps is wanted too (below), when r = k mod m makes a block end at step k.
 m is the power of two that minimizes the work in steps, N m + n/m +
 (n mod m) plus a measured set-up cost for m > 1, with m ||Y||_1 at most 2;
 short grids, strong drives and wide bases keep m = 1, one factor per step.
@@ -67,11 +71,18 @@ Only one period is integrated, on a grid of n steps of h = T_d / n, the
 largest h not above DrivenSystem.default_step, the one target step of
 every grid.  The remainder is the period's own first tau: it reuses the
 period's first k = floor(tau / h) steps, then one step of tau - k h, so
-U_period = R P_k and U(T) = F P_k U_period^N, with P_k the product of the
-first k steps, R that of the other n - k, and F the partial step.  The
-power takes about 2 log2 N products, so the cost grows with log N rather
-than with N.  Two-frequency drives, drive-free systems and an explicit
-step count integrate the whole grid, whose step divides T.
+U(T) = F P_k U_period^N, with P_k the product of the first k steps and F
+the partial step, exp(-i (tau - k h) H) from the eigensystem of H at its
+midpoint.  P_k is the first q = r + floor(k / m) factors of the period's
+sequence, and is read off the period's own product tree: node i of level
+l holds factors [4 i 2^l, 4 (i + 1) 2^l), so the first 4 floor(q / 4) are
+one aligned node per set bit of floor(q / 4), at most log2 q products,
+and the last q mod 4 are multiplied in directly (the parallel-prefix
+reading of a reduction tree; Blelloch, CMU-CS-90-190, 1990).  So one
+factor sequence and one tree give both U_period and P_k.  The power takes
+about 2 log2 N products, so the cost grows with log N rather than with N.
+Two-frequency drives, drive-free systems and an explicit step count
+integrate the whole grid, whose step divides T.
 
 Whatever the route, the finished product is projected once onto the
 nearest unitary, its polar factor.  A rounded product of factors
@@ -293,10 +304,11 @@ def _pair_level(real):
     return combined
 
 
-def _ordered_product(stack):
+def _ordered_product(stack, prefix=None):
     """Product U_n ... U_1 of a time-ordered (n, 4, 4) stack (index 0 earliest),
     or of each row of a (k, n, 4, 4) stack, multiplied pairwise in the real
-    form (module docstring)."""
+    form (module docstring).  With ``prefix`` = p in 0..n, the pair (that
+    product, U_p ... U_1), the prefix read off the same tree."""
     n, lead = stack.shape[-3], stack.shape[:-3]
     # the first two levels of pairs, about _REAL_BLOCK factors at a time: a
     # block starts at a multiple of 4, so its pairs are those of the whole
@@ -307,9 +319,21 @@ def _ordered_product(stack):
         block = (block.view(float).reshape(-1, 32) @ _REAL_FORM).reshape(*block.shape[:-2], 8, 8)
         block = _pair_level(_pair_level(block.swapaxes(0, -3)))
         real[start // 4 : start // 4 + len(block)] = block
-    while len(real) > 1:
-        real = _pair_level(real)
-    return (real[0].reshape(-1, 64) @ _COMPLEX_PART).view(complex).reshape(*lead, 4, 4)
+    # node i of level l holds quads [i 2^l, (i + 1) 2^l): the prefix's q whole
+    # quads are node (q >> l) - 1 of each level l whose bit is set in q, the
+    # lowest level the newest (module docstring)
+    quads, nodes = (prefix or 0) // 4, []
+    while quads or len(real) > 1:
+        if quads & 1:
+            nodes.append(real[quads - 1])
+        real, quads = _pair_level(real), quads >> 1
+    if prefix is None:
+        return (real[0].reshape(-1, 64) @ _COMPLEX_PART).view(complex).reshape(*lead, 4, 4)
+    head = functools.reduce(np.matmul, nodes, np.broadcast_to(np.eye(8), real[0].shape))
+    total, head = (np.stack([real[0], head]).reshape(-1, 64) @ _COMPLEX_PART).view(complex).reshape(2, *lead, 4, 4)
+    for j in range(prefix // 4 * 4, prefix):  # the last quad's first prefix mod 4 factors
+        head = stack[..., j, :, :] @ head
+    return total, head
 
 
 def _project_unitary(u):
@@ -352,7 +376,7 @@ def _step_kernel(h0, drives, h):
     nodes = _lattice(len(drives), degree, True)[0]
     # F(-theta) = F(theta), and node N - l is node l mirrored
     half = nodes[:, : nodes.shape[1] // 2 + 1]
-    values = expm4((x + np.tensordot(np.cos(half), ys, axes=(0, 0))) / 2.0**squarings)
+    values = expm4((x + (np.cos(half).T @ ys.reshape(-1, 16)).reshape(-1, 4, 4)) / 2.0**squarings)
     read, width = _phase_kernel(np.concatenate([values, values[:0:-1]]), len(drives), degree, True)
 
     def factors(phases):
@@ -510,42 +534,59 @@ def _block_kernel(factors, drives, h, m, degree):
 
 def _grid_product(h0, drives, h, n_steps, split=None):
     """Exponential-midpoint product of n_steps steps of h, starting at t = 0;
-    with ``split`` = k, the pair (product of steps 0..k-1, product of steps
-    k..n_steps-1), from the same kernels."""
+    with ``split`` = k, the pair (product of steps 0..k-1, product of all
+    n_steps), both from one factor sequence and its tree."""
     factors, width, norm = _step_kernel(h0, drives, h)
     # a basis holds no more floats than a (_CHUNK, 4, 4) complex stack: the
     # chunks' bases, and the step basis of a block kernel's nodes; the real
     # forms of a stack's product hold no more than half its bytes and a block
     m, degree = _block_size(n_steps, len(drives), norm, min(_CHUNK, _CHUNK * 32 // width))
-    passes = [(m, *_block_kernel(factors, drives, h, m, degree))] if m > 1 else []
-    passes.append((1, factors, width))
-    products = []
-    for done, stop in [(0, n_steps)] if split is None else [(0, split), (split, n_steps)]:
-        total = np.eye(4, dtype=complex)
-        # whole m-step blocks, then the steps left over, one chunk of at most
-        # _CHUNK steps at a time to bound the memory of the factor stacks
-        for stride, kernel, width in passes:
-            chunk = max(1, min(_CHUNK // stride, _CHUNK * 32 // width))
-            end = done + (stop - done) // stride * stride
-            while done < end:
-                count = min(chunk, (end - done) // stride)
-                t_mid = (done + np.arange(0, stride * count, stride) + 0.5) * h
-                phases = np.array([d.frequency * t_mid + d.phase for d in drives]).reshape(-1, count)
-                total = _ordered_product(kernel(phases)) @ total
-                done += stride * count
-        products.append(total)
-    return products[0] if split is None else tuple(products)
+    blocks, width = _block_kernel(factors, drives, h, m, degree) if m > 1 else (factors, width)
+    # one factor sequence (module docstring): the first r = k mod m steps, the
+    # whole blocks from step r, one of which ends at step k, and the steps
+    # after the last block; the first k steps are its first r + k // m factors
+    r = split % m if split else 0
+    count = (n_steps - r) // m
+    prefix = None if split is None else split // m
+
+    def read(kernel, start, stride, n):
+        t_mid = (start + np.arange(0, stride * n, stride) + 0.5) * h
+        return kernel(np.array([d.frequency * t_mid + d.phase for d in drives]).reshape(-1, n))
+
+    total = head = _EYE
+    # at most _CHUNK steps' blocks at a time, to bound the memory of the factor stacks
+    chunk = max(1, min(_CHUNK // m, _CHUNK * 32 // width))
+    for first in range(0, max(count, 1), chunk):
+        last, ahead = min(first + chunk, count), r if first == 0 else 0
+        pieces = [(factors, 0, 1, ahead), (blocks, r + first * m, m, last - first),
+                  (factors, r + last * m, 1, n_steps - r - last * m if last == count else 0)]
+        stack = [read(*piece) for piece in pieces if piece[-1]]  # the empty ones left out
+        stack = stack[0] if len(stack) == 1 else np.concatenate(stack)
+        if prefix is not None and (first < prefix <= last or prefix == first == 0):
+            product, head = _ordered_product(stack, ahead + prefix - first)
+            head = head @ total
+        else:
+            product = _ordered_product(stack)
+        total = product @ total
+    return total if split is None else (head, total)
 
 
 def _partial_step(h0, drives, t, delta):
     """exp(-i delta H(t)): one exponential-midpoint step off the grid, with
-    H(t) = h0 + sum_d A_d cos(Omega_d t + phi_d) O_d."""
+    H(t) = h0 + sum_d A_d cos(Omega_d t + phi_d) O_d, taken as
+    1 + V diag(exp(-i delta w) - 1) V^dagger from the eigensystem of its
+    Hermitian part, which keeps the eigenvectors' roundoff to the size of
+    the step's rotation; refused where expm4 would refuse delta H."""
     h = h0 + sum(d.amplitude * np.cos(d.frequency * t + d.phase) * d.operator for d in drives)
-    try:
-        return expm4(-1j * delta * h)
-    except ValueError:  # delta < h, but the step kernel bounds the drives'
-        # column sums, and their row sums may exceed them within HERMITIAN_TOL
-        raise StepTooLarge(f"a step of {delta:.3g} s needs more than {_MAX_SQUARINGS} squarings") from None
+    with np.errstate(over="ignore"):  # a row sum beyond the float range is inf
+        norm = delta * float(np.abs(h).sum(axis=-1).max())
+    if not norm <= _TAYLOR_STEPS[-1][1] * 2.0**_MAX_SQUARINGS:  # also a nan or inf entry
+        # delta < h, but the step kernel bounds the drives' column sums, and
+        # their row sums may exceed them within HERMITIAN_TOL
+        raise StepTooLarge(f"a step of {delta:.3g} s needs more than {_MAX_SQUARINGS} squarings")
+    w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
+    theta = delta * w  # exp(-i theta) - 1 = -2 sin^2(theta / 2) - i sin theta
+    return _EYE + (v * (-2.0 * np.sin(theta / 2.0) ** 2 - 1j * np.sin(theta))) @ v.conj().T
 
 
 def _drive_period(drives):
@@ -601,9 +642,9 @@ def integrate_lab_frame(system: DrivenSystem, n_steps=None) -> np.ndarray:
     tau = system.duration - periods * period
     k = min(int(tau // h), count) if tau > 0.0 else 0
     delta = tau - k * h
-    head, rest = _grid_product(h0, drives, h, count, k)
+    head, one_period = _grid_product(h0, drives, h, count, k)
     with np.errstate(over="ignore", invalid="ignore"):
-        total = np.linalg.matrix_power(rest @ head, periods)
+        total = np.linalg.matrix_power(one_period, periods)
     # checked before the remainder: near overflow it is garbage
     if not np.isfinite(total).all():
         raise StepTooLarge(
@@ -650,13 +691,20 @@ def drive_for_pulse(
     return DrivenSystem(h0=np.diag(e.energies).astype(complex), drives=(drive,), duration=duration)
 
 
-def _params_for_ratio(params: SpinParameters, e, transition, axis, ratio):
-    """Rescale h_rf so gamma * h_rf * |element| = ratio * min_gap, ratio finite and > 0."""
+def _params_for_ratio(params: SpinParameters, e, transition, axis, ratio, flip=np.pi):
+    """Rescale h_rf so gamma * h_rf * |element| = ratio * min_gap, ratio finite
+    and > 0; ValueError naming the ratio unless h_rf, the drive amplitude
+    2 gamma h_rf and the duration of a ``flip`` pulse are finite."""
     if not (math.isfinite(ratio := float(ratio)) and ratio > 0.0):
         raise ValueError(f"ratio must be finite and > 0, got {ratio}")
-    element = _drivable_element(e, transition, axis)
+    element = float(abs(_drivable_element(e, transition, axis)))
     min_gap, _ = e.transitions.nearest(*_normalize_transition(transition))
-    h_rf = ratio * min_gap / (params.gamma * abs(element))
+    h_rf = ratio * min_gap / (params.gamma * element)
+    # the amplitude and the duration as drive_for_pulse and _pulse_length take them
+    amplitude = 2.0 * params.gamma * h_rf
+    rate = amplitude * element
+    if not (math.isfinite(amplitude) and rate > 0.0 and math.isfinite(float(flip) / rate)):
+        raise ValueError(f"ratio {ratio} gives a drive amplitude or pulse duration beyond the float range")
     return replace(params, h_rf=h_rf)
 
 
@@ -678,7 +726,7 @@ def rwa_infidelity(
     """
     if e is None:
         e = closed_form_eigensystem(params)
-    scaled = _params_for_ratio(params, e, transition, axis, ratio)
+    scaled = _params_for_ratio(params, e, transition, axis, ratio, flip)
     system = drive_for_pulse(scaled, e, transition, axis, phase, flip)
     u_lab = integrate_lab_frame(system)
     u_int = to_interaction_frame(u_lab, e, system.duration)
@@ -710,7 +758,7 @@ def convergence_study(
     if refinements < 1:
         raise ValueError(f"refinements must be >= 1, got {refinements}")
     e = closed_form_eigensystem(params)
-    scaled = _params_for_ratio(params, e, transition, axis, ratio)
+    scaled = _params_for_ratio(params, e, transition, axis, ratio, flip)
     system = drive_for_pulse(scaled, e, transition, axis, 0.0, flip)
     base = _step_count(system.duration, system.default_step())
     propagators = [

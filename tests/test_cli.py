@@ -360,6 +360,15 @@ class TestOracleCheck:
         assert (code, text) == (2, "ratio,infidelity\n")
         assert capsys.readouterr().err == f"vspin: error: ratio must be finite and > 0, got {float(ratio)}\n"
 
+    @pytest.mark.parametrize("ratio", ["1e308", "1e-310"])
+    def test_ratio_past_the_float_range_exit_2_naming_the_ratio(self, capsys, ratio):
+        # finite and positive, but the drive amplitude (1e308) or the pulse
+        # duration (1e-310) it gives overflows: refused as the ratio given
+        code, text = run(["oracle-check", "--ratio", ratio, *BASE])
+        assert (code, text) == (2, "ratio,infidelity\n")
+        assert capsys.readouterr().err == (f"vspin: error: ratio {float(ratio)} gives a drive amplitude"
+                                           " or pulse duration beyond the float range\n")
+
     @pytest.mark.parametrize("ratio", ["1e-30", "1e-300"])
     def test_overflowing_period_power_exit_3_without_warnings(self, capsys, ratio):
         # ~1e29 and ~1e299 drive periods: their power leaves double precision

@@ -293,6 +293,17 @@ class TestRotatingWaveValidation:
         with pytest.raises(ValueError, match=message):
             lab_frame.rwa_sweep(params, ratios=(ratio,))
 
+    @pytest.mark.parametrize("ratio", [1e308, 1e-310])
+    def test_ratio_past_the_float_range_refused(self, params, eigen, ratio):
+        # finite and positive, but 1e308 overflows the drive amplitude and
+        # 1e-310 the pulse duration: refused as the ratio, not as a field of
+        # the drive made from it
+        message = rf"^ratio {re.escape(str(ratio))} gives a drive amplitude or pulse duration beyond the float range$"
+        with pytest.raises(ValueError, match=message):
+            rwa_infidelity(params, eigen, (1, 2), ratio=ratio)
+        with pytest.raises(ValueError, match=message):
+            convergence_study(params, ratio=ratio)
+
     def test_interaction_frame_matches_ideal_pulse(self, params, eigen):
         p = SpinParameters(0.1, 1.0, 0.5, h_rf=5e-4)
         system = drive_for_pulse(p, eigen, (1, 2), "Y", 0.0, np.pi)
@@ -566,6 +577,31 @@ class TestRealForm:
                     + 1j * ((real[0][..., 4:, :4] - real[0][..., :4, 4:]) / 2))
         assert lab_frame._ordered_product(stack).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 31, 257, 64 * 37 + 29])
+    def test_prefix_read_off_the_tree(self, n):
+        # U_k ... U_1 for every k from the tree's aligned nodes and the last
+        # partial quad, against the complex loop; the product is unchanged
+        stack = _random_unitaries(np.random.default_rng(n), n)
+        total = lab_frame._ordered_product(stack)
+        expected = np.eye(4, dtype=complex)
+        for k in range(n + 1):
+            product, head = lab_frame._ordered_product(stack, prefix=k)
+            assert product.tobytes() == total.tobytes()
+            assert head.shape == (4, 4) and np.max(np.abs(head - expected)) <= 1e-14
+            if k < n:
+                expected = stack[k] @ expected
+
+    def test_prefix_of_each_row(self):
+        stack = _random_unitaries(np.random.default_rng(12), 7 * 37).reshape(7, 37, 4, 4)
+        total = lab_frame._ordered_product(stack)
+        expected = np.broadcast_to(np.eye(4, dtype=complex), (7, 4, 4))
+        for k in range(38):
+            product, head = lab_frame._ordered_product(stack, prefix=k)
+            assert product.tobytes() == total.tobytes()
+            assert head.shape == (7, 4, 4) and np.max(np.abs(head - expected)) <= 1e-14
+            if k < 37:
+                expected = stack[:, k] @ expected
+
     def test_ordered_product_of_each_row(self):
         stack = _random_unitaries(np.random.default_rng(11), 61 * 37).reshape(61, 37, 4, 4)
         u = lab_frame._ordered_product(stack)
@@ -659,6 +695,15 @@ class TestStepKernel:
         with pytest.raises(StepTooLarge):
             lab_frame._step_kernel(h0, (drive,), 1.01 * h * bound / norm)
 
+    @pytest.mark.parametrize("name", list(KERNEL_CASES))
+    def test_partial_step_matches_expm(self, name):
+        # the remainder's one step of delta < h, from H(t)'s eigensystem
+        h0, drives, h = KERNEL_CASES[name]
+        rng = np.random.default_rng(len(drives))
+        for t, delta in zip(rng.uniform(0.0, 1e3, size=10), rng.uniform(0.0, h, size=10)):
+            expected = scipy.linalg.expm(-1j * delta * _hamiltonian(h0, drives, t))
+            assert np.max(np.abs(lab_frame._partial_step(h0, drives, t, delta) - expected)) <= 1e-14
+
     def test_coarse_step_squares(self):
         _, (drive,), h = KERNEL_CASES["strong-coarse"]
         norm = h * drive.amplitude * np.max(np.sum(np.abs(drive.operator), axis=0))
@@ -719,6 +764,26 @@ def _tensor_grid_block_kernel(factors, drives, h, m, degree):
 # never takes, with short blocks only
 BLOCK_CASES = [(name, m) for name in KERNEL_CASES for m in (2, 8) if (name, m) != ("strong-coarse", 8)]
 LONG_GRID = lab_frame._CHUNK + 1000
+
+
+def _split_cases():
+    """(case, block length, steps, split): every kernel case with the forced
+    blocks the integrator could take (m ||Y||_1 <= 2, and not the three-drive
+    lattice of 64-step blocks, ~1 s a grid), each split k in 0, 1, m - 1, m,
+    m + 1, n - 1, n; and a grid of two chunks, split in either."""
+    n = 64 * 37 + 29
+    cases = []
+    for name, (h0, drives, h) in KERNEL_CASES.items():
+        norm = lab_frame._step_kernel(h0, drives, h)[2]
+        for m in (1, 8, 64):
+            if m == 1 or (m * norm <= lab_frame._FOURIER_NORM and (name, m) != ("3-weak", 64)):
+                cases += [(name, m, n, k) for k in sorted({0, 1, m - 1, m, m + 1, n - 1, n})]
+    chunk = lab_frame._CHUNK
+    cases += [("1-weak", 64, LONG_GRID, k) for k in (70, chunk, chunk + 64 + 5, LONG_GRID - 1)]
+    return cases
+
+
+SPLIT_CASES = _split_cases()
 
 
 class TestBlockKernel:
@@ -787,6 +852,22 @@ class TestBlockKernel:
         # final projection removes, so both sides are compared projected
         u = lab_frame._project_unitary(lab_frame._grid_product(h0, drives, h, n_steps))
         assert np.max(np.abs(u - expected)) <= 1e-13
+
+    @pytest.mark.parametrize(("name", "m", "n_steps", "k"), SPLIT_CASES,
+                             ids=[f"{name}-m{m}-n{n}-k{k}" for name, m, n, k in SPLIT_CASES])
+    def test_split_grid_matches_single_steps(self, monkeypatch, name, m, n_steps, k):
+        # r = k mod m steps, blocks from step r, the steps after the last
+        # block: the first k steps and the whole grid from one sequence
+        h0, drives, h = KERNEL_CASES[name]
+        factors, *_ = lab_frame._step_kernel(h0, drives, h)
+        steps = factors(_phases(drives, (np.arange(n_steps) + 0.5) * h))
+        _forced_block(monkeypatch, m)
+        head, total = lab_frame._grid_product(h0, drives, h, n_steps, k)
+        expected = lab_frame._ordered_product(steps[:k]) if k else np.eye(4)
+        for u, v in ((head, expected), (total, lab_frame._ordered_product(steps))):
+            assert np.max(np.abs(lab_frame._project_unitary(u) - lab_frame._project_unitary(v))) <= 1e-13
+        if k % m == 0:  # the sequence of the whole grid
+            assert total.tobytes() == lab_frame._grid_product(h0, drives, h, n_steps).tobytes()
 
     @pytest.mark.parametrize(("name", "n_steps", "blocks"), [
         ("strong-coarse", LONG_GRID, False),  # one step's drive norm is beyond _FOURIER_NORM
