@@ -49,6 +49,24 @@ m is the power of two that minimizes the work in steps, N m + n/m +
 (n mod m) plus a measured set-up cost for m > 1, with m ||Y||_1 at most 2;
 short grids, strong drives and wide bases keep m = 1, one factor per step.
 
+A step-doubling study (Richardson, Phil. Trans. R. Soc. A 210, 307, 1911)
+integrates a grid of n steps of h and its refinements g < G, n 2^g steps
+of h / 2^g, in one pass.  Refinement g's node generators are step h's over
+2^g exactly, so one lattice, the widest any of them needs, one ``expm4``
+call and one FFT serve every step kernel, each squared its own number of
+times.  Its blocks of m 2^g steps span m steps of h and have drive 1-norm
+m ||Y||_1 whatever g is; as a function of the first midpoint phases theta
+of the grid of h, step j of such a block is at theta + (j + 1/2) delta_g -
+delta / 2, delta_g = delta / 2^g (theta + j delta at g = 0).  So every
+refinement shares the grid's block layout: the same floor(n/m) blocks are
+read off one basis in one GEMM against the stacked coefficients, each step
+of h outside them is the product of its 2^g steps, and the G sequences, of
+one length, go through one product tree as a (G, count, 4, 4) stack and
+one batched projection.  Only each block kernel's N m 2^g node steps and
+the steps outside the blocks are read per refinement, so m minimizes
+N m (2^G - 1) + G floor(n/m) + (2^G - 1) (n mod m) plus the set-up, the
+rule above at G = 1: a grid alone is the case G = 1, bit for bit.
+
 Every ordered product of factors or blocks is taken in the real form
 E(U) = [[Re U, -Im U], [Im U, Re U]] of each 4x4 matrix: E(U) E(V) = E(UV),
 and numpy multiplies float64 8x8 matrices about four times faster than
@@ -166,9 +184,11 @@ _MAX_SQUARINGS = 51
 _FOURIER_TAIL = 2.0**-60
 _FOURIER_NORM = 2.0
 # Set-up of the block kernel beyond its node steps (FFT, coefficient
-# transform, Python), in grid steps of ~0.4-0.5 us; measured on a 2-core
-# machine, where one-drive blocks of 8 start to pay at ~600 steps and the
-# rule takes them from ~690.
+# transform, Python), in grid steps of ~0.5-0.7 us; measured on a 2-core
+# machine with the real-form product, where blocks start to pay at ~600
+# steps for one drive and ~1,100 for two (440 and 590 steps of set-up).
+# A study of G > 1 grids reads 2^G - 1 steps per step of h without blocks,
+# so its blocks pay from a few hundred steps, whatever the set-up.
 _BLOCK_SETUP = 500
 _EYE = np.eye(4, dtype=complex)
 _EYE.flags.writeable = False
@@ -310,6 +330,8 @@ def _ordered_product(stack, prefix=None):
     form (module docstring).  With ``prefix`` = p in 0..n, the pair (that
     product, U_p ... U_1), the prefix read off the same tree."""
     n, lead = stack.shape[-3], stack.shape[:-3]
+    if n == 1 and prefix is None:  # the tree would read a lone factor back as it is
+        return stack[..., 0, :, :]
     # the first two levels of pairs, about _REAL_BLOCK factors at a time: a
     # block starts at a multiple of 4, so its pairs are those of the whole
     step = max(4, _REAL_BLOCK // math.prod(lead) // 4 * 4)
@@ -337,7 +359,7 @@ def _ordered_product(stack, prefix=None):
 
 
 def _project_unitary(u):
-    """Nearest unitary in the Frobenius norm (polar factor)."""
+    """Nearest unitary in the Frobenius norm (polar factor), of each matrix of a stack."""
     w, _, vh = np.linalg.svd(u)
     return w @ vh
 
@@ -357,10 +379,11 @@ def _fourier_degree(norm):
     return degree
 
 
-def _step_kernel(h0, drives, h):
-    """(factors, width, norm): factors(phases) gives exp(-i h H(t)) at each
-    midpoint t, from the (D, count) drive phases Omega_d t + phi_d there,
-    read off the width cosine products (module docstring); norm = ||Y||_1."""
+def _step_kernel(h0, drives, h, refinements=1):
+    """(factors, width, norm): factors(phases, g) gives exp(-i h_g H(t)),
+    h_g = h / 2^g, for refinement g < refinements (default 0), at each
+    midpoint t, from the (D, count) drive phases Omega_d t + phi_d there, read
+    off the width cosine products (module docstring); norm = ||Y||_1 of h."""
     with np.errstate(over="ignore", invalid="ignore"):  # a norm past the float range is refused
         x = -1j * h * h0
         ys = np.array([-1j * h * d.amplitude * d.operator for d in drives]).reshape(-1, 4, 4)
@@ -371,41 +394,51 @@ def _step_kernel(h0, drives, h):
     if not step_norm <= _TAYLOR_STEPS[-1][1] * 2.0**_MAX_SQUARINGS:  # also a nan or inf norm
         raise StepTooLarge(f"a step of {h:.3g} s has norm {step_norm:.3g},"
                            f" which needs more than {_MAX_SQUARINGS} squarings")
-    squarings = int(np.ceil(np.log2(norm / _FOURIER_NORM))) if norm > _FOURIER_NORM else 0
-    degree = _fourier_degree(norm / 2.0**squarings)
+    # refinement g's node generators are step h's over 2^g exactly, scaled by
+    # 2^-s_g; one lattice, the widest any of them needs, serves them all
+    squarings = [int(np.ceil(np.log2(norm / 2.0**g / _FOURIER_NORM))) if norm / 2.0**g > _FOURIER_NORM else 0
+                 for g in range(refinements)]
+    scales = [2.0 ** (g + s) for g, s in enumerate(squarings)]
+    degree = max(_fourier_degree(norm / scale) for scale in scales)
     nodes = _lattice(len(drives), degree, True)[0]
     # F(-theta) = F(theta), and node N - l is node l mirrored
     half = nodes[:, : nodes.shape[1] // 2 + 1]
-    values = expm4((x + (np.cos(half).T @ ys.reshape(-1, 16)).reshape(-1, 4, 4)) / 2.0**squarings)
+    generators = x + (np.cos(half).T @ ys.reshape(-1, 16)).reshape(-1, 4, 4)
+    values = expm4(np.concatenate([generators / scale for scale in scales]))
+    values = values.reshape(refinements, -1, 4, 4).swapaxes(0, 1)
     read, width = _phase_kernel(np.concatenate([values, values[:0:-1]]), len(drives), degree, True)
 
-    def factors(phases):
-        u = read(phases)
-        for _ in range(squarings):
+    def factors(phases, g=0):
+        u = read(phases, g)
+        for _ in range(squarings[g]):
             u = u @ u
         return u
 
     return factors, width, norm
 
 
-def _block_size(n_steps, dims, norm, chunk):
-    """(m, degree): the power-of-two block length that minimizes the work
-    N m + n/m + (n mod m) + _BLOCK_SETUP [m > 1], in grid steps, and the
-    Fourier degree of its blocks (N the size of their lattice for D = dims
-    drives, see _rank1_lattice).
+def _block_size(n_steps, dims, norm, chunk, refinements=1):
+    """(m, degree): the power-of-two block length that minimizes the work, in
+    grid steps, of a grid of n_steps and its refinements g < G = refinements
+    (n_steps 2^g steps each, blocks of m 2^g),
+    N m (2^G - 1) + G floor(n/m) + (2^G - 1) (n mod m) + _BLOCK_SETUP [m > 1],
+    and the Fourier degree of its blocks (N the size of their lattice for
+    D = dims drives, see _rank1_lattice).
 
     Blocks stay within _FOURIER_NORM of drive 1-norm (norm = ||Y||_1 per step),
-    like the step kernel's unsquared factors, and their N m node steps
-    within one chunk.
+    like the step kernel's unsquared factors, and the finest refinement's
+    N m 2^(G-1) node steps within one chunk.
     """
-    best, m = (n_steps, 1, 0), 2
+    steps = 2**refinements - 1  # a grid step's steps over all refinements
+    best, m = (n_steps * steps, 1, 0), 2
     while m * norm <= _FOURIER_NORM:
         degree = _fourier_degree(m * norm)
         nodes = _rank1_lattice(dims, degree)[0] * m
         # node steps only grow with m, so no longer block can do better
-        if nodes > chunk or nodes + _BLOCK_SETUP >= best[0]:
+        if nodes << (refinements - 1) > chunk or nodes * steps + _BLOCK_SETUP >= best[0]:
             break
-        best = min(best, (nodes + n_steps // m + n_steps % m + _BLOCK_SETUP, m, degree))
+        work = nodes * steps + refinements * (n_steps // m) + steps * (n_steps % m) + _BLOCK_SETUP
+        best = min(best, (work, m, degree))
         m *= 2
     return best[1:]
 
@@ -463,13 +496,16 @@ def _lattice(dims, degree, even):
 
 def _phase_kernel(values, dims, degree, even):
     """(read, width): read(phases) gives, at the (dims, count) drive phases,
-    the function that takes the (N, 4, 4) ``values`` at the nodes of
-    _lattice(dims, degree, even), read off width basis functions."""
+    each function that takes the (N, ..., 4, 4) ``values`` at the nodes of
+    _lattice(dims, degree, even), a (count, ..., 4, 4) stack, read off width
+    basis functions; read(phases, g) gives function g of one lead axis alone."""
     _, layout, index, weight = _lattice(dims, degree, even)
+    lead = values.shape[1:-2]
+    values = values.reshape(len(values), -1)
     # FFT roundoff scales with the values, nearly their mean for weak drives,
     # and would bias every step alike: the mean goes to the constant mode
-    mean = values.reshape(-1, 16).mean(axis=0)
-    fourier = np.fft.fft(values.reshape(-1, 16) - mean, axis=0) / len(values)
+    mean = values.mean(axis=0)
+    fourier = np.fft.fft(values - mean, axis=0) / len(values)
     fourier[0] += mean
     # interleaved real/imaginary columns: one real GEMM yields complex matrices
     coeffs = (weight[:, :, None] * fourier[index]).sum(axis=1).view(float)
@@ -514,54 +550,83 @@ def _phase_kernel(values, dims, degree, even):
             rows = out
         return rows
 
-    def read(phases):
-        return (basis(phases).T @ coeffs).view(complex).reshape(-1, 4, 4)
+    def read(phases, g=None):
+        if g is None:
+            return (basis(phases).T @ coeffs).view(complex).reshape(-1, *lead, 4, 4)
+        return (basis(phases).T @ coeffs[:, 32 * g : 32 * g + 32]).view(complex).reshape(-1, 4, 4)
 
     return read, coeffs.shape[0]
 
 
-def _block_kernel(factors, drives, h, m, degree):
-    """(blocks, width): blocks(phases) gives the m-step products
-    P_m(theta) = F(theta + (m-1) delta) ... F(theta) at each block's first
-    midpoint phases theta, delta_d = Omega_d h, read off the width products
-    of 1, cos and sin (module docstring): 2 degree + 1 for one drive, N for two."""
+def _block_kernel(factors, drives, h, m, degree, refinements=1):
+    """(blocks, width): blocks(phases) gives, for each refinement g <
+    refinements, the product of its m 2^g steps of h / 2^g that span a block
+    of m steps of h, P(theta) = F_g(theta + (m 2^g - 1/2) delta_g - delta / 2)
+    ... F_g(theta + delta_g / 2 - delta / 2), delta_d = Omega_d h and
+    delta_g = delta / 2^g, at each block's first midpoint phases theta on the
+    grid of h (at g = 0, F(theta + (m-1) delta) ... F(theta)): a
+    (refinements, count, 4, 4) stack read off the width products of 1, cos
+    and sin (module docstring), 2 degree + 1 for one drive, N for two."""
     nodes = _lattice(len(drives), degree, False)[0]
     delta = np.array([d.frequency * h for d in drives]).reshape(-1, 1, 1)
-    phases = (nodes[:, :, None] + delta * np.arange(m)).reshape(len(drives), nodes.shape[1] * m)
-    values = _ordered_product(factors(phases).reshape(-1, m, 4, 4))
-    return _phase_kernel(values, len(drives), degree, False)
+    values = np.empty((nodes.shape[1], refinements, 4, 4), dtype=complex)
+    for g in range(refinements):
+        # step j at (j + 1/2 - 2^(g-1)) delta_g past theta: j delta at g = 0, exactly
+        offsets = delta * ((np.arange(m << g) + (0.5 - 2.0 ** (g - 1))) / 2**g)
+        phases = (nodes[:, :, None] + offsets).reshape(len(drives), nodes.shape[1] * (m << g))
+        values[:, g] = _ordered_product(factors(phases, g).reshape(-1, m << g, 4, 4))
+    read, width = _phase_kernel(values, len(drives), degree, False)
+    return (lambda phases: read(phases).swapaxes(0, 1)), width
 
 
-def _grid_product(h0, drives, h, n_steps, split=None):
-    """Exponential-midpoint product of n_steps steps of h, starting at t = 0;
-    with ``split`` = k, the pair (product of steps 0..k-1, product of all
-    n_steps), both from one factor sequence and its tree."""
-    factors, width, norm = _step_kernel(h0, drives, h)
+def _grid_product(h0, drives, h, n_steps, split=None, refinements=1):
+    """Exponential-midpoint products, from t = 0, of n_steps 2^g steps of
+    h / 2^g for each refinement g < refinements, a (refinements, 4, 4) stack;
+    with ``split`` = k, the pair (products of each refinement's first k 2^g
+    steps, the whole products), all from one factor sequence per refinement
+    and one tree."""
+    factors, width, norm = _step_kernel(h0, drives, h, refinements)
     # a basis holds no more floats than a (_CHUNK, 4, 4) complex stack: the
     # chunks' bases, and the step basis of a block kernel's nodes; the real
     # forms of a stack's product hold no more than half its bytes and a block
-    m, degree = _block_size(n_steps, len(drives), norm, min(_CHUNK, _CHUNK * 32 // width))
-    blocks, width = _block_kernel(factors, drives, h, m, degree) if m > 1 else (factors, width)
-    # one factor sequence (module docstring): the first r = k mod m steps, the
-    # whole blocks from step r, one of which ends at step k, and the steps
-    # after the last block; the first k steps are its first r + k // m factors
+    m, degree = _block_size(n_steps, len(drives), norm, min(_CHUNK, _CHUNK * 32 // width), refinements)
+
+    def phases(start, stride, n, step):
+        t_mid = (start + np.arange(0, stride * n, stride) + 0.5) * step
+        return np.array([d.frequency * t_mid + d.phase for d in drives]).reshape(-1, n)
+
+    def steps(start, n):
+        # grid steps start..start + n - 1, each the product of its 2^g steps of refinement g
+        out = np.empty((refinements, n, 4, 4), dtype=complex)
+        for g in range(refinements):
+            fine = factors(phases(start << g, 1, n << g, h / 2**g), g)
+            out[g] = _ordered_product(fine.reshape(n, 1 << g, 4, 4))
+        return out
+
+    if m > 1:
+        kernel, width = _block_kernel(factors, drives, h, m, degree, refinements)
+
+        def blocks(start, n):
+            return kernel(phases(start, m, n, h))
+    else:
+        blocks = steps
+    # one factor sequence per refinement (module docstring): the first
+    # r = k mod m steps, the whole blocks from step r, one of which ends at
+    # step k, and the steps after the last block; the first k steps are its
+    # first r + k // m factors
     r = split % m if split else 0
     count = (n_steps - r) // m
     prefix = None if split is None else split // m
-
-    def read(kernel, start, stride, n):
-        t_mid = (start + np.arange(0, stride * n, stride) + 0.5) * h
-        return kernel(np.array([d.frequency * t_mid + d.phase for d in drives]).reshape(-1, n))
-
     total = head = _EYE
-    # at most _CHUNK steps' blocks at a time, to bound the memory of the factor stacks
-    chunk = max(1, min(_CHUNK // m, _CHUNK * 32 // width))
+    # at most _CHUNK of the finest refinement's steps at a time, to bound the
+    # memory of the factor stacks
+    chunk = max(1, min(_CHUNK // m, _CHUNK * 32 // width) >> (refinements - 1))
     for first in range(0, max(count, 1), chunk):
         last, ahead = min(first + chunk, count), r if first == 0 else 0
-        pieces = [(factors, 0, 1, ahead), (blocks, r + first * m, m, last - first),
-                  (factors, r + last * m, 1, n_steps - r - last * m if last == count else 0)]
-        stack = [read(*piece) for piece in pieces if piece[-1]]  # the empty ones left out
-        stack = stack[0] if len(stack) == 1 else np.concatenate(stack)
+        pieces = [(steps, 0, ahead), (blocks, r + first * m, last - first),
+                  (steps, r + last * m, n_steps - r - last * m if last == count else 0)]
+        stack = [read(start, n) for read, start, n in pieces if n]  # the empty ones left out
+        stack = stack[0] if len(stack) == 1 else np.concatenate(stack, axis=1)
         if prefix is not None and (first < prefix <= last or prefix == first == 0):
             product, head = _ordered_product(stack, ahead + prefix - first)
             head = head @ total
@@ -626,14 +691,12 @@ def integrate_lab_frame(system: DrivenSystem, n_steps=None) -> np.ndarray:
     """
     if n_steps is not None and not (isinstance(n_steps, (int, np.integer)) and 1 <= n_steps <= _MAX_STEPS):
         raise ValueError(f"n_steps must be an integer in 1..2^53, got {n_steps!r}")
-    h0 = (system.h0 + system.h0.conj().T) / 2.0
     drives = system.drives
     period = _drive_period(drives) if n_steps is None else None
     periods = int(system.duration // period) if period else 0
     if not periods:
         count = int(n_steps) if n_steps is not None else _step_count(system.duration, system.default_step())
-        # each route re-projects once: see the module docstring
-        return _project_unitary(_grid_product(h0, drives, system.duration / count, count))
+        return _whole_grids(system, count)[0]
     count = _step_count(period, system.default_step())
     h = period / count
     # H(t + T_d) = H(t): the remainder is the period's first tau, its first
@@ -642,7 +705,8 @@ def integrate_lab_frame(system: DrivenSystem, n_steps=None) -> np.ndarray:
     tau = system.duration - periods * period
     k = min(int(tau // h), count) if tau > 0.0 else 0
     delta = tau - k * h
-    head, one_period = _grid_product(h0, drives, h, count, k)
+    h0 = (system.h0 + system.h0.conj().T) / 2.0
+    head, one_period = (u[0] for u in _grid_product(h0, drives, h, count, k))
     with np.errstate(over="ignore", invalid="ignore"):
         total = np.linalg.matrix_power(one_period, periods)
     # checked before the remainder: near overflow it is garbage
@@ -653,7 +717,15 @@ def integrate_lab_frame(system: DrivenSystem, n_steps=None) -> np.ndarray:
         )
     if delta > 0.0:
         head = _partial_step(h0, drives, k * h + delta / 2.0, delta) @ head
+    # each route re-projects once: see the module docstring
     return _project_unitary(head @ total)
+
+
+def _whole_grids(system, n_steps, refinements=1):
+    """U(T, 0) of ``system`` on its whole grid of n_steps 2^g steps for each
+    refinement g < refinements, a (refinements, 4, 4) stack, each projected."""
+    h0 = (system.h0 + system.h0.conj().T) / 2.0
+    return _project_unitary(_grid_product(h0, system.drives, system.duration / n_steps, n_steps, None, refinements))
 
 
 def to_interaction_frame(u, e: EigenSystem, t, t0=0.0) -> np.ndarray:
@@ -750,20 +822,26 @@ def convergence_study(
 ):
     """Observed order of the integrator on a resonant pulse.
 
-    Integrates with n, 2n, 4n, ... steps and returns a dict with the
-    pairwise-deviation order estimates and the deviation ratios against the
-    Richardson-extrapolated reference.  Raises ValueError when
-    ``refinements`` is below 1: the reference needs two runs.
+    Integrates with n, 2n, 4n, ... steps, all grids in one pass (module
+    docstring), each as integrate_lab_frame(n_steps=...) would to roundoff,
+    and returns a dict with the pairwise-deviation order estimates and the
+    deviation ratios against the Richardson-extrapolated reference.  Raises
+    ValueError unless ``refinements`` is an integer >= 1 (the reference
+    needs two runs) whose finest grid has at most 2^53 steps.
     """
+    if not isinstance(refinements, (int, np.integer)):
+        raise ValueError(f"refinements must be an integer, got {refinements!r}")
     if refinements < 1:
         raise ValueError(f"refinements must be >= 1, got {refinements}")
+    refinements = int(refinements)
     e = closed_form_eigensystem(params)
     scaled = _params_for_ratio(params, e, transition, axis, ratio, flip)
     system = drive_for_pulse(scaled, e, transition, axis, 0.0, flip)
     base = _step_count(system.duration, system.default_step())
-    propagators = [
-        integrate_lab_frame(system, n_steps=base * 2**k) for k in range(refinements + 1)
-    ]
+    if base > _MAX_STEPS >> refinements:
+        raise ValueError(f"refinements {refinements} make a finest grid of {base} * 2^{refinements}"
+                         " steps, more than 2^53")
+    propagators = _whole_grids(system, base, refinements + 1)
     deviations = [
         float(np.max(np.abs(propagators[k] - propagators[k + 1])))
         for k in range(refinements)

@@ -172,23 +172,25 @@ def build_static_hamiltonian(p: SpinParameters) -> np.ndarray:
 
 
 def _fix_phases(states):
-    """Make each column's largest-magnitude entry real positive (in place)."""
-    for j in range(states.shape[1]):
-        k = int(np.argmax(np.abs(states[:, j])))
-        pivot = states[k, j]
-        mag = abs(pivot)
-        if mag > 0.0:
-            states[:, j] *= pivot.conjugate() / mag
-            # kill the residual imaginary dust on the pivot
-            states[k, j] = states[k, j].real
+    """Make each column's largest-magnitude entry real positive (in place);
+    a column without a positive one (zero, or nan) is left as it is."""
+    rows, cols = np.argmax(np.abs(states), axis=0), np.arange(states.shape[1])
+    pivot = states[rows, cols]
+    # |pivot| as abs() of one entry gives it; np.abs of a complex array may differ by an ulp
+    mag = np.hypot(pivot.real, pivot.imag)
+    kept = mag > 0.0
+    rows, cols = rows[kept], cols[kept]
+    states[:, cols] *= pivot[kept].conj() / mag[kept]
+    # kill the residual imaginary dust on the pivot
+    states[rows, cols] = states[rows, cols].real
     return states
 
 
 def _assemble(energies, states, mixing, scale):
     # labels by descending energy; a tie never survives the gap check below
     order = sorted(range(len(energies)), key=lambda j: -energies[j])
-    energies = np.asarray([energies[j] for j in order], dtype=float)
-    states = _fix_phases(np.stack([states[:, j] for j in order], axis=1).astype(complex))
+    energies = np.asarray(energies, dtype=float)[order]
+    states = _fix_phases(np.asarray(states, dtype=complex)[:, order])
     gaps = -np.diff(energies)
     # every level borders a gap, so finite gaps imply finite energies
     if not np.all(np.isfinite(gaps)):
@@ -239,7 +241,7 @@ def closed_form_eigensystem(p: SpinParameters) -> EigenSystem:
     energies = p.omegaQ * np.array(
         [c + b_plus, c - b_plus, -c + b_minus, -c - b_minus]
     )
-    states = np.zeros((4, 4))
+    states = np.zeros((4, 4), dtype=complex)
     # upper/lower eigenvector of block {-3/2, +1/2}
     states[3, 0], states[1, 0] = np.cos(theta_p), np.sin(theta_p)
     states[3, 1], states[1, 1] = -np.sin(theta_p), np.cos(theta_p)
@@ -248,7 +250,7 @@ def closed_form_eigensystem(p: SpinParameters) -> EigenSystem:
     states[0, 3], states[2, 3] = -np.sin(theta_m), np.cos(theta_m)
 
     alpha = (np.pi / 2.0 - theta_p, np.pi / 2.0 - theta_m)
-    return _assemble(energies, states.astype(complex), alpha, p.omegaQ)
+    return _assemble(energies, states, alpha, p.omegaQ)
 
 
 def _non_hermitian(a):

@@ -1,6 +1,7 @@
 import math
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -357,6 +358,28 @@ class TestRotatingWaveValidation:
         study = convergence_study(params, (1, 2), ratio=1e-2, refinements=1)
         assert len(study["deviations"]) == 1 and study["orders"] == study["richardson_ratios"] == []
 
+    @pytest.mark.parametrize("refinements", [2.5, "2", 2.0, np.float64(2.0), None])
+    def test_convergence_refinements_must_be_an_integer(self, monkeypatch, params, refinements):
+        # integrate_lab_frame's n_steps rule, checked before the eigensystem is built
+        monkeypatch.setattr(lab_frame, "closed_form_eigensystem", lambda *args: pytest.fail("eigensystem built"))
+        message = rf"^refinements must be an integer, got {re.escape(repr(refinements))}$"
+        with pytest.raises(ValueError, match=message):
+            convergence_study(params, (1, 2), ratio=1e-2, refinements=refinements)
+
+    def test_convergence_takes_a_numpy_integer(self, params):
+        study = convergence_study(params, (1, 2), ratio=1e-2, refinements=np.int64(2))
+        assert study == convergence_study(params, (1, 2), ratio=1e-2, refinements=2)
+
+    @pytest.mark.parametrize("refinements", [38, 60, 10**6])
+    def test_convergence_past_2_to_the_53_steps_refused_first(self, monkeypatch, params, refinements):
+        # the default grid has 56,863 steps: 2^38 times that is past 2^53
+        # (2^37 times is not), and no grid is integrated before the refusal
+        monkeypatch.setattr(lab_frame, "_grid_product", lambda *args: pytest.fail("grid integrated"))
+        message = rf"^refinements {refinements} make a finest grid of 56863 \* 2\^{refinements} steps, more than 2\^53$"
+        with pytest.raises(ValueError, match=message):
+            convergence_study(params, (1, 2), ratio=1e-2, refinements=refinements)
+        assert 56863 << 37 <= 2**53 < 56863 << 38
+
 
 LINES = ((1, 2), (3, 4), (1, 3), (2, 4))  # the drivable lines
 
@@ -602,6 +625,19 @@ class TestRealForm:
             if k < 37:
                 expected = stack[:, k] @ expected
 
+    @pytest.mark.parametrize("shape", [(1,), (3, 1), (70, 1)])
+    def test_lone_factor_returned_as_it_is(self, shape):
+        # bytewise what the tree reads back from one embedded factor:
+        # (E11 + E22) / 2 + i (E21 - E12) / 2 = (x + x) / 2 = x
+        stack = _random_unitaries(np.random.default_rng(13), math.prod(shape)).reshape(*shape, 4, 4)
+        real = _real_form(stack[..., 0, :, :])
+        tree = ((real[..., :4, :4] + real[..., 4:, 4:]) / 2 + 1j * ((real[..., 4:, :4] - real[..., :4, 4:]) / 2))
+        u = lab_frame._ordered_product(stack)
+        assert u.shape == (*shape[:-1], 4, 4)
+        assert u.tobytes() == tree.tobytes() == stack[..., 0, :, :].tobytes()
+        product, head = lab_frame._ordered_product(stack, prefix=1)  # a prefix still reads the tree
+        assert product.tobytes() == head.tobytes() == u.tobytes()
+
     def test_ordered_product_of_each_row(self):
         stack = _random_unitaries(np.random.default_rng(11), 61 * 37).reshape(61, 37, 4, 4)
         u = lab_frame._ordered_product(stack)
@@ -722,7 +758,7 @@ class TestStepKernel:
 def _forced_block(monkeypatch, m):
     """Make _grid_product take m-step blocks whatever the grid length."""
     monkeypatch.setattr(lab_frame, "_block_size",
-                        lambda n_steps, dims, norm, chunk: (m, lab_frame._fourier_degree(m * norm)))
+                        lambda n_steps, dims, norm, chunk, refinements=1: (m, lab_frame._fourier_degree(m * norm)))
 
 
 def _tensor_grid_block_kernel(factors, drives, h, m, degree):
@@ -886,6 +922,107 @@ class TestBlockKernel:
         assert (m > 1) == blocks
 
 
+def _refinement_cases():
+    """(case, steps, refinements): one and two drives, on grids whose length
+    every block length divides (no steps after the last block) or not, each
+    refined 2, 3 and 4 times; a strong drive on the coarse step, whose
+    factors each refinement squares its own number of times, and on its
+    default step, and no drive."""
+    cases = [(name, n, g) for name in ("1-weak", "2-weak") for n in (2048, 2085) for g in (2, 3, 4)]
+    return cases + [("strong-coarse", 50, g) for g in (2, 3, 4)] + [("strong", 701, 3), ("0-weak", 777, 3)]
+
+
+REFINEMENT_CASES = _refinement_cases()
+GOLDEN_GRIDS = Path(__file__).resolve().parent / "golden" / "lab_frame_grids.txt"
+
+
+def _golden_grid_cases():
+    """label -> (system, n_steps): period-route grids (with and without a
+    remainder step, and thousands of periods), a default whole grid, and
+    explicit step counts with and without steps after the last block."""
+    cases = {f"period {name}": (PULSE_CASES[name], None)
+             for name in ("12-Y", "24-X", "remainder-below-one-step", "weak-many-periods")}
+    cases["default shorter-than-a-period"] = (PULSE_CASES["shorter-than-a-period"], None)
+    for name, n in (("1-weak", 3000), ("1-weak", 3037), ("2-weak", 3000), ("2-weak", 2085),
+                    ("strong-coarse", 50), ("0-weak", 777)):
+        h0, drives, h = KERNEL_CASES[name]
+        cases[f"steps {name} n={n}"] = (DrivenSystem(h0=h0, drives=drives, duration=n * h), n)
+    return cases
+
+
+def _grid_hex(u):
+    return " ".join(float(x).hex() for x in u.view(float).ravel())
+
+
+class TestRefinements:
+    """A grid and its refinements g (n 2^g steps of h / 2^g) in one pass:
+    one step kernel, one block layout and one product tree for all."""
+
+    @pytest.mark.parametrize(("name", "n_steps", "refinements"), REFINEMENT_CASES,
+                             ids=[f"{name}-n{n}-G{g}" for name, n, g in REFINEMENT_CASES])
+    def test_each_refinement_matches_its_own_grid(self, monkeypatch, name, n_steps, refinements):
+        h0, drives, h = KERNEL_CASES[name]
+        system = DrivenSystem(h0=h0, drives=drives, duration=n_steps * h)
+        sizes, real = [], lab_frame._block_size
+        monkeypatch.setattr(lab_frame, "_block_size", lambda *args: sizes.append(real(*args)) or sizes[-1])
+        grids = lab_frame._whole_grids(system, n_steps, refinements)
+        monkeypatch.undo()
+        (m, _), = sizes
+        if name == "strong-coarse":  # one step's drive norm is past _FOURIER_NORM: no blocks
+            assert m == 1
+        else:  # blocks, with steps after the last one or without
+            assert m > 1 and (n_steps % m == 0) == (n_steps == 2048)
+        assert grids.shape == (refinements, 4, 4)
+        for g, u in enumerate(grids):
+            assert np.max(np.abs(u - integrate_lab_frame(system, n_steps=n_steps << g))) <= 1e-13
+
+    @pytest.mark.parametrize("m", [1, 8])
+    def test_split_refinements_match_single_steps(self, monkeypatch, m):
+        # with a split k the first k grid steps of every refinement, each
+        # 2^g of its own steps, from the same sequence
+        h0, drives, h = KERNEL_CASES["1-weak"]
+        n_steps, k, refinements = 301, 37, 3
+        _forced_block(monkeypatch, m)
+        heads, totals = lab_frame._grid_product(h0, drives, h, n_steps, k, refinements)
+        factors, *_ = lab_frame._step_kernel(h0, drives, h, refinements)
+        for g in range(refinements):
+            steps = factors(_phases(drives, (np.arange(n_steps << g) + 0.5) * (h / 2**g)), g)
+            for u, v in ((heads[g], lab_frame._ordered_product(steps[: k << g])),
+                         (totals[g], lab_frame._ordered_product(steps))):
+                assert np.max(np.abs(lab_frame._project_unitary(u) - lab_frame._project_unitary(v))) <= 1e-13
+
+    def test_step_kernel_refinements_match_expm(self):
+        # refinement g reads exp(-i h / 2^g H(t)) off the shared lattice
+        for name in ("1-weak", "2-weak", "strong-coarse"):
+            h0, drives, h = KERNEL_CASES[name]
+            t_mid = np.random.default_rng(len(drives)).uniform(0.0, 1e3, size=20)
+            factors, *_ = lab_frame._step_kernel(h0, drives, h, 4)
+            for g in range(4):
+                for t, u in zip(t_mid, factors(_phases(drives, t_mid), g)):
+                    expected = scipy.linalg.expm(-1j * h / 2**g * _hamiltonian(h0, drives, t))
+                    assert np.max(np.abs(u - expected)) <= 1e-14
+
+    def test_one_grid_keeps_its_bits(self):
+        # a grid integrate_lab_frame takes alone, on either route, is the one
+        # refinement case of the batch and keeps the bits the file pins
+        expected = dict(line.split(": ") for line in GOLDEN_GRIDS.read_text(encoding="utf-8").splitlines()
+                        if not line.startswith("#"))
+        cases = _golden_grid_cases()
+        assert sorted(expected) == sorted(cases)
+        for label, (system, n_steps) in cases.items():
+            assert _grid_hex(integrate_lab_frame(system, n_steps=n_steps)) == expected[label], label
+
+    def test_study_takes_one_pass(self, monkeypatch, params):
+        # one step kernel, one block layout and one product tree for n, 2n and 4n
+        kernels, grids = [], []
+        real_kernel, real_grid = lab_frame._step_kernel, lab_frame._grid_product
+        monkeypatch.setattr(lab_frame, "_step_kernel", lambda *args: kernels.append(args) or real_kernel(*args))
+        monkeypatch.setattr(lab_frame, "_grid_product", lambda *args: grids.append(args) or real_grid(*args))
+        monkeypatch.setattr(lab_frame, "integrate_lab_frame", lambda *args, **kwargs: pytest.fail("a grid alone"))
+        study = convergence_study(params, (1, 2), ratio=1e-2, refinements=2)
+        assert len(kernels) == len(grids) == 1 and grids[0][3:] == (study["step_counts"][0], None, 3)
+
+
 class TestLattice:
     @pytest.mark.parametrize("dims", [1, 2, 3])
     def test_one_to_one_on_the_total_degree_set(self, dims):
@@ -998,3 +1135,13 @@ class TestChebyshevDegree:
         # the degree ~ e * norm / 2 no longer fits a float for lgamma
         with pytest.raises(ValueError, match=re.escape(repr(float(norm)))):
             lab_frame._fourier_degree(float(norm))
+
+
+if __name__ == "__main__":
+    # after an intended change of the integrator's numbers, rewrite the bits
+    # test_one_grid_keeps_its_bits pins: PYTHONPATH=src python3 tests/test_lab_frame.py
+    lines = [f"{label}: {_grid_hex(integrate_lab_frame(system, n_steps=n))}"
+             for label, (system, n) in _golden_grid_cases().items()]
+    header = "# U(T, 0) of integrate_lab_frame on one grid: the 32 floats of each matrix, float.hex"
+    GOLDEN_GRIDS.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+    print(f"wrote {GOLDEN_GRIDS.name}")

@@ -13,6 +13,7 @@ from vspin import (
     spin_operators,
     transition_table,
 )
+from vspin import spin_system
 from vspin.spin_system import RESOLUTION_TOL
 
 SQRT3 = np.sqrt(3.0)
@@ -217,6 +218,63 @@ class TestDiagonalize:
                 pivot = e.states[np.argmax(np.abs(e.states[:, j])), j]
                 assert pivot.imag == 0.0
                 assert pivot.real > 0.0
+
+
+def _fix_phases_by_column(states):
+    """The phase rule as a loop over the columns, in place: each column's
+    largest-magnitude entry made real positive, the pivot's magnitude taken
+    by abs() of the one entry."""
+    for j in range(states.shape[1]):
+        k = int(np.argmax(np.abs(states[:, j])))
+        pivot = states[k, j]
+        mag = abs(pivot)
+        if mag > 0.0:
+            states[:, j] *= pivot.conjugate() / mag
+            states[k, j] = states[k, j].real
+    return states
+
+
+class TestPhaseRule:
+    """_fix_phases, vectorized over the columns, against the column loop."""
+
+    @pytest.mark.parametrize("route", ["closed form", "diagonalize"])
+    def test_matches_the_column_loop_bytewise(self, monkeypatch, route):
+        # every eigensystem either route builds over seeded spins, and over
+        # random Hermitian matrices, whose eigenvectors carry complex pivots
+        rng = np.random.default_rng(20261019)
+        real, calls = spin_system._fix_phases, []
+
+        def both(states):
+            expected = _fix_phases_by_column(states.copy())
+            out = real(states)
+            assert out.tobytes() == expected.tobytes()
+            calls.append(out)
+            return out
+
+        monkeypatch.setattr(spin_system, "_fix_phases", both)
+        for _ in range(400):
+            omega_q = 10.0 ** rng.uniform(-2.0, 2.0)
+            p = SpinParameters(omega0=omega_q * rng.uniform(0.0, 3.0), omegaQ=omega_q,
+                               eta=rng.choice([0.0, 1.0, rng.uniform(-1.0, 1.0)]))
+            if route == "closed form":
+                hamiltonians = []
+            else:
+                a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+                hamiltonians = [build_static_hamiltonian(p), (a + a.conj().T) * 10.0 ** rng.uniform(-5.0, 5.0)]
+            try:
+                if route == "closed form":
+                    closed_form_eigensystem(p)
+                for h in hamiltonians:
+                    diagonalize(h)
+            except DegenerateSpectrum:
+                continue
+        assert len(calls) >= 400
+
+    def test_columns_without_a_pivot_are_left_as_they_are(self):
+        # a zero column and a nan column have no positive magnitude
+        states = np.array([[0.0, np.nan, 1j], [0.0, 1.0, 0.5]] * 2, dtype=complex)
+        expected = _fix_phases_by_column(states.copy())
+        assert spin_system._fix_phases(states).tobytes() == expected.tobytes()
 
 
 class TestEigenSystemInvariants:
