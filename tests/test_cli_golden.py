@@ -46,6 +46,8 @@ CASES = {
         "simulate", "@physics.vsp", "--initial", "@rho.txt", "--include-free-evolution",
     ],
     "oracle_check_12": ["oracle-check", "--ratio", "0.01", "--transition", "1,2", *BASE],
+    # a 230-step period grid with m = 1, one factor per step
+    "oracle_check_24": ["oracle-check", "--ratio", "0.01,0.001", "--transition", "2,4", *BASE],
 }
 
 
