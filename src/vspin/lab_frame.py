@@ -65,7 +65,11 @@ one length, go through one product tree as a (G, count, 4, 4) stack and
 one batched projection.  Only each block kernel's N m 2^g node steps and
 the steps outside the blocks are read per refinement, so m minimizes
 N m (2^G - 1) + G floor(n/m) + (2^G - 1) (n mod m) plus the set-up, the
-rule above at G = 1: a grid alone is the case G = 1, bit for bit.
+rule above at G = 1.  A grid alone is the case G = 1, bit for bit, without
+the refinement axis: its node values, blocks, steps and products are
+(count, 4, 4) stacks, not (1, count, 4, 4), so it stacks no per-refinement
+parts, copies no one-factor product of a step's 2^0 steps into a buffer,
+and takes no [0] of its result.
 
 Every ordered product of factors or blocks is taken in the real form
 E(U) = [[Re U, -Im U], [Im U, Re U]] of each 4x4 matrix: E(U) E(V) = E(UV),
@@ -136,7 +140,6 @@ from .errors import StepTooLarge
 from .operator_algebra import free_evolution
 from .pulse_engine import (
     AXIS_SHIFT,
-    _axis_operator,
     _drivable_element,
     _normalize_axis,
     _normalize_transition,
@@ -147,7 +150,7 @@ from .spin_system import (
     HERMITIAN_TOL,
     EigenSystem,
     SpinParameters,
-    _non_hermitian,
+    _hermitian_defect,
     closed_form_eigensystem,
 )
 
@@ -200,9 +203,12 @@ def _hermitian_4x4(a, name):
     a = np.asarray(a, dtype=complex)
     if a.shape != (4, 4):
         raise ValueError(f"{name} must be 4x4, got {a.shape}")
-    if not np.isfinite(a).all():
+    _, scale, broken = _hermitian_defect(a)
+    # every entry is finite when max|a| is; else each one is checked, as a
+    # finite modulus may overflow
+    if not scale < math.inf and not np.isfinite(a).all():
         raise ValueError(f"{name} must be finite")
-    if _non_hermitian(a):
+    if broken:
         raise ValueError(f"{name} must be Hermitian within {HERMITIAN_TOL:g} of its largest entry")
     return a
 
@@ -252,10 +258,15 @@ class DrivenSystem:
         |amplitude|, not |amplitude| ||operator||.  The step kernel refuses a
         step past its squaring budget; sized by the norm, a 1e8 Ix drive would
         take ~3e10 steps a period, too many until grids cost O(log n)."""
-        w = np.linalg.eigvalsh((self.h0 + self.h0.conj().T) / 2.0)
+        w = np.linalg.eigvalsh(self._hermitian_h0)
         rates = (abs(v) for d in self.drives for v in (d.frequency, d.amplitude))
         omega_max = max(w.max() - w.min(), *rates, np.finfo(float).tiny)
         return 2.0 * np.pi / (200.0 * omega_max)
+
+    @functools.cached_property
+    def _hermitian_h0(self):
+        # (h0 + h0^dagger) / 2, which default_step and every grid read: built once
+        return (self.h0 + self.h0.conj().T) / 2.0
 
 
 def _taylor_degree(theta):
@@ -312,6 +323,8 @@ _REAL_FORM = _real_form()
 # E^T E = 2 I: E^T / 2 reads back (E11 + E22) / 2 + i (E21 - E12) / 2
 _COMPLEX_PART = _REAL_FORM.T / 2.0
 _COMPLEX_PART.flags.writeable = False
+_EYE_REAL = np.eye(8)
+_EYE_REAL.flags.writeable = False
 
 
 def _pair_level(real):
@@ -326,7 +339,7 @@ def _pair_level(real):
 
 def _ordered_product(stack, prefix=None):
     """Product U_n ... U_1 of a time-ordered (n, 4, 4) stack (index 0 earliest),
-    or of each row of a (k, n, 4, 4) stack, multiplied pairwise in the real
+    or of each row of a (..., n, 4, 4) stack, multiplied pairwise in the real
     form (module docstring).  With ``prefix`` = p in 0..n, the pair (that
     product, U_p ... U_1), the prefix read off the same tree."""
     n, lead = stack.shape[-3], stack.shape[:-3]
@@ -336,10 +349,13 @@ def _ordered_product(stack, prefix=None):
     # block starts at a multiple of 4, so its pairs are those of the whole
     step = max(4, _REAL_BLOCK // math.prod(lead) // 4 * 4)
     real = np.empty((-(-n // 4), *lead, 8, 8))
+    # the factor axis ahead of every lead axis: np.moveaxis(block, -3, 0), as
+    # the one transpose it makes
+    factors_first = (len(lead), *range(len(lead)), -2, -1)
     for start in range(0, n, step):
         block = np.ascontiguousarray(stack[..., start : start + step, :, :], dtype=complex)
         block = (block.view(float).reshape(-1, 32) @ _REAL_FORM).reshape(*block.shape[:-2], 8, 8)
-        block = _pair_level(_pair_level(block.swapaxes(0, -3)))
+        block = _pair_level(_pair_level(block.transpose(factors_first)))
         real[start // 4 : start // 4 + len(block)] = block
     # node i of level l holds quads [i 2^l, (i + 1) 2^l): the prefix's q whole
     # quads are node (q >> l) - 1 of each level l whose bit is set in q, the
@@ -351,11 +367,21 @@ def _ordered_product(stack, prefix=None):
         real, quads = _pair_level(real), quads >> 1
     if prefix is None:
         return (real[0].reshape(-1, 64) @ _COMPLEX_PART).view(complex).reshape(*lead, 4, 4)
-    head = functools.reduce(np.matmul, nodes, np.broadcast_to(np.eye(8), real[0].shape))
-    total, head = (np.stack([real[0], head]).reshape(-1, 64) @ _COMPLEX_PART).view(complex).reshape(2, *lead, 4, 4)
+    # the identity takes the lead shape from the first node; without one,
+    # from the assignment below
+    head = functools.reduce(np.matmul, nodes, _EYE_REAL)
+    both = np.empty((2, *real[0].shape))
+    both[0], both[1] = real[0], head
+    total, head = (both.reshape(-1, 64) @ _COMPLEX_PART).view(complex).reshape(2, *lead, 4, 4)
     for j in range(prefix // 4 * 4, prefix):  # the last quad's first prefix mod 4 factors
         head = stack[..., j, :, :] @ head
     return total, head
+
+
+def _stacked(parts, refinements, axis):
+    """The refinements' ``parts`` stacked on a lead axis at ``axis``; a grid
+    without refinements (None) has none and takes its one part as it is."""
+    return parts[0] if refinements is None else np.stack(parts, axis)
 
 
 def _project_unitary(u):
@@ -379,11 +405,12 @@ def _fourier_degree(norm):
     return degree
 
 
-def _step_kernel(h0, drives, h, refinements=1):
+def _step_kernel(h0, drives, h, refinements=None):
     """(factors, width, norm): factors(phases, g) gives exp(-i h_g H(t)),
-    h_g = h / 2^g, for refinement g < refinements (default 0), at each
-    midpoint t, from the (D, count) drive phases Omega_d t + phi_d there, read
-    off the width cosine products (module docstring); norm = ||Y||_1 of h."""
+    h_g = h / 2^g, for refinement g (default 0) < refinements, or g = 0
+    alone for a grid without refinements (None), at each midpoint t, from
+    the (D, count) drive phases Omega_d t + phi_d there, read off the width
+    cosine products (module docstring); norm = ||Y||_1 of h."""
     with np.errstate(over="ignore", invalid="ignore"):  # a norm past the float range is refused
         x = -1j * h * h0
         ys = np.array([-1j * h * d.amplitude * d.operator for d in drives]).reshape(-1, 4, 4)
@@ -397,15 +424,15 @@ def _step_kernel(h0, drives, h, refinements=1):
     # refinement g's node generators are step h's over 2^g exactly, scaled by
     # 2^-s_g; one lattice, the widest any of them needs, serves them all
     squarings = [int(np.ceil(np.log2(norm / 2.0**g / _FOURIER_NORM))) if norm / 2.0**g > _FOURIER_NORM else 0
-                 for g in range(refinements)]
+                 for g in range(refinements or 1)]
     scales = [2.0 ** (g + s) for g, s in enumerate(squarings)]
     degree = max(_fourier_degree(norm / scale) for scale in scales)
     nodes = _lattice(len(drives), degree, True)[0]
     # F(-theta) = F(theta), and node N - l is node l mirrored
     half = nodes[:, : nodes.shape[1] // 2 + 1]
     generators = x + (np.cos(half).T @ ys.reshape(-1, 16)).reshape(-1, 4, 4)
-    values = expm4(np.concatenate([generators / scale for scale in scales]))
-    values = values.reshape(refinements, -1, 4, 4).swapaxes(0, 1)
+    # (nodes, ..., 4, 4), with the refinements' lead axis if there is one
+    values = expm4(_stacked([generators / scale for scale in scales], refinements, 0)).swapaxes(0, -3)
     read, width = _phase_kernel(np.concatenate([values, values[:0:-1]]), len(drives), degree, True)
 
     def factors(phases, g=0):
@@ -504,7 +531,7 @@ def _phase_kernel(values, dims, degree, even):
     values = values.reshape(len(values), -1)
     # FFT roundoff scales with the values, nearly their mean for weak drives,
     # and would bias every step alike: the mean goes to the constant mode
-    mean = values.mean(axis=0)
+    mean = values.sum(axis=0) / len(values)  # values.mean(axis=0), without its Python wrapper
     fourier = np.fft.fft(values - mean, axis=0) / len(values)
     fourier[0] += mean
     # interleaved real/imaginary columns: one real GEMM yields complex matrices
@@ -558,38 +585,43 @@ def _phase_kernel(values, dims, degree, even):
     return read, coeffs.shape[0]
 
 
-def _block_kernel(factors, drives, h, m, degree, refinements=1):
+def _block_kernel(factors, drives, h, m, degree, refinements=None):
     """(blocks, width): blocks(phases) gives, for each refinement g <
     refinements, the product of its m 2^g steps of h / 2^g that span a block
     of m steps of h, P(theta) = F_g(theta + (m 2^g - 1/2) delta_g - delta / 2)
     ... F_g(theta + delta_g / 2 - delta / 2), delta_d = Omega_d h and
     delta_g = delta / 2^g, at each block's first midpoint phases theta on the
     grid of h (at g = 0, F(theta + (m-1) delta) ... F(theta)): a
-    (refinements, count, 4, 4) stack read off the width products of 1, cos
-    and sin (module docstring), 2 degree + 1 for one drive, N for two."""
+    (refinements, count, 4, 4) stack, or (count, 4, 4) without refinements
+    (None), read off the width products of 1, cos and sin (module
+    docstring), 2 degree + 1 for one drive, N for two."""
     nodes = _lattice(len(drives), degree, False)[0]
     delta = np.array([d.frequency * h for d in drives]).reshape(-1, 1, 1)
-    values = np.empty((nodes.shape[1], refinements, 4, 4), dtype=complex)
-    for g in range(refinements):
-        # step j at (j + 1/2 - 2^(g-1)) delta_g past theta: j delta at g = 0, exactly
-        offsets = delta * ((np.arange(m << g) + (0.5 - 2.0 ** (g - 1))) / 2**g)
+    values = []
+    for g in range(refinements or 1):
+        # step j at (j + 1/2) delta_g - delta / 2 past theta, j delta at g = 0:
+        # each a multiple of delta / 2^(g+1), exactly
+        start = 2.0 ** -(g + 1) - 0.5
+        offsets = delta * np.arange(start, start + m, 2.0**-g)
         phases = (nodes[:, :, None] + offsets).reshape(len(drives), nodes.shape[1] * (m << g))
-        values[:, g] = _ordered_product(factors(phases, g).reshape(-1, m << g, 4, 4))
-    read, width = _phase_kernel(values, len(drives), degree, False)
-    return (lambda phases: read(phases).swapaxes(0, 1)), width
+        values.append(_ordered_product(factors(phases, g).reshape(-1, m << g, 4, 4)))
+    read, width = _phase_kernel(_stacked(values, refinements, 1), len(drives), degree, False)
+    return (lambda phases: read(phases).swapaxes(0, -3)), width
 
 
-def _grid_product(h0, drives, h, n_steps, split=None, refinements=1):
+def _grid_product(h0, drives, h, n_steps, split=None, refinements=None):
     """Exponential-midpoint products, from t = 0, of n_steps 2^g steps of
-    h / 2^g for each refinement g < refinements, a (refinements, 4, 4) stack;
+    h / 2^g for each refinement g < refinements, a (refinements, 4, 4) stack,
+    or the (4, 4) product of n_steps steps of h without refinements (None);
     with ``split`` = k, the pair (products of each refinement's first k 2^g
     steps, the whole products), all from one factor sequence per refinement
     and one tree."""
     factors, width, norm = _step_kernel(h0, drives, h, refinements)
+    grids = refinements or 1
     # a basis holds no more floats than a (_CHUNK, 4, 4) complex stack: the
     # chunks' bases, and the step basis of a block kernel's nodes; the real
     # forms of a stack's product hold no more than half its bytes and a block
-    m, degree = _block_size(n_steps, len(drives), norm, min(_CHUNK, _CHUNK * 32 // width), refinements)
+    m, degree = _block_size(n_steps, len(drives), norm, min(_CHUNK, _CHUNK * 32 // width), grids)
 
     def phases(start, stride, n, step):
         t_mid = (start + np.arange(0, stride * n, stride) + 0.5) * step
@@ -597,11 +629,8 @@ def _grid_product(h0, drives, h, n_steps, split=None, refinements=1):
 
     def steps(start, n):
         # grid steps start..start + n - 1, each the product of its 2^g steps of refinement g
-        out = np.empty((refinements, n, 4, 4), dtype=complex)
-        for g in range(refinements):
-            fine = factors(phases(start << g, 1, n << g, h / 2**g), g)
-            out[g] = _ordered_product(fine.reshape(n, 1 << g, 4, 4))
-        return out
+        fine = (factors(phases(start << g, 1, n << g, h / 2**g), g).reshape(n, 1 << g, 4, 4) for g in range(grids))
+        return _stacked([_ordered_product(f) for f in fine], refinements, 0)
 
     if m > 1:
         kernel, width = _block_kernel(factors, drives, h, m, degree, refinements)
@@ -620,13 +649,13 @@ def _grid_product(h0, drives, h, n_steps, split=None, refinements=1):
     total = head = _EYE
     # at most _CHUNK of the finest refinement's steps at a time, to bound the
     # memory of the factor stacks
-    chunk = max(1, min(_CHUNK // m, _CHUNK * 32 // width) >> (refinements - 1))
+    chunk = max(1, min(_CHUNK // m, _CHUNK * 32 // width) >> (grids - 1))
     for first in range(0, max(count, 1), chunk):
         last, ahead = min(first + chunk, count), r if first == 0 else 0
         pieces = [(steps, 0, ahead), (blocks, r + first * m, last - first),
                   (steps, r + last * m, n_steps - r - last * m if last == count else 0)]
         stack = [read(start, n) for read, start, n in pieces if n]  # the empty ones left out
-        stack = stack[0] if len(stack) == 1 else np.concatenate(stack, axis=1)
+        stack = stack[0] if len(stack) == 1 else np.concatenate(stack, axis=-3)
         if prefix is not None and (first < prefix <= last or prefix == first == 0):
             product, head = _ordered_product(stack, ahead + prefix - first)
             head = head @ total
@@ -696,7 +725,7 @@ def integrate_lab_frame(system: DrivenSystem, n_steps=None) -> np.ndarray:
     periods = int(system.duration // period) if period else 0
     if not periods:
         count = int(n_steps) if n_steps is not None else _step_count(system.duration, system.default_step())
-        return _whole_grids(system, count)[0]
+        return _whole_grids(system, count)
     count = _step_count(period, system.default_step())
     h = period / count
     # H(t + T_d) = H(t): the remainder is the period's first tau, its first
@@ -705,8 +734,8 @@ def integrate_lab_frame(system: DrivenSystem, n_steps=None) -> np.ndarray:
     tau = system.duration - periods * period
     k = min(int(tau // h), count) if tau > 0.0 else 0
     delta = tau - k * h
-    h0 = (system.h0 + system.h0.conj().T) / 2.0
-    head, one_period = (u[0] for u in _grid_product(h0, drives, h, count, k))
+    h0 = system._hermitian_h0
+    head, one_period = _grid_product(h0, drives, h, count, k)
     with np.errstate(over="ignore", invalid="ignore"):
         total = np.linalg.matrix_power(one_period, periods)
     # checked before the remainder: near overflow it is garbage
@@ -721,11 +750,12 @@ def integrate_lab_frame(system: DrivenSystem, n_steps=None) -> np.ndarray:
     return _project_unitary(head @ total)
 
 
-def _whole_grids(system, n_steps, refinements=1):
+def _whole_grids(system, n_steps, refinements=None):
     """U(T, 0) of ``system`` on its whole grid of n_steps 2^g steps for each
-    refinement g < refinements, a (refinements, 4, 4) stack, each projected."""
-    h0 = (system.h0 + system.h0.conj().T) / 2.0
-    return _project_unitary(_grid_product(h0, system.drives, system.duration / n_steps, n_steps, None, refinements))
+    refinement g < refinements, a (refinements, 4, 4) stack, or on n_steps
+    steps without refinements (None), each projected."""
+    return _project_unitary(_grid_product(system._hermitian_h0, system.drives, system.duration / n_steps,
+                                          n_steps, None, refinements))
 
 
 def to_interaction_frame(u, e: EigenSystem, t, t0=0.0) -> np.ndarray:
@@ -752,7 +782,7 @@ def drive_for_pulse(
     duration = _pulse_length(params, e, transition, axis, flip)
     axis = _normalize_axis(axis)
     m, n = _normalize_transition(transition)
-    operator = e.to_eigen(_axis_operator(axis))
+    operator = e.axis_operator(axis)
     element = operator[m - 1, n - 1]
     drive = DriveTerm(
         operator=operator,

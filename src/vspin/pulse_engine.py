@@ -48,7 +48,6 @@ from .spin_system import (
     EigenSystem,
     SpinParameters,
     closed_form_eigensystem,
-    spin_operators,
 )
 
 __all__ = [
@@ -91,12 +90,6 @@ def _normalize_axis(axis):
     if key not in AXIS_SHIFT:
         raise ValueError(f"axis must be X or Y, got {axis!r}")
     return key
-
-
-def _axis_operator(axis):
-    """I_x or I_y in the |chi> basis, the spin component an RF field drives."""
-    ix, iy, _ = spin_operators()
-    return ix if _normalize_axis(axis) == "X" else iy
 
 
 @dataclass(frozen=True)
@@ -199,7 +192,7 @@ class PulseProgram:
 def transition_matrix_element(e: EigenSystem, transition, axis="Y"):
     """<psi_m| I_axis |psi_n> for the (lower-label, higher-label) pair."""
     m, n = _normalize_transition(transition)
-    return complex(e.to_eigen(_axis_operator(axis))[m - 1, n - 1])
+    return complex(e.axis_operator(_normalize_axis(axis))[m - 1, n - 1])
 
 
 def _drivable_element(e: EigenSystem, transition, axis):

@@ -50,6 +50,7 @@ HERMITIAN_TOL = 1e-12
 # Levels, and transition lines, closer than RESOLUTION_TOL * scale are not
 # resolved: regime_ok is false, or a selective pulse cannot tell the lines apart.
 RESOLUTION_TOL = 1e-6
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -102,6 +103,8 @@ class EigenSystem:
     scale          reference angular frequency for relative tolerances
                    (omegaQ when built from SpinParameters)
     transitions    transition_table(self), built on first access
+    axis_operator  axis_operator(axis), <psi_m| I_axis |psi_n> for axis X
+                   or Y, built on first access per axis, read-only
     """
 
     energies: np.ndarray
@@ -114,6 +117,17 @@ class EigenSystem:
     def transitions(self):
         # cached in the instance __dict__, which the frozen dataclass allows
         return transition_table(self)
+
+    def axis_operator(self, axis):
+        """<psi_m| I_axis |psi_n>, the eigenbasis matrix of the spin component
+        an RF field along ``axis`` ("X" or "Y") drives: built once per axis,
+        on first use, and read-only."""
+        cache = self.__dict__.setdefault("_axis_operators", {})  # as transitions is cached
+        if axis not in cache:
+            ix, iy, _ = spin_operators()
+            cache[axis] = self.to_eigen({"X": ix, "Y": iy}[axis])
+            cache[axis].flags.writeable = False
+        return cache[axis]
 
     def energy(self, m):
         """Energy of level m in 1..4."""
@@ -253,12 +267,17 @@ def closed_form_eigensystem(p: SpinParameters) -> EigenSystem:
     return _assemble(energies, states, alpha, p.omegaQ)
 
 
-def _non_hermitian(a):
-    """(max|A - A^dagger|, max|A|) when the 4x4 A breaks the one Hermitian
-    rule, the first at most HERMITIAN_TOL times the second, else None."""
-    scale = max(abs(a).max(), np.finfo(float).tiny)
+def _hermitian_defect(a):
+    """(max|A - A^dagger|, max|A|, broken) of a 4x4 A, max|A| at least the
+    smallest normal float; broken when the first exceeds HERMITIAN_TOL times
+    the second, the one Hermitian rule.  No defect exceeds a nan or inf
+    max|A| (an entry nan or inf, or a modulus past the float range), so
+    then none is taken: (None, max|A|, False)."""
+    scale = max(abs(a).max(), _TINY)
+    if not scale < math.inf:
+        return None, scale, False
     defect = abs(a - a.conj().T).max()
-    return (defect, scale) if defect > HERMITIAN_TOL * scale else None
+    return defect, scale, defect > HERMITIAN_TOL * scale
 
 
 def diagonalize(hamiltonian, scale=None) -> EigenSystem:
@@ -273,12 +292,12 @@ def diagonalize(hamiltonian, scale=None) -> EigenSystem:
     h = np.asarray(hamiltonian, dtype=complex)
     if h.shape != (4, 4):
         raise ValueError(f"expected a 4x4 operator, got shape {h.shape}")
-    if broken := _non_hermitian(h):
-        defect, hnorm = broken
+    defect, hnorm, broken = _hermitian_defect(h)
+    if broken:
         raise NotHermitian(f"max |H - H^dagger| = {defect:.3e} exceeds {HERMITIAN_TOL:g} * {hnorm:.3e}")
     energies, states = np.linalg.eigh((h + h.conj().T) / 2.0)
     if scale is None:
-        scale = max(np.max(np.abs(energies)), np.finfo(float).tiny)
+        scale = max(np.max(np.abs(energies)), _TINY)
     return _assemble(energies, states, None, scale)
 
 

@@ -29,7 +29,7 @@ from vspin import (
     to_interaction_frame,
 )
 from vspin.lab_frame import _params_for_ratio
-from vspin.spin_system import HERMITIAN_TOL
+from vspin.spin_system import HERMITIAN_TOL, EigenSystem
 
 
 def _expm4_out_of_place(a):
@@ -183,6 +183,35 @@ class TestIntegrator:
         with pytest.raises(ValueError, match=r"^drive operator must be finite"):
             DriveTerm(operator=poisoned, amplitude=1.0, frequency=1.0)
 
+    @pytest.mark.parametrize(("entry", "value"), [
+        ((0, 0), np.nan), ((2, 2), np.inf), ((0, 1), complex(0.0, np.nan)), ((1, 3), complex(-np.inf, 1.0)),
+    ])
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_refusal_messages(self, entry, value, hermitian):
+        # a nan or inf entry is refused as not finite before any Hermitian
+        # check, whether or not the rest of the matrix is Hermitian
+        base = np.diag([1.0, 0.5, -0.5, -1.0]).astype(complex) if hermitian else np.triu(np.ones((4, 4))) + 0j
+        poisoned = base.copy()
+        poisoned[entry] = value
+        with pytest.raises(ValueError, match=r"^h0 must be finite$"):
+            DrivenSystem(h0=poisoned, duration=1.0)
+        with pytest.raises(ValueError, match=r"^drive operator must be finite$"):
+            DriveTerm(operator=poisoned, amplitude=1.0, frequency=1.0)
+        if not hermitian:
+            with pytest.raises(ValueError, match=r"^h0 must be Hermitian within 1e-12 of its largest entry$"):
+                DrivenSystem(h0=base, duration=1.0)
+            with pytest.raises(ValueError, match=r"^drive operator must be Hermitian within 1e-12 of its largest entry$"):
+                DriveTerm(operator=base, amplitude=1.0, frequency=1.0)
+
+    def test_finite_entries_past_the_float_range_in_modulus_kept(self):
+        # |1.5e308 (1 + i)| overflows to inf, but every entry is finite: not
+        # refused as not finite
+        big = np.zeros((4, 4), dtype=complex)
+        big[0, 1], big[1, 0] = 1.5e308 + 1.5e308j, 1.5e308 - 1.5e308j
+        with np.errstate(over="ignore"):
+            assert DriveTerm(operator=big, amplitude=1.0, frequency=1.0).operator.tobytes() == big.tobytes()
+            assert DrivenSystem(h0=big, duration=1.0).h0.tobytes() == big.tobytes()
+
     def test_non_hermitian_drive_operator_refused(self):
         with pytest.raises(ValueError, match=r"^drive operator must be Hermitian"):
             DriveTerm(operator=np.triu(np.ones((4, 4))), amplitude=0.05, frequency=1.0)
@@ -282,6 +311,20 @@ class TestRotatingWaveValidation:
         # ratio 1e-2 keeps the run cheap; the full sweep lives in acceptance
         infid = rwa_infidelity(params, eigen, (1, 2), ratio=1e-2)
         assert infid <= 1e-1
+
+    @pytest.mark.parametrize("axis", ["X", "y"])
+    def test_one_call_builds_the_eigenbasis_axis_operator_once(self, monkeypatch, params, axis):
+        # the drive-ratio rescale, the pulse length and the drive all read
+        # one cached <psi_m| I_axis |psi_n> of the call's eigensystem
+        calls = []
+        real = EigenSystem.to_eigen
+        monkeypatch.setattr(EigenSystem, "to_eigen", lambda e, a: calls.append(a) or real(e, a))
+        rwa_infidelity(params, None, (1, 2), 1e-2, axis)
+        assert len(calls) == 1
+        e = closed_form_eigensystem(params)
+        rwa_infidelity(params, e, (1, 2), 1e-2, axis)
+        rwa_infidelity(params, e, (3, 4), 1e-2, axis)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("ratio", [np.nan, np.inf, -np.inf, 0.0, -0.01])
     def test_ratio_must_be_finite_and_positive(self, params, eigen, ratio):
@@ -638,6 +681,30 @@ class TestRealForm:
         product, head = lab_frame._ordered_product(stack, prefix=1)  # a prefix still reads the tree
         assert product.tobytes() == head.tobytes() == u.tobytes()
 
+    @pytest.mark.parametrize("lead", [(5,), (2, 5), (2, 3, 2)])
+    def test_rows_of_any_lead_shape_are_their_own_products(self, lead):
+        # each row of a stack with one, two or three lead axes is, bytewise,
+        # the product of that row alone, and so is its prefix
+        stack = _random_unitaries(np.random.default_rng(len(lead)), math.prod(lead) * 3).reshape(*lead, 3, 4, 4)
+        u = lab_frame._ordered_product(stack)
+        _, head = lab_frame._ordered_product(stack, prefix=2)
+        assert u.shape == head.shape == (*lead, 4, 4)
+        for index in np.ndindex(*lead):
+            assert u[index].tobytes() == lab_frame._ordered_product(stack[index]).tobytes()
+            assert head[index].tobytes() == lab_frame._ordered_product(stack[index], prefix=2)[1].tobytes()
+
+    def test_one_lead_axis_keeps_its_bytes(self):
+        # the factor axis moved first by a transpose is, for one lead axis,
+        # the swap of the first two axes the product took before
+        stack = _random_unitaries(np.random.default_rng(14), 3 * 261).reshape(3, 261, 4, 4)
+        real = _real_form(stack).swapaxes(0, 1)
+        while len(real) > 1:
+            pairs = len(real) // 2
+            real = np.concatenate([real[1 : 2 * pairs : 2] @ real[0 : 2 * pairs : 2], real[2 * pairs :]], axis=0)
+        expected = ((real[0][..., :4, :4] + real[0][..., 4:, 4:]) / 2
+                    + 1j * ((real[0][..., 4:, :4] - real[0][..., :4, 4:]) / 2))
+        assert lab_frame._ordered_product(stack).tobytes() == expected.tobytes()
+
     def test_ordered_product_of_each_row(self):
         stack = _random_unitaries(np.random.default_rng(11), 61 * 37).reshape(61, 37, 4, 4)
         u = lab_frame._ordered_product(stack)
@@ -990,6 +1057,21 @@ class TestRefinements:
             for u, v in ((heads[g], lab_frame._ordered_product(steps[: k << g])),
                          (totals[g], lab_frame._ordered_product(steps))):
                 assert np.max(np.abs(lab_frame._project_unitary(u) - lab_frame._project_unitary(v))) <= 1e-13
+
+    @pytest.mark.parametrize(("name", "m"), [("1-weak", 1), ("1-weak", 8), ("2-weak", 1), ("2-weak", 8),
+                                             ("strong-coarse", None)])  # its factors are squared: no blocks
+    @pytest.mark.parametrize("split", [None, 0, 37])
+    def test_a_lone_grid_is_one_refinement_without_its_axis(self, monkeypatch, name, m, split):
+        # refinements None carries no lead axis, and its products are the
+        # bytes of the one-refinement batch
+        h0, drives, h = KERNEL_CASES[name]
+        if m is not None:
+            _forced_block(monkeypatch, m)
+        lone = lab_frame._grid_product(h0, drives, h, 301, split)
+        batch = lab_frame._grid_product(h0, drives, h, 301, split, 1)
+        for u, v in zip(*((lone, batch) if split is not None else ((lone,), (batch,)))):
+            assert u.shape == (4, 4) and v.shape == (1, 4, 4)
+            assert u.tobytes() == v.tobytes()
 
     def test_step_kernel_refinements_match_expm(self):
         # refinement g reads exp(-i h / 2^g H(t)) off the shared lattice

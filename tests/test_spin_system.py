@@ -179,7 +179,7 @@ def test_closed_form_agrees_with_diagonalize(c, eta, omegaQ):
 
 class TestDiagonalize:
     def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitian):
+        with pytest.raises(NotHermitian, match=r"^max \|H - H\^dagger\| = 9\.000e\+00 exceeds 1e-12 \* 1\.500e\+01$"):
             diagonalize(np.arange(16.0).reshape(4, 4))
 
     def test_degenerate_flagged_with_energies(self):
@@ -331,6 +331,16 @@ class TestTransitionTable:
     def test_eigensystem_keeps_its_table(self, eigen):
         assert eigen.transitions is eigen.transitions
         assert eigen.transitions == transition_table(eigen)
+
+    def test_eigensystem_keeps_its_axis_operators(self, params):
+        # built on first use per axis, read-only, the bytes of to_eigen
+        e = closed_form_eigensystem(params)
+        ix, iy, _ = spin_operators()
+        for axis, operator in (("X", ix), ("Y", iy)):
+            eigen_operator = e.axis_operator(axis)
+            assert eigen_operator is e.axis_operator(axis)
+            assert not eigen_operator.flags.writeable
+            assert eigen_operator.tobytes() == e.to_eigen(operator).tobytes()
 
 
 class TestNonFinite:
