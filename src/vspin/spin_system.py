@@ -205,20 +205,21 @@ def _assemble(energies, states, mixing, scale):
     order = sorted(range(len(energies)), key=lambda j: -energies[j])
     energies = np.asarray(energies, dtype=float)[order]
     states = _fix_phases(np.asarray(states, dtype=complex)[:, order])
-    gaps = -np.diff(energies)
+    gaps = -(energies[1:] - energies[:-1])  # -np.diff(energies), its -0.0 kept, without its wrapper
     # every level borders a gap, so finite gaps imply finite energies
-    if not np.all(np.isfinite(gaps)):
+    if not np.isfinite(gaps).all():
         raise DegenerateSpectrum(
             "energies overflow double precision; level labels are undefined",
             energies=energies,
         )
-    if np.min(gaps) < DEGENERACY_TOL * scale:
+    min_gap = gaps.min()
+    if min_gap < DEGENERACY_TOL * scale:
         raise DegenerateSpectrum(
-            f"energy gap {np.min(gaps):.3e} below {DEGENERACY_TOL:.1e} * scale;"
+            f"energy gap {min_gap:.3e} below {DEGENERACY_TOL:.1e} * scale;"
             " level labels are undefined",
             energies=energies,
         )
-    regime_ok = bool(np.min(gaps) > RESOLUTION_TOL * scale)
+    regime_ok = bool(min_gap > RESOLUTION_TOL * scale)
     return EigenSystem(
         energies=energies,
         states=states,
