@@ -122,7 +122,7 @@ class EigenSystem:
         """<psi_m| I_axis |psi_n>, the eigenbasis matrix of the spin component
         an RF field along ``axis`` ("X" or "Y") drives: built once per axis,
         on first use, and read-only."""
-        cache = self.__dict__.setdefault("_axis_operators", {})  # as transitions is cached
+        cache = self.__dict__.setdefault("_axis_operators", {})  # in the instance, like transitions
         if axis not in cache:
             ix, iy, _ = spin_operators()
             cache[axis] = self.to_eigen({"X": ix, "Y": iy}[axis])

@@ -693,18 +693,6 @@ class TestRealForm:
             assert u[index].tobytes() == lab_frame._ordered_product(stack[index]).tobytes()
             assert head[index].tobytes() == lab_frame._ordered_product(stack[index], prefix=2)[1].tobytes()
 
-    def test_one_lead_axis_keeps_its_bytes(self):
-        # the factor axis moved first by a transpose is, for one lead axis,
-        # the swap of the first two axes the product took before
-        stack = _random_unitaries(np.random.default_rng(14), 3 * 261).reshape(3, 261, 4, 4)
-        real = _real_form(stack).swapaxes(0, 1)
-        while len(real) > 1:
-            pairs = len(real) // 2
-            real = np.concatenate([real[1 : 2 * pairs : 2] @ real[0 : 2 * pairs : 2], real[2 * pairs :]], axis=0)
-        expected = ((real[0][..., :4, :4] + real[0][..., 4:, 4:]) / 2
-                    + 1j * ((real[0][..., 4:, :4] - real[0][..., :4, 4:]) / 2))
-        assert lab_frame._ordered_product(stack).tobytes() == expected.tobytes()
-
     def test_ordered_product_of_each_row(self):
         stack = _random_unitaries(np.random.default_rng(11), 61 * 37).reshape(61, 37, 4, 4)
         u = lab_frame._ordered_product(stack)
