@@ -17,8 +17,10 @@ h_rf from --ratio and gamma cancels, so --hrf and --gamma do not change it.
 Numbers print with 17 significant digits so output is byte-stable and
 round-trip safe.  Exit codes: 0 success, 2 usage or input-format error,
 3 numeric-contract violation (degeneracy, selectivity, bad state, ...).
-The parser is built once per process, so repeated in-process calls of
-run_command(argv, stdout=...) cost ~0.2 ms, not ~2 ms.
+The parsers are built once per process, and a call is parsed by its
+subcommand's own parser, so repeated in-process calls of
+run_command(argv, stdout=...) cost ~0.14 ms (the median of
+bench/run.py --workload cli on a shared 2-core VM), not ~2 ms.
 """
 
 import argparse
@@ -72,6 +74,8 @@ def build_parser():
         description="Spin-3/2 virtual-qubit simulator and gate-to-pulse compiler.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # name -> the subcommand's own parser, which run_command parses with
+    parser.commands = sub.choices
 
     p = sub.add_parser("eigensystem", help="labeled eigensystem of the static Hamiltonian")
     _add_system_flags(p)
@@ -240,12 +244,29 @@ _COMMANDS = {
 }
 
 
+def _parse(argv):
+    """The Namespace the top-level parser gives argv, or its SystemExit.
+
+    A subcommand's own parser does the work the top-level one hands it; the
+    top-level parser answers when argv names no subcommand, and re-parses
+    when the subcommand leaves arguments over, so that refusal, with its
+    usage line, stays its own.
+    """
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def run_command(argv, stdout=None) -> int:
     """Run one CLI invocation; returns the exit code."""
     out = stdout if stdout is not None else sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _parse(list(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -203,12 +203,10 @@ def _hermitian_4x4(a, name):
     a = np.asarray(a, dtype=complex)
     if a.shape != (4, 4):
         raise ValueError(f"{name} must be 4x4, got {a.shape}")
-    _, scale, broken = _hermitian_defect(a)
-    # every entry is finite when max|a| is; else each one is checked, as a
-    # finite modulus may overflow
-    if not scale < math.inf and not np.isfinite(a).all():
+    finite, why = _hermitian_defect(a)
+    if not finite:
         raise ValueError(f"{name} must be finite")
-    if broken:
+    if why is not None:
         raise ValueError(f"{name} must be Hermitian within {HERMITIAN_TOL:g} of its largest entry")
     return a
 

@@ -51,6 +51,7 @@ HERMITIAN_TOL = 1e-12
 # resolved: regime_ok is false, or a selective pulse cannot tell the lines apart.
 RESOLUTION_TOL = 1e-6
 _TINY = np.finfo(float).tiny
+_SQRT3 = math.sqrt(3.0)
 
 
 @dataclass(frozen=True)
@@ -188,43 +189,49 @@ def build_static_hamiltonian(p: SpinParameters) -> np.ndarray:
 def _fix_phases(states):
     """Make each column's largest-magnitude entry real positive (in place);
     a column without a positive one (zero, or nan) is left as it is."""
-    rows, cols = np.argmax(np.abs(states), axis=0), np.arange(states.shape[1])
+    rows, cols = abs(states).argmax(axis=0), np.arange(states.shape[1])
     pivot = states[rows, cols]
     # |pivot| as abs() of one entry gives it; np.abs of a complex array may differ by an ulp
     mag = np.hypot(pivot.real, pivot.imag)
     kept = mag > 0.0
-    rows, cols = rows[kept], cols[kept]
-    states[:, cols] *= pivot[kept].conj() / mag[kept]
+    if kept.all():
+        states *= pivot.conj() / mag
+    else:
+        rows, cols = rows[kept], cols[kept]
+        states[:, cols] *= pivot[kept].conj() / mag[kept]
     # kill the residual imaginary dust on the pivot
-    states[rows, cols] = states[rows, cols].real
+    states.imag[rows, cols] = 0.0
     return states
 
 
-def _assemble(energies, states, mixing, scale):
+def _assemble(energies, columns, mixing, scale):
+    """The labeled EigenSystem of four eigenpairs in any order: ``energies``
+    floats, ``columns[j]`` the state of ``energies[j]``."""
     # labels by descending energy; a tie never survives the gap check below
-    order = sorted(range(len(energies)), key=lambda j: -energies[j])
-    energies = np.asarray(energies, dtype=float)[order]
-    states = _fix_phases(np.asarray(states, dtype=complex)[:, order])
-    gaps = -(energies[1:] - energies[:-1])  # -np.diff(energies), its -0.0 kept, without its wrapper
+    order = sorted(range(4), key=lambda j: -energies[j])
+    levels = [energies[j] for j in order]
+    energies = np.array(levels)
+    gaps = [-(lower - upper) for upper, lower in zip(levels, levels[1:])]  # -np.diff's -0.0 kept
     # every level borders a gap, so finite gaps imply finite energies
-    if not np.isfinite(gaps).all():
+    if not all(map(math.isfinite, gaps)):
         raise DegenerateSpectrum(
             "energies overflow double precision; level labels are undefined",
             energies=energies,
         )
-    min_gap = gaps.min()
+    min_gap = min(reversed(gaps))  # the last of equal smallest gaps, as numpy's min takes 0.0 and -0.0
     if min_gap < DEGENERACY_TOL * scale:
         raise DegenerateSpectrum(
             f"energy gap {min_gap:.3e} below {DEGENERACY_TOL:.1e} * scale;"
             " level labels are undefined",
             energies=energies,
         )
-    regime_ok = bool(min_gap > RESOLUTION_TOL * scale)
+    # one row per level, transposed: column k is level k + 1
+    states = _fix_phases(np.array([columns[j] for j in order], dtype=complex).T)
     return EigenSystem(
         energies=energies,
         states=states,
         mixing_angles=mixing,
-        regime_ok=regime_ok,
+        regime_ok=bool(min_gap > RESOLUTION_TOL * scale),
         scale=float(scale),
     )
 
@@ -246,39 +253,44 @@ def closed_form_eigensystem(p: SpinParameters) -> EigenSystem:
     the energies overflow.
     """
     c = p.omega0 / (2.0 * p.omegaQ)
-    eta_r = p.eta / np.sqrt(3.0)
-    b_plus = np.hypot(1.0 + 2.0 * c, eta_r)
-    b_minus = np.hypot(1.0 - 2.0 * c, eta_r)
-    # Block {-3/2, +1/2}: basis indices (3, 1); block {+3/2, -1/2}: (0, 2).
-    theta_p = np.arctan2(eta_r, 1.0 + 2.0 * c) / 2.0
-    theta_m = np.arctan2(eta_r, 1.0 - 2.0 * c) / 2.0
+    eta_r = p.eta / _SQRT3
+    # both blocks at once: {-3/2, +1/2} on 1 + 2c, then {+3/2, -1/2} on 1 - 2c
+    half_difference = (1.0 + 2.0 * c, 1.0 - 2.0 * c)
+    b_plus, b_minus = np.hypot(half_difference, eta_r).tolist()
+    theta = np.arctan2(eta_r, half_difference) / 2.0
+    cos_p, cos_m = np.cos(theta).tolist()
+    sin_p, sin_m = np.sin(theta).tolist()
 
-    energies = p.omegaQ * np.array(
-        [c + b_plus, c - b_plus, -c + b_minus, -c - b_minus]
+    q = p.omegaQ
+    energies = [q * (c + b_plus), q * (c - b_plus), q * (-c + b_minus), q * (-c - b_minus)]
+    columns = (
+        # upper/lower eigenvector of block {-3/2, +1/2}, basis indices (3, 1)
+        (0.0, sin_p, 0.0, cos_p),
+        (0.0, cos_p, 0.0, -sin_p),
+        # upper/lower eigenvector of block {+3/2, -1/2}, basis indices (0, 2)
+        (cos_m, 0.0, sin_m, 0.0),
+        (-sin_m, 0.0, cos_m, 0.0),
     )
-    states = np.zeros((4, 4), dtype=complex)
-    # upper/lower eigenvector of block {-3/2, +1/2}
-    states[3, 0], states[1, 0] = np.cos(theta_p), np.sin(theta_p)
-    states[3, 1], states[1, 1] = -np.sin(theta_p), np.cos(theta_p)
-    # upper/lower eigenvector of block {+3/2, -1/2}
-    states[0, 2], states[2, 2] = np.cos(theta_m), np.sin(theta_m)
-    states[0, 3], states[2, 3] = -np.sin(theta_m), np.cos(theta_m)
-
-    alpha = (np.pi / 2.0 - theta_p, np.pi / 2.0 - theta_m)
-    return _assemble(energies, states, alpha, p.omegaQ)
+    alpha = tuple(np.pi / 2.0 - theta)
+    return _assemble(energies, columns, alpha, q)
 
 
-def _hermitian_defect(a):
-    """(max|A - A^dagger|, max|A|, broken) of a 4x4 A, max|A| at least the
-    smallest normal float; broken when the first exceeds HERMITIAN_TOL times
-    the second, the one Hermitian rule.  No defect exceeds a nan or inf
-    max|A| (an entry nan or inf, or a modulus past the float range), so
-    then none is taken: (None, max|A|, False)."""
+def _hermitian_defect(a, of="H"):
+    """(finite, why) of a 4x4 A: finite when every entry is; why None when A
+    keeps the one Hermitian rule, max|A - A^dagger| <= HERMITIAN_TOL * max|A|
+    (max|A| at least the smallest normal float), else how it breaks it.  A
+    nan or inf entry has no defect: (False, None).  When every entry is
+    finite but max|A| overflows, the rule is taken on A/4, which keeps it
+    exactly when A does."""
     scale = max(abs(a).max(), _TINY)
     if not scale < math.inf:
-        return None, scale, False
+        if not np.isfinite(a).all():
+            return False, None
+        return _hermitian_defect(a * 0.25, "(H/4)")
     defect = abs(a - a.conj().T).max()
-    return defect, scale, defect > HERMITIAN_TOL * scale
+    if defect > HERMITIAN_TOL * scale:
+        return True, f"max |{of} - {of}^dagger| = {defect:.3e} exceeds {HERMITIAN_TOL:g} * {scale:.3e}"
+    return True, None
 
 
 def diagonalize(hamiltonian, scale=None) -> EigenSystem:
@@ -293,13 +305,18 @@ def diagonalize(hamiltonian, scale=None) -> EigenSystem:
     h = np.asarray(hamiltonian, dtype=complex)
     if h.shape != (4, 4):
         raise ValueError(f"expected a 4x4 operator, got shape {h.shape}")
-    defect, hnorm, broken = _hermitian_defect(h)
-    if broken:
-        raise NotHermitian(f"max |H - H^dagger| = {defect:.3e} exceeds {HERMITIAN_TOL:g} * {hnorm:.3e}")
-    energies, states = np.linalg.eigh((h + h.conj().T) / 2.0)
+    finite, why = _hermitian_defect(h)
+    if why is not None:
+        raise NotHermitian(why)
+    with np.errstate(over="ignore"):
+        twice = h + h.conj().T
+    if finite and not np.isfinite(twice).all():  # finite entries whose sum overflows: halve them first
+        energies, states = np.linalg.eigh(h / 2.0 + h.conj().T / 2.0)
+    else:
+        energies, states = np.linalg.eigh(twice / 2.0)
     if scale is None:
         scale = max(np.max(np.abs(energies)), _TINY)
-    return _assemble(energies, states, None, scale)
+    return _assemble(energies.tolist(), states.T, None, scale)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from vspin import parse_density_matrix, parse_pulse_program
+from vspin import cli
 from vspin.cli import build_parser, run_command
 from vspin.textio import _parse_pair
 
@@ -458,3 +459,123 @@ class TestParserReuse:
             monkeypatch.setenv("COLUMNS", columns)
             for argv in [*REUSE_ARGVS, *reversed(REUSE_ARGVS)]:
                 assert self.call(argv) == fresh[columns, *argv], (columns, argv)
+
+
+RHO = str(Path(__file__).parent / "golden" / "rho.txt")
+SYSTEM = ["--omega0", "0.2", "--omegaQ", "1.5", "--eta", "-0.3", "--gamma", "2", "--hrf", "0"]
+DISPATCH_ARGVS = [
+    # every subcommand with its defaults, and with every flag
+    ["eigensystem"],
+    ["eigensystem", *SYSTEM],
+    ["transitions"],
+    ["transitions", *SYSTEM],
+    ["simulate", IDEAL],
+    ["simulate", IDEAL, "--initial", RHO, "--include-free-evolution"],
+    ["compile-gate", "--kind", "rot", "--target", "R"],
+    ["compile-gate", "--kind", "cnot", "--target", "S", "--axis", "X", "--angle", "pi/2", *SYSTEM],
+    ["pseudo-pure"],
+    ["pseudo-pure", "--beta-scale", "1e-5", *SYSTEM],
+    ["truth-table", "--gate", "cnot-S"],
+    ["truth-table", "--gate", "rot-R-X-pi/2", *SYSTEM],
+    ["oracle-check", "--ratio", "0.01"],
+    ["oracle-check", "--ratio", "0.01", "--transition", "3,4", *SYSTEM],
+    # abbreviated flags: ambiguous, and unique; the = form
+    ["eigensystem", "--omega", "0.2"],
+    ["eigensystem", "--et", "0.25", "--omegaQ=2"],
+    ["pseudo-pure", "--beta", "1e-5"],
+    ["simulate", IDEAL, "--incl"],
+    ["truth-table", "--g", "cnot-R"],
+    # help per subcommand, and -- before values
+    *([command, "-h"] for command in SUBCOMMANDS),
+    ["simulate", "--", IDEAL],
+    ["simulate", "--initial", RHO, "--", IDEAL],
+    ["truth-table", "--gate", "cnot-S", "--"],
+    ["eigensystem", "--", "--omega0", "1"],
+    # negative numbers, and a missing value
+    ["eigensystem", "--eta", "-0.5"],
+    ["eigensystem", "--omega0", "-1"],
+    ["transitions", "--omega0", "-1e-3", "--eta", "-1"],
+    ["eigensystem", "--omega0"],
+    ["truth-table", "--gate"],
+    ["compile-gate", "--kind", "rot"],
+    # a bad choice, and unknown flags after a subcommand (the fallback path)
+    ["compile-gate", "--kind", "swap", "--target", "R"],
+    ["compile-gate", "--kind", "rot", "--target", "R", "--axis", "Z"],
+    ["simulate", IDEAL, "--omega0", "1"],
+    ["eigensystem", "--nope", "1"],
+    ["eigensystem", "-x"],
+    ["oracle-check", "--include-free-evolution"],
+    # extra positionals, empty argv, an unknown command, top-level help
+    ["eigensystem", "extra"],
+    ["simulate", IDEAL, "other"],
+    ["simulate"],
+    [],
+    ["frobnicate"],
+    ["frobnicate", "--omega0", "1"],
+    ["Eigensystem"],
+    ["--help"],
+    ["-h"],
+    ["--help", "eigensystem"],
+    ["--omega0", "1", "eigensystem"],
+]
+
+
+class TestDispatch:
+    """run_command parses with the subcommand's own parser; the top-level
+    parse_args path is the reference it must answer as."""
+
+    @staticmethod
+    def parsed(parse, argv):
+        """(Namespace or exit code, stdout text, stderr text) of one parse."""
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                result = parse(list(argv))
+            except SystemExit as exc:
+                result = exc.code
+        return result, stdout.getvalue(), stderr.getvalue()
+
+    @pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=" ".join)
+    def test_answers_as_the_top_level_parser(self, argv, monkeypatch):
+        reference = self.parsed(lambda a: build_parser().parse_args(a), argv)
+        assert self.parsed(cli._parse, argv) == reference
+        call = TestParserReuse.call
+        got = call(argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parse", lambda a: build_parser().parse_args(a))
+            assert got == call(argv)
+
+    def test_the_corpus_reaches_both_paths(self):
+        parser = build_parser()
+        outcomes = {"subcommand": 0, "fallback": 0, "top-level": 0}
+        for argv in DISPATCH_ARGVS:
+            command = parser.commands.get(argv[0]) if argv else None
+            if command is None:
+                outcomes["top-level"] += 1
+                continue
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    extras = command.parse_known_args(argv[1:])[1]
+                except SystemExit:
+                    extras = []
+            outcomes["fallback" if extras else "subcommand"] += 1
+        assert min(outcomes.values()) >= 3, outcomes
+
+    @pytest.mark.parametrize("argv", [["truth-table", "--gate", "cnot-S", *BASE], ["eigensystem"],
+                                      ["simulate", IDEAL], ["compile-gate", "--kind", "swap", "--target", "R"]],
+                             ids=" ".join)
+    def test_a_subcommand_argv_makes_no_top_level_parse(self, argv, monkeypatch):
+        parser, calls = build_parser(), []
+        real = parser.parse_known_args
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(parser, "parse_known_args", counted)
+        with contextlib.redirect_stderr(io.StringIO()):
+            run(argv)
+        assert calls == []
+        with contextlib.redirect_stderr(io.StringIO()):
+            run(["simulate", IDEAL, "--omega0", "1"])
+        assert len(calls) == 1

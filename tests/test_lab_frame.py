@@ -12,11 +12,13 @@ from vspin import lab_frame
 from vspin import (
     DrivenSystem,
     DriveTerm,
+    NotHermitian,
     SpinParameters,
     StepTooLarge,
     build_static_hamiltonian,
     closed_form_eigensystem,
     convergence_study,
+    diagonalize,
     drive_for_pulse,
     expm4,
     free_evolution,
@@ -211,6 +213,24 @@ class TestIntegrator:
         with np.errstate(over="ignore"):
             assert DriveTerm(operator=big, amplitude=1.0, frequency=1.0).operator.tobytes() == big.tobytes()
             assert DrivenSystem(h0=big, duration=1.0).h0.tobytes() == big.tobytes()
+
+    @pytest.mark.parametrize("lower", [1.5e308 - 1.5e308j, 0.0])
+    def test_non_hermitian_past_the_float_range_in_modulus_refused(self, lower):
+        # max|a| overflows, every entry is finite: the rule is taken on a/4,
+        # where a defect of 1e300 (or of the big pair itself) breaks it
+        big = np.zeros((4, 4), dtype=complex)
+        big[0, 1], big[1, 0], big[2, 3] = 1.5e308 + 1.5e308j, lower, 1e300
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match=r"^h0 must be Hermitian within 1e-12 of its largest entry$"):
+                DrivenSystem(h0=big, duration=1.0)
+            with pytest.raises(ValueError, match=r"^drive operator must be Hermitian within 1e-12 of its largest entry$"):
+                DriveTerm(operator=big, amplitude=1.0, frequency=1.0)
+            with pytest.raises(NotHermitian, match=r"^max \|\(H/4\) - \(H/4\)\^dagger\| = "):
+                diagonalize(big)
+            # a defect of 5 is within 1e-12 of |1.5e308 (1 + i)|: kept
+            big[1, 0], big[2, 3] = 1.5e308 - 1.5e308j, 5.0
+            assert DrivenSystem(h0=big, duration=1.0).h0.tobytes() == big.tobytes()
+            assert DriveTerm(operator=big, amplitude=1.0, frequency=1.0).operator.tobytes() == big.tobytes()
 
     def test_non_hermitian_drive_operator_refused(self):
         with pytest.raises(ValueError, match=r"^drive operator must be Hermitian"):

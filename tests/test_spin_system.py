@@ -14,7 +14,7 @@ from vspin import (
     transition_table,
 )
 from vspin import spin_system
-from vspin.spin_system import RESOLUTION_TOL
+from vspin.spin_system import DEGENERACY_TOL, RESOLUTION_TOL, EigenSystem
 
 SQRT3 = np.sqrt(3.0)
 
@@ -182,6 +182,37 @@ class TestDiagonalize:
         with pytest.raises(NotHermitian, match=r"^max \|H - H\^dagger\| = 9\.000e\+00 exceeds 1e-12 \* 1\.500e\+01$"):
             diagonalize(np.arange(16.0).reshape(4, 4))
 
+    def test_entries_whose_modulus_overflows_keep_the_rule(self):
+        # max|H| = |1.5e308 (1 + i)| overflows; the rule is taken on H/4
+        h = np.zeros((4, 4), dtype=complex)
+        h[0, 1] = 1.5e308 + 1.5e308j
+        h[1, 0] = h[0, 1].conjugate()
+        h[2, 3] = 1e300
+        with np.errstate(over="ignore"), pytest.raises(
+            NotHermitian, match=r"^max \|\(H/4\) - \(H/4\)\^dagger\| = 2\.500e\+299 exceeds 1e-12 \* 5\.303e\+307$"
+        ):
+            diagonalize(h)
+        h[1, 0] = 0.0
+        h[2, 3] = 0.0
+        with np.errstate(over="ignore"), pytest.raises(NotHermitian, match=r"^max \|\(H/4\) - \(H/4\)\^dagger\|"):
+            diagonalize(h)
+
+    def test_hermitian_past_the_float_range_is_degenerate(self):
+        # within the rule (a defect of 5 against 2.1e308), but its energies
+        # +-|1.5e308 (1 + i)| overflow: the overflow refusal, not a LinAlgError
+        h = np.zeros((4, 4), dtype=complex)
+        h[0, 1] = 1.5e308 + 1.5e308j
+        h[1, 0] = h[0, 1].conjugate()
+        h[2, 3] = 5.0
+        with np.errstate(over="ignore"), pytest.raises(DegenerateSpectrum, match=r"^energies overflow"):
+            diagonalize(h)
+        # real pairs: each entry and each energy in range, only H + H^dagger overflows
+        h = np.zeros((4, 4), dtype=complex)
+        h[0, 1] = h[1, 0] = 1.5e308
+        h[2, 3] = h[3, 2] = 1e307
+        e = diagonalize(h)
+        assert np.allclose(e.energies / 1e307, [15.0, 1.0, -1.0, -15.0], rtol=1e-15, atol=0.0)
+
     def test_degenerate_flagged_with_energies(self):
         with pytest.raises(DegenerateSpectrum) as info:
             diagonalize(np.diag([1.0, -1.0, -1.0, 1.0]))
@@ -275,6 +306,111 @@ class TestPhaseRule:
         states = np.array([[0.0, np.nan, 1j], [0.0, 1.0, 0.5]] * 2, dtype=complex)
         expected = _fix_phases_by_column(states.copy())
         assert spin_system._fix_phases(states).tobytes() == expected.tobytes()
+
+
+def _assemble_by_array(energies, states, mixing, scale):
+    """_assemble as numpy arrays all through: sort, gaps and smallest gap,
+    states reordered by fancy index and phase-fixed by the column loop."""
+    order = sorted(range(len(energies)), key=lambda j: -energies[j])
+    energies = np.asarray(energies, dtype=float)[order]
+    states = _fix_phases_by_column(np.asarray(states, dtype=complex)[:, order])
+    gaps = -(energies[1:] - energies[:-1])
+    if not np.isfinite(gaps).all():
+        raise DegenerateSpectrum(
+            "energies overflow double precision; level labels are undefined", energies=energies
+        )
+    min_gap = gaps.min()
+    if min_gap < DEGENERACY_TOL * scale:
+        raise DegenerateSpectrum(
+            f"energy gap {min_gap:.3e} below {DEGENERACY_TOL:.1e} * scale; level labels are undefined",
+            energies=energies,
+        )
+    return EigenSystem(energies=energies, states=states, mixing_angles=mixing,
+                       regime_ok=bool(min_gap > RESOLUTION_TOL * scale), scale=float(scale))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _closed_form_by_scalar(p):
+    """closed_form_eigensystem with one numpy call per block and function,
+    its states written into a zero matrix."""
+    c = p.omega0 / (2.0 * p.omegaQ)
+    eta_r = p.eta / np.sqrt(3.0)
+    b_plus = np.hypot(1.0 + 2.0 * c, eta_r)
+    b_minus = np.hypot(1.0 - 2.0 * c, eta_r)
+    theta_p = np.arctan2(eta_r, 1.0 + 2.0 * c) / 2.0
+    theta_m = np.arctan2(eta_r, 1.0 - 2.0 * c) / 2.0
+    energies = p.omegaQ * np.array([c + b_plus, c - b_plus, -c + b_minus, -c - b_minus])
+    states = np.zeros((4, 4), dtype=complex)
+    states[3, 0], states[1, 0] = np.cos(theta_p), np.sin(theta_p)
+    states[3, 1], states[1, 1] = -np.sin(theta_p), np.cos(theta_p)
+    states[0, 2], states[2, 2] = np.cos(theta_m), np.sin(theta_m)
+    states[0, 3], states[2, 3] = -np.sin(theta_m), np.cos(theta_m)
+    alpha = (np.pi / 2.0 - theta_p, np.pi / 2.0 - theta_m)
+    return _assemble_by_array(energies, states, alpha, p.omegaQ)
+
+
+def _outcome(build, *args):
+    """Every byte of an eigensystem, with its states' layout; or a refusal's
+    type, message and energies."""
+    try:
+        e = build(*args)
+    except DegenerateSpectrum as exc:
+        return type(exc), str(exc), exc.energies.dtype, exc.energies.tobytes()
+    angles = e.mixing_angles or ()
+    return (e.energies.dtype, e.energies.tobytes(), e.states.dtype, e.states.strides, e.states.tobytes(),
+            [type(a) for a in angles], np.array(angles).tobytes(), e.regime_ok, np.array(e.scale).tobytes())
+
+
+def _edge_spins(rng, count):
+    """Seeded spins over the whole float range, the level crossings at
+    omega0 = omegaQ and 2 omegaQ, and eta = 0 and omega0 = 0."""
+    extremes = [1e308, 1.7976931348623157e308, 1e-320, 5e-324, 1e-300, 1.0]
+    for k in range(count):
+        omega_q = 10.0 ** rng.uniform(-3.0, 3.0)
+        eta = rng.uniform(-1.0, 1.0)
+        kind = k % 5
+        if kind == 0:
+            omega0 = omega_q * rng.uniform(0.0, 3.0)
+        elif kind == 1:
+            omega0 = omega_q * rng.choice([1.0, 2.0]) * (1.0 + rng.choice([0.0, 1e-16, -1e-16, 1e-9 * rng.normal()]))
+            eta = rng.choice([0.0, -0.0, 1e-8 * rng.normal(), eta])
+        elif kind == 2:
+            omega0 = rng.choice([0.0, omega_q * rng.uniform(0.0, 3.0)])
+            eta = rng.choice([0.0, -0.0, 1.0, -1.0, eta])
+        else:
+            omega_q = rng.choice([*extremes, 10.0 ** rng.uniform(-323.0, 308.0)])
+            omega0 = rng.choice([0.0, *extremes, 10.0 ** rng.uniform(-323.0, 308.0)])
+            eta = rng.choice([0.0, 1e-320, 1.0, eta])
+        yield SpinParameters(omega0=float(omega0), omegaQ=float(omega_q), eta=float(eta))
+
+
+class TestClosedFormBytes:
+    """closed_form_eigensystem and diagonalize against the same eigensystems
+    built with numpy arrays all through, byte for byte."""
+
+    def test_closed_form_matches_its_array_form(self):
+        outcomes = set()
+        for p in _edge_spins(np.random.default_rng(20261020), 20_000):
+            expected = _outcome(_closed_form_by_scalar, p)
+            assert _outcome(closed_form_eigensystem, p) == expected, p
+            outcomes.add(expected[1] if expected[0] is DegenerateSpectrum else expected[-2])
+        # labeled resolved and unresolved spectra, and both refusals
+        assert {True, False} <= outcomes
+        assert any(o.startswith("energies overflow") for o in outcomes if isinstance(o, str))
+        assert any(o.startswith("energy gap") for o in outcomes if isinstance(o, str))
+
+    def test_diagonalize_matches_its_array_form(self):
+        rng = np.random.default_rng(20261021)
+
+        def by_array(h):
+            energies, states = np.linalg.eigh((h + h.conj().T) / 2.0)
+            return _assemble_by_array(energies, states, None, max(np.max(np.abs(energies)), np.finfo(float).tiny))
+
+        for k, p in enumerate(_edge_spins(rng, 2_000)):
+            a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            for h in (build_static_hamiltonian(p) if k % 5 < 3 else np.diag(rng.choice([0.0, -0.0, 1.0], 4)) + 0j,
+                      (a + a.conj().T) * 10.0 ** rng.uniform(-5.0, 5.0)):
+                assert _outcome(diagonalize, h) == _outcome(by_array, h)
 
 
 class TestEigenSystemInvariants:
