@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ParseError, ProgramError, VspinError
 from .lab_frame import rwa_sweep
 from .pulse_engine import apply_pulse_program
-from .spin_system import SpinParameters, closed_form_eigensystem
+from .spin_system import SpinParameters, _normalize_transition, closed_form_eigensystem
 from .state_prep import ThermalSpec, high_temperature_state, temporal_average
 from .textio import (
     _parse_pair,
@@ -226,7 +226,10 @@ def _cmd_oracle_check(args, out):
     ratios = [float(r) for r in str(args.ratio).split(",") if r.strip()]
     if not ratios:
         raise ValueError("no ratios given")
-    transition = _parse_pair(str(args.transition))
+    try:
+        transition = _normalize_transition(_parse_pair(str(args.transition)))
+    except ValueError as exc:  # before any output, under the flag's name
+        raise ValueError(f"--transition: {exc}") from None
     out.write("ratio,infidelity\n")
     for ratio, infidelity in rwa_sweep(params, transition=transition, ratios=ratios):
         out.write(f"{format_number(ratio)},{format_number(infidelity)}\n")

@@ -142,15 +142,16 @@ from .pulse_engine import (
     AXIS_SHIFT,
     _drivable_element,
     _normalize_axis,
-    _normalize_transition,
     _pulse_length,
     single_frequency_propagator,
+    transition_matrix_element,
 )
 from .spin_system import (
     HERMITIAN_TOL,
     EigenSystem,
     SpinParameters,
     _hermitian_defect,
+    _normalize_transition,
     closed_form_eigensystem,
 )
 
@@ -181,6 +182,7 @@ _TAYLOR_STEPS = ((7, 0.035), (9, 0.11), (13, 0.43))
 # no digit can be right, so expm4 takes at most 51, and so does a step
 # kernel, its read-off's and expm4's on its nodes counted together.
 _MAX_SQUARINGS = 51
+_MAX_NORM = _TAYLOR_STEPS[-1][1] * 2.0**_MAX_SQUARINGS  # the largest 1-norm those squarings reach
 # Fourier kernels: the truncation bound, far below one ulp of 1, and the
 # largest drive 1-norm read off without scaling and squaring (each
 # squaring doubles the roundoff; a larger bound widens the basis).
@@ -289,7 +291,7 @@ def expm4(a):
     stack = a[None, :, :] if squeeze else a
     with np.errstate(over="ignore"):  # a row sum beyond the float range is inf
         theta = float(np.max(np.sum(np.abs(stack), axis=-1))) if stack.size else 0.0
-    if not theta <= _TAYLOR_STEPS[-1][1] * 2.0**_MAX_SQUARINGS:  # also a nan or inf entry
+    if not theta <= _MAX_NORM:  # also a nan or inf entry
         raise ValueError(f"a must be finite and need <= {_MAX_SQUARINGS} squarings, got norm {theta}")
     degree, squarings = _taylor_degree(theta)
     scaled = stack / (2.0**squarings)
@@ -416,7 +418,7 @@ def _step_kernel(h0, drives, h, refinements=None):
         # node rows X + sum_d c_d Y_d, |c_d| <= 1, sum to <= ||X|| + ||Y||_1 (a Hermitian
         # drive's row and column sums agree): in expm4's range, both squarings add to <= 51
         step_norm = float(np.abs(x).sum(axis=-1).max()) + norm
-    if not step_norm <= _TAYLOR_STEPS[-1][1] * 2.0**_MAX_SQUARINGS:  # also a nan or inf norm
+    if not step_norm <= _MAX_NORM:  # also a nan or inf norm
         raise StepTooLarge(f"a step of {h:.3g} s has norm {step_norm:.3g},"
                            f" which needs more than {_MAX_SQUARINGS} squarings")
     # refinement g's node generators are step h's over 2^g exactly, scaled by
@@ -672,7 +674,7 @@ def _partial_step(h0, drives, t, delta):
     h = h0 + sum(d.amplitude * np.cos(d.frequency * t + d.phase) * d.operator for d in drives)
     with np.errstate(over="ignore"):  # a row sum beyond the float range is inf
         norm = delta * float(np.abs(h).sum(axis=-1).max())
-    if not norm <= _TAYLOR_STEPS[-1][1] * 2.0**_MAX_SQUARINGS:  # also a nan or inf entry
+    if not norm <= _MAX_NORM:  # also a nan or inf entry
         # delta < h, but the step kernel bounds the drives' column sums, and
         # their row sums may exceed them within HERMITIAN_TOL
         raise StepTooLarge(f"a step of {delta:.3g} s needs more than {_MAX_SQUARINGS} squarings")
@@ -777,13 +779,12 @@ def drive_for_pulse(
     and arg(element), so the realized rotation matches the ideal
     propagator; the duration and its refusals are the engine's.
     """
-    duration = _pulse_length(params, e, transition, axis, flip)
+    m, n = line = _normalize_transition(transition)
     axis = _normalize_axis(axis)
-    m, n = _normalize_transition(transition)
-    operator = e.axis_operator(axis)
-    element = operator[m - 1, n - 1]
+    duration = _pulse_length(params, e, line, axis, flip)
+    element = transition_matrix_element(e, line, axis)
     drive = DriveTerm(
-        operator=operator,
+        operator=e.axis_operator(axis),
         amplitude=2.0 * params.gamma * params.h_rf,
         frequency=float(e.energies[m - 1] - e.energies[n - 1]),
         phase=float(phase) + (AXIS_SHIFT[axis] + np.pi / 2.0) + float(np.angle(element)),
@@ -791,14 +792,14 @@ def drive_for_pulse(
     return DrivenSystem(h0=np.diag(e.energies).astype(complex), drives=(drive,), duration=duration)
 
 
-def _params_for_ratio(params: SpinParameters, e, transition, axis, ratio, flip=np.pi):
-    """Rescale h_rf so gamma * h_rf * |element| = ratio * min_gap, ratio finite
-    and > 0; ValueError naming the ratio unless h_rf, the drive amplitude
-    2 gamma h_rf and the duration of a ``flip`` pulse are finite."""
+def _params_for_ratio(params: SpinParameters, e, line, axis, ratio, flip=np.pi):
+    """Rescale h_rf so gamma * h_rf * |element| = ratio * min_gap on a checked line,
+    ratio finite and > 0; ValueError naming the ratio unless h_rf, the drive
+    amplitude 2 gamma h_rf and the duration of a ``flip`` pulse are finite."""
     if not (math.isfinite(ratio := float(ratio)) and ratio > 0.0):
         raise ValueError(f"ratio must be finite and > 0, got {ratio}")
-    element = float(abs(_drivable_element(e, transition, axis)))
-    min_gap, _ = e.transitions.nearest(*_normalize_transition(transition))
+    element = float(abs(_drivable_element(e, line, axis)))
+    min_gap, _ = e.transitions._nearest(line)
     h_rf = ratio * min_gap / (params.gamma * element)
     # the amplitude and the duration as drive_for_pulse and _pulse_length take them
     amplitude = 2.0 * params.gamma * h_rf
@@ -824,13 +825,14 @@ def rwa_infidelity(
     interaction frame before comparison, so the number measures the
     rotating-wave error alone.
     """
+    line, axis = _normalize_transition(transition), _normalize_axis(axis)
     if e is None:
         e = closed_form_eigensystem(params)
-    scaled = _params_for_ratio(params, e, transition, axis, ratio, flip)
-    system = drive_for_pulse(scaled, e, transition, axis, phase, flip)
+    scaled = _params_for_ratio(params, e, line, axis, ratio, flip)
+    system = drive_for_pulse(scaled, e, line, axis, phase, flip)
     u_lab = integrate_lab_frame(system)
     u_int = to_interaction_frame(u_lab, e, system.duration)
-    v = single_frequency_propagator(e, transition, axis, phase, flip)
+    v = single_frequency_propagator(e, line, axis, phase, flip)
     return propagator_infidelity(u_int, v)
 
 
@@ -862,9 +864,10 @@ def convergence_study(
     if refinements < 1:
         raise ValueError(f"refinements must be >= 1, got {refinements}")
     refinements = int(refinements)
+    line, axis = _normalize_transition(transition), _normalize_axis(axis)
     e = closed_form_eigensystem(params)
-    scaled = _params_for_ratio(params, e, transition, axis, ratio, flip)
-    system = drive_for_pulse(scaled, e, transition, axis, 0.0, flip)
+    scaled = _params_for_ratio(params, e, line, axis, ratio, flip)
+    system = drive_for_pulse(scaled, e, line, axis, 0.0, flip)
     base = _step_count(system.duration, system.default_step())
     if base > _MAX_STEPS >> refinements:
         raise ValueError(f"refinements {refinements} make a finest grid of {base} * 2^{refinements}"

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange
-from .spin_system import EigenSystem, spin_operators
+from .spin_system import EigenSystem, _level
 
 __all__ = [
     "Projector",
@@ -34,21 +33,16 @@ def drivable(element):
     return abs(element) >= DRIVABLE_THRESHOLD
 
 
-def _check_level(*levels):
-    for m in levels:
-        if not (isinstance(m, (int, np.integer)) and 1 <= m <= 4):
-            raise IndexOutOfRange(f"level index must be in 1..4, got {m!r}")
-
-
 @dataclass(frozen=True)
 class Projector:
-    """|psi_m><psi_n| as an eigenbasis elementary matrix."""
+    """|psi_m><psi_n| as an eigenbasis elementary matrix; m, n levels, stored as ints."""
 
     m: int
     n: int
 
     def __post_init__(self):
-        _check_level(self.m, self.n)
+        object.__setattr__(self, "m", _level(self.m))
+        object.__setattr__(self, "n", _level(self.n))
 
     @property
     def matrix(self):
@@ -61,9 +55,7 @@ class Projector:
         return Projector(self.n, self.m)
 
 
-def projector(m, n) -> Projector:
-    """P_mn with m, n in 1..4."""
-    return Projector(int(m), int(n))
+projector = Projector  # P_mn, by the factory name the API keeps
 
 
 def projector_product(a: Projector, b: Projector) -> np.ndarray:
@@ -111,20 +103,15 @@ class SelectionRules:
     mask: np.ndarray
 
     def allowed(self, m, n):
-        _check_level(m, n)
-        return bool(self.mask[m - 1, n - 1])
+        return bool(self.mask[_level(m) - 1, _level(n) - 1])
 
 
 def selection_rules(e: EigenSystem, axis) -> SelectionRules:
     """Which level pairs a given spin component connects.
 
-    ``axis`` is "X", "Y" or "Z".  A pair counts as connected when its
+    ``axis`` is X, Y or Z, in any case.  A pair counts as connected when its
     element passes the drivability rule, |element| >= DRIVABLE_THRESHOLD,
     the rule that also decides whether a pulse on that line is realizable.
     """
-    ops = dict(zip("XYZ", spin_operators()))
-    key = str(axis).upper()
-    if key not in ops:
-        raise ValueError(f"axis must be X, Y or Z, got {axis!r}")
-    elements = e.to_eigen(ops[key])
+    elements = e.axis_operator(axis)
     return SelectionRules(elements=elements, mask=drivable(elements))

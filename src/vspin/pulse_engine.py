@@ -47,6 +47,7 @@ from .operator_algebra import DRIVABLE_THRESHOLD, drivable, free_evolution  # no
 from .spin_system import (
     EigenSystem,
     SpinParameters,
+    _normalize_transition,
     closed_form_eigensystem,
 )
 
@@ -78,13 +79,6 @@ _IDENTITY = np.eye(4, dtype=complex)
 _IDENTITY.flags.writeable = False
 
 
-def _normalize_transition(transition):
-    m, n = (int(transition[0]), int(transition[1]))
-    if m == n or not (1 <= m <= 4 and 1 <= n <= 4):
-        raise ValueError(f"transition must be a pair of distinct levels in 1..4, got {transition}")
-    return (m, n) if m < n else (n, m)
-
-
 def _normalize_axis(axis):
     key = str(axis).upper()
     if key not in AXIS_SHIFT:
@@ -96,7 +90,7 @@ def _normalize_axis(axis):
 class PulseSpec:
     """One transition-selective pulse.
 
-    transition  level pair (m, n), stored with m < n
+    transition  a line (m, n) in either order, stored with m < n
     axis        "X" or "Y" (RF field direction)
     phase       phi, radians
     flip        phi_y >= 0, radians, never wrapped (the overall sign flip
@@ -195,22 +189,20 @@ def transition_matrix_element(e: EigenSystem, transition, axis="Y"):
     return complex(e.axis_operator(_normalize_axis(axis))[m - 1, n - 1])
 
 
-def _drivable_element(e: EigenSystem, transition, axis):
-    """The drive matrix element of a line; ZeroMatrixElement if it is forbidden."""
-    element = transition_matrix_element(e, transition, axis)
+def _drivable_element(e: EigenSystem, line, axis):
+    """The drive matrix element of a checked line; ZeroMatrixElement if it is forbidden."""
+    m, n = line
+    element = complex(e.axis_operator(axis)[m - 1, n - 1])
     if not drivable(element):
-        raise ZeroMatrixElement(
-            f"transition {_normalize_transition(transition)} has"
-            f" |<I_{_normalize_axis(axis)}>| = {abs(element):.2e}; undrivable"
-        )
+        raise ZeroMatrixElement(f"transition {line} has |<I_{axis}>| = {abs(element):.2e}; undrivable")
     return element
 
 
-def _pulse_length(params: SpinParameters, e: EigenSystem, transition, axis, flip):
-    """Duration T from flip = 2 gamma h_rf |element| T; checks h_rf > 0, then drivability."""
+def _pulse_length(params: SpinParameters, e: EigenSystem, line, axis, flip):
+    """Duration T from flip = 2 gamma h_rf |element| T of a checked line; checks h_rf > 0, then drivability."""
     if params.h_rf <= 0.0:
         raise ValueError("h_rf must be > 0 to realize a pulse")
-    element = _drivable_element(e, transition, axis)
+    element = _drivable_element(e, line, axis)
     return float(flip) / (2.0 * params.gamma * params.h_rf * abs(element))
 
 
@@ -222,21 +214,21 @@ def flip_angle(p: SpinParameters, e: EigenSystem, transition, axis, duration):
     """
     if not (math.isfinite(duration) and duration >= 0.0):
         raise ValueError(f"duration must be finite and >= 0, got {duration}")
-    element = _drivable_element(e, transition, axis)
+    element = _drivable_element(e, _normalize_transition(transition), _normalize_axis(axis))
     return 2.0 * float(duration) * p.gamma * p.h_rf * abs(element)
 
 
-def _check_physics(e, transition, axis, params):
-    """Drivability and selectivity preconditions of a realized pulse."""
-    m, n = transition
-    rabi = params.gamma * params.h_rf * abs(_drivable_element(e, transition, axis))
+def _check_physics(e, line, axis, params):
+    """Drivability and selectivity preconditions of a realized pulse on a checked line."""
+    m, n = line
+    rabi = params.gamma * params.h_rf * abs(_drivable_element(e, line, axis))
     table = e.transitions
-    gap, (p, q) = table.nearest(m, n)
+    gap, (p, q) = table._nearest(line)
     if gap <= SELECTIVITY_FACTOR * rabi:
         raise SelectivityViolation(
-            f"Omega({m},{n}) = {table.frequency(m, n):.6g} is within"
+            f"Omega({m},{n}) = {table._omegas[line]:.6g} is within"
             f" {SELECTIVITY_FACTOR:g} Rabi rates ({SELECTIVITY_FACTOR * rabi:.3g})"
-            f" of Omega({p},{q}) = {table.frequency(p, q):.6g}"
+            f" of Omega({p},{q}) = {table._omegas[p, q]:.6g}"
         )
 
 
@@ -254,10 +246,10 @@ def single_frequency_propagator(
     (ZeroMatrixElement, SelectivityViolation); otherwise the pulse is an
     ideal compiler-view object.
     """
-    m, n = _normalize_transition(transition)
+    m, n = line = _normalize_transition(transition)
     axis = _normalize_axis(axis)
     if params is not None and params.h_rf > 0.0:
-        _check_physics(e, (m, n), axis, params)
+        _check_physics(e, line, axis, params)
     phi = float(phase) + AXIS_SHIFT[axis]
     half = float(flip) / 2.0
     v = _IDENTITY.copy()
@@ -282,8 +274,7 @@ def two_frequency_propagator(
     The factors commute, so this equals the product of the two
     single-frequency propagators in either order.
     """
-    a = _normalize_transition(pair_a)
-    b = _normalize_transition(pair_b)
+    a, b = _normalize_transition(pair_a), _normalize_transition(pair_b)
     if set(a) & set(b):
         raise SharedLevel(f"simultaneous pulses share levels: {a} and {b}")
     va = single_frequency_propagator(e, a, axis, phase, flip_a, params)

@@ -18,6 +18,8 @@ Conventions fixed here and relied on everywhere else:
 * levels are labeled by descending energy; an exact tie is a degenerate
   spectrum, and levels closer than ``DEGENERACY_TOL * scale`` raise
   :class:`~vspin.errors.DegenerateSpectrum`;
+* a level is a value equal to one of 1..4, taken as that int, and a line a
+  pair of two different levels, as (low, high): ``_level``, ``_normalize_transition``;
 * each eigenvector's largest-magnitude component is made real positive,
   which pins the phases of all drive matrix elements.
 """
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, NotHermitian
+from .errors import DegenerateSpectrum, IndexOutOfRange, NotHermitian
 
 __all__ = [
     "SpinParameters",
@@ -52,6 +54,24 @@ HERMITIAN_TOL = 1e-12
 RESOLUTION_TOL = 1e-6
 _TINY = np.finfo(float).tiny
 _SQRT3 = math.sqrt(3.0)
+_LEVELS = {m: m for m in range(1, 5)}
+_LINES = {(m, n): (min(m, n), max(m, n)) for m in _LEVELS for n in _LEVELS if m != n}
+
+
+def _level(m):
+    """Level m as an int in 1..4; IndexOutOfRange unless m equals one."""
+    try:
+        return _LEVELS[m]
+    except (KeyError, TypeError):  # TypeError: m is unhashable
+        raise IndexOutOfRange(f"level index must be in 1..4, got {m!r}") from None
+
+
+def _normalize_transition(transition):
+    """A line as (low, high); ValueError unless it is a pair of two different levels."""
+    try:
+        return _LINES[tuple(transition)]
+    except (KeyError, TypeError):
+        raise ValueError(f"transition must be a pair of distinct levels in 1..4, got {transition}") from None
 
 
 @dataclass(frozen=True)
@@ -104,8 +124,7 @@ class EigenSystem:
     scale          reference angular frequency for relative tolerances
                    (omegaQ when built from SpinParameters)
     transitions    transition_table(self), built on first access
-    axis_operator  axis_operator(axis), <psi_m| I_axis |psi_n> for axis X
-                   or Y, built on first access per axis, read-only
+    axis_operator  axis_operator(axis), <psi_m| I_axis |psi_n> of X, Y or Z, cached, read-only
     """
 
     energies: np.ndarray
@@ -120,23 +139,24 @@ class EigenSystem:
         return transition_table(self)
 
     def axis_operator(self, axis):
-        """<psi_m| I_axis |psi_n>, the eigenbasis matrix of the spin component
-        an RF field along ``axis`` ("X" or "Y") drives: built once per axis,
-        on first use, and read-only."""
+        """<psi_m| I_axis |psi_n> of the spin component X, Y or Z, in any case
+        (else ValueError): built once per axis, on first use, and read-only."""
+        key = str(axis).upper()
         cache = self.__dict__.setdefault("_axis_operators", {})  # in the instance, like transitions
-        if axis not in cache:
-            ix, iy, _ = spin_operators()
-            cache[axis] = self.to_eigen({"X": ix, "Y": iy}[axis])
-            cache[axis].flags.writeable = False
-        return cache[axis]
+        if key not in cache:
+            if key not in _SPIN_COMPONENTS:
+                raise ValueError(f"axis must be X, Y or Z, got {axis!r}")
+            cache[key] = self.to_eigen(_SPIN_COMPONENTS[key])
+            cache[key].flags.writeable = False
+        return cache[key]
 
     def energy(self, m):
-        """Energy of level m in 1..4."""
-        return float(self.energies[m - 1])
+        """Energy of level m."""
+        return float(self.energies[_level(m) - 1])
 
     def state(self, m):
         """Eigenvector of level m in the |chi> basis."""
-        return self.states[:, m - 1].copy()
+        return self.states[:, _level(m) - 1].copy()
 
     def to_eigen(self, operator):
         """Matrix elements <psi_m| A |psi_n> of a |chi>-basis operator."""
@@ -163,6 +183,7 @@ def _build_spin_operators():
 
 
 _SPIN_OPERATORS = _build_spin_operators()
+_SPIN_COMPONENTS = dict(zip("XYZ", _SPIN_OPERATORS))
 
 
 def spin_operators():
@@ -298,7 +319,7 @@ def diagonalize(hamiltonian, scale=None) -> EigenSystem:
 
     Applies the same label and phase conventions as the closed form, so the
     two routes can be compared state by state.  ``scale`` defaults to the
-    largest absolute eigenvalue; a given one must be finite and > 0.
+    largest |eigenvalue|; ValueError unless a given one is finite and > 0, and every entry finite.
     """
     if scale is not None and not (math.isfinite(scale) and scale > 0.0):
         raise ValueError(f"scale must be finite and > 0, got {scale}")
@@ -306,11 +327,13 @@ def diagonalize(hamiltonian, scale=None) -> EigenSystem:
     if h.shape != (4, 4):
         raise ValueError(f"expected a 4x4 operator, got shape {h.shape}")
     finite, why = _hermitian_defect(h)
+    if not finite:
+        raise ValueError("hamiltonian must be finite")
     if why is not None:
         raise NotHermitian(why)
     with np.errstate(over="ignore"):
         twice = h + h.conj().T
-    if finite and not np.isfinite(twice).all():  # finite entries whose sum overflows: halve them first
+    if not np.isfinite(twice).all():  # finite entries whose sum overflows: halve them first
         energies, states = np.linalg.eigh(h / 2.0 + h.conj().T / 2.0)
     else:
         energies, states = np.linalg.eigh(twice / 2.0)
@@ -333,23 +356,21 @@ class TransitionTable:
     collisions: tuple
     margin: float
 
+    @functools.cached_property
+    def _omegas(self):  # line -> Omega, in the instance __dict__ as EigenSystem.transitions
+        return {(m, n): omega for m, n, omega in self.entries}
+
     def frequency(self, m, n):
-        """Omega_mn for a level pair (order-insensitive)."""
-        a, b = (m, n) if m < n else (n, m)
-        for mm, nn, omega in self.entries:
-            if (mm, nn) == (a, b):
-                return omega
-        raise KeyError(f"no transition ({m}, {n})")
+        """Omega_mn for the line (m, n), in either order."""
+        return self._omegas[_normalize_transition((m, n))]
 
     def nearest(self, m, n):
         """(|Omega_mn - Omega_pq|, (p, q)) for the line (p, q) closest to (m, n)."""
-        a, b = (m, n) if m < n else (n, m)
-        omega = self.frequency(a, b)
-        return min(
-            (abs(omega - other), (mm, nn))
-            for mm, nn, other in self.entries
-            if (mm, nn) != (a, b)
-        )
+        return self._nearest(_normalize_transition((m, n)))
+
+    def _nearest(self, line):
+        omega = self._omegas[line]
+        return min((abs(omega - other), pair) for pair, other in self._omegas.items() if pair != line)
 
 
 def transition_table(e: EigenSystem) -> TransitionTable:
@@ -363,9 +384,7 @@ def transition_table(e: EigenSystem) -> TransitionTable:
     """
     margin = RESOLUTION_TOL * e.scale
     energies = e.energies.tolist()
-    entries = [
-        (m, n, energies[m - 1] - energies[n - 1]) for m in range(1, 5) for n in range(m + 1, 5)
-    ]
+    entries = [(m, n, energies[m - 1] - energies[n - 1]) for m, n in sorted(set(_LINES.values()))]
     if not all(math.isfinite(omega) for _, _, omega in entries):
         raise DegenerateSpectrum(
             "transition frequencies overflow double precision", energies=e.energies

@@ -33,7 +33,7 @@ from .pulse_engine import (
     _normalize_axis,
     program_propagator,
 )
-from .spin_system import EigenSystem, SpinParameters
+from .spin_system import EigenSystem, SpinParameters, _level
 
 __all__ = [
     "LEVEL_TO_BITS",
@@ -63,10 +63,7 @@ UNIT_TOL = 1e-10
 
 def level_to_bits(m) -> str:
     """Bit string of level m; first character is the R bit."""
-    try:
-        return LEVEL_TO_BITS[int(m)]
-    except (KeyError, ValueError, TypeError):
-        raise IndexOutOfRange(f"level index must be in 1..4, got {m!r}") from None
+    return LEVEL_TO_BITS[_level(m)]
 
 
 def bits_to_level(bits) -> int:

@@ -346,7 +346,16 @@ class TestOracleCheck:
         code, text = run(["oracle-check", "--ratio", "0.01", "--transition", pair, *BASE])
         assert code == 2
         assert text == ""
-        assert capsys.readouterr().err == f"vspin: error: {rule.value}\n"
+        assert capsys.readouterr().err == f"vspin: error: --transition: {rule.value}\n"
+
+    @pytest.mark.parametrize("pair", ["0,2", "1,1", "2,5"])
+    def test_transition_off_the_line_rule_exit_2_before_any_output(self, capsys, pair):
+        code, text = run(["oracle-check", "--ratio", "0.01", "--transition", pair, *BASE])
+        assert (code, text) == (2, "")
+        shown = "(" + pair.replace(",", ", ") + ")"
+        assert capsys.readouterr().err == (
+            f"vspin: error: --transition: transition must be a pair of distinct levels in 1..4, got {shown}\n"
+        )
 
     @pytest.mark.parametrize(("pair", "bad"), [("a,b", "'a'"), ("1,b", "'b'"), ("1.5,2", "'1.5'")])
     def test_non_integer_transition_names_the_form_and_the_token(self, capsys, pair, bad):

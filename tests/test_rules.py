@@ -12,17 +12,23 @@ Over random resolved spins, all six level pairs and both RF axes:
   other line is within 1e3 Rabi rates;
 * realized duration - program_propagator(include_free_evolution=True)
   and drive_for_pulse refuse h_rf = 0 with one ValueError, before they
-  look at drivability.
+  look at drivability;
+* labels - every function that takes a level, a line or a spin component
+  accepts the same inputs, with the verdict of the label they equal, and
+  refuses the rest with the rule's own message.
 """
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from vspin import (
     DegenerateSpectrum,
+    IndexOutOfRange,
+    Projector,
     PulseProgram,
     PulseSpec,
     PulseStep,
@@ -33,7 +39,10 @@ from vspin import (
     closed_form_eigensystem,
     drive_for_pulse,
     flip_angle,
+    level_to_bits,
     program_propagator,
+    projector,
+    rwa_infidelity,
     selection_rules,
     single_frequency_propagator,
     transition_matrix_element,
@@ -187,3 +196,105 @@ def test_realized_duration_needs_h_rf(eigen, pair):
             call()
         messages.add(str(info.value))
     assert messages == {"h_rf must be > 0 to realize a pulse"}
+
+
+# (input, the level it names or None): the inputs every label entry point is asked about
+LABEL_INPUTS = [
+    (1, 1), (2, 2), (3, 3), (4, 4), (np.int64(2), 2), (2.0, 2), (True, 1),
+    (0, None), (5, None), (-1, None), (1.5, None), ("1", None), (None, None),
+    ((1, 2, 3), None), ("12", None), ([2, 1], None),
+]
+DRIVEN = SpinParameters(0.1, 1.0, 0.5, h_rf=1e-6)
+
+
+def _outcome(call, *args):
+    """What a call gives: ("value", its result) or (exception type, message)."""
+    try:
+        return "value", call(*args)
+    except (ValueError, ZeroMatrixElement, SelectivityViolation) as exc:
+        return type(exc), str(exc)
+
+
+def _fingerprint(system):
+    (drive,) = system.drives
+    return (system.duration, system.h0.tobytes(), drive.operator.tobytes(),
+            drive.amplitude, drive.frequency, drive.phase)
+
+
+LEVEL_CALLS = {
+    "EigenSystem.energy": lambda e, m: e.energy(m),
+    "EigenSystem.state": lambda e, m: e.state(m).tobytes(),
+    "Projector(m, 1)": lambda e, m: (p := Projector(m, 1), type(p.m)),
+    "Projector(1, m)": lambda e, m: (p := Projector(1, m), type(p.n)),
+    "projector(m, 3)": lambda e, m: (p := projector(m, 3), type(p.m)),
+    "projector(3, m)": lambda e, m: (p := projector(3, m), type(p.n)),
+    "SelectionRules.allowed(m, 2)": lambda e, m: selection_rules(e, "Y").allowed(m, 2),
+    "SelectionRules.allowed(2, m)": lambda e, m: selection_rules(e, "Y").allowed(2, m),
+    "level_to_bits": lambda e, m: level_to_bits(m),
+}
+
+
+@pytest.mark.parametrize("name", LEVEL_CALLS)
+def test_level_verdict_is_shared(eigen, name):
+    call = LEVEL_CALLS[name]
+    for given, level in LABEL_INPUTS:
+        if level is None:
+            with pytest.raises(IndexOutOfRange) as info:
+                call(eigen, given)
+            assert str(info.value) == f"level index must be in 1..4, got {given!r}", (name, given)
+        else:
+            assert _outcome(call, eigen, given) == _outcome(call, eigen, level), (name, given)
+
+
+# a line passed as one object, and as its two levels
+LINE_CALLS = {
+    "PulseSpec": lambda e, t: (PulseSpec(t).transition, tuple(map(type, PulseSpec(t).transition))),
+    "transition_matrix_element": lambda e, t: transition_matrix_element(e, t, "X"),
+    "single_frequency_propagator": lambda e, t: single_frequency_propagator(
+        e, t, "Y", 0.3, 1.1, DRIVEN).tobytes(),
+    "drive_for_pulse": lambda e, t: _fingerprint(drive_for_pulse(DRIVEN, e, t, "Y", 0.3, 1.1)),
+    "rwa_infidelity": lambda e, t: rwa_infidelity(DRIVEN, e, t, 1e-2),
+}
+PAIR_CALLS = {
+    "TransitionTable.frequency": lambda e, t: e.transitions.frequency(*t),
+    "TransitionTable.nearest": lambda e, t: e.transitions.nearest(*t),
+}
+# (given, the line it names or None): each input as a whole line, where
+# only the list [2, 1] names one, and as the first level of a line to level 4
+WHOLE_LINES = [(given, (1, 2) if isinstance(given, list) else None) for given, _ in LABEL_INPUTS]
+LINES_TO_4 = [((given, 4), (level, 4) if level in (1, 2, 3) else None) for given, level in LABEL_INPUTS]
+
+
+@pytest.mark.parametrize("name", [*LINE_CALLS, *PAIR_CALLS])
+def test_line_verdict_is_shared(eigen, name):
+    call = LINE_CALLS.get(name) or PAIR_CALLS[name]
+    for given, line in LINES_TO_4 if name in PAIR_CALLS else WHOLE_LINES + LINES_TO_4:
+        if line is None:
+            with pytest.raises(ValueError) as info:
+                call(eigen, given)
+            message = f"transition must be a pair of distinct levels in 1..4, got {given}"
+            assert str(info.value) == message, (name, given)
+        else:
+            assert _outcome(call, eigen, given) == _outcome(call, eigen, line), (name, given)
+            assert _outcome(call, eigen, given) == _outcome(call, eigen, line[::-1]), (name, given)
+
+
+AXIS_INPUTS = [("X", "X"), ("y", "Y"), ("Z", "Z"), ("z", "Z"), ("Q", None), ("XY", None), ("", None),
+               (" x", None), *((given, None) for given, _ in LABEL_INPUTS)]
+
+
+@pytest.mark.parametrize("name", ["axis_operator", "selection_rules"])
+def test_axis_verdict_is_shared(eigen, name):
+    def call(e, axis):
+        if name == "axis_operator":
+            return e.axis_operator(axis).tobytes()
+        rules = selection_rules(e, axis)
+        return rules.elements.tobytes(), rules.mask.tobytes()
+
+    for given, axis in AXIS_INPUTS:
+        if axis is None:
+            with pytest.raises(ValueError) as info:
+                call(eigen, given)
+            assert str(info.value) == f"axis must be X, Y or Z, got {given!r}", (name, given)
+        else:
+            assert _outcome(call, eigen, given) == _outcome(call, eigen, axis), (name, given)

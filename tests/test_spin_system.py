@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -212,6 +214,18 @@ class TestDiagonalize:
         h[2, 3] = h[3, 2] = 1e307
         e = diagonalize(h)
         assert np.allclose(e.energies / 1e307, [15.0, 1.0, -1.0, -15.0], rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
+    @pytest.mark.parametrize("entries", [((0, 0),), ((2, 1), (1, 2))], ids=["diagonal", "off-diagonal"])
+    def test_non_finite_entry_refused_as_not_finite(self, value, entries):
+        # refused before eigh under its own cause, not as an overflow, and with no warning
+        h = np.diag([0.5, 1.0, 0.0, -1.0]).astype(complex)
+        for entry in entries:
+            h[entry] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^hamiltonian must be finite$"):
+                diagonalize(h)
 
     def test_degenerate_flagged_with_energies(self):
         with pytest.raises(DegenerateSpectrum) as info:
