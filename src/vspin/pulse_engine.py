@@ -118,7 +118,7 @@ class PulseStep:
     def propagator(self, e, params, include_free_evolution):
         """The pulse's propagator, then its free evolution when asked for."""
         p = self.pulse
-        v = single_frequency_propagator(e, p.transition, p.axis, p.phase, p.flip, params)
+        v = _rotation(e, params, p.axis, p.phase, (p.transition, p.flip))
         if include_free_evolution:
             v = free_evolution(e, _pulse_length(params, e, p.transition, p.axis, p.flip)) @ v
         return v
@@ -132,19 +132,14 @@ class TwoFrequencyStep:
     b: PulseSpec
 
     def __post_init__(self):
-        if set(self.a.transition) & set(self.b.transition):
-            raise SharedLevel(
-                f"simultaneous pulses share levels: {self.a.transition} and {self.b.transition}"
-            )
+        _check_disjoint(self.a.transition, self.b.transition)
         if self.a.axis != self.b.axis or self.a.phase != self.b.phase:
             raise ValueError("simultaneous pulses must share axis and phase")
 
     def propagator(self, e, params, include_free_evolution):
         """Both pulses' propagator, then their common free evolution when asked for."""
         a, b = self.a, self.b
-        v = two_frequency_propagator(
-            e, a.transition, b.transition, a.axis, a.phase, a.flip, b.flip, params
-        )
+        v = _rotation(e, params, a.axis, a.phase, (a.transition, a.flip), (b.transition, b.flip))
         if include_free_evolution:
             ta = _pulse_length(params, e, a.transition, a.axis, a.flip)
             tb = _pulse_length(params, e, b.transition, b.axis, b.flip)
@@ -166,7 +161,7 @@ class FreeEvolutionStep:
 
     def propagator(self, e, params, include_free_evolution):
         """Free evolution over the duration."""
-        return free_evolution(e, self.duration)
+        return free_evolution(e, self.duration) + 0.0  # a step holds no negative zero (see _rotation)
 
 
 @dataclass(frozen=True)
@@ -232,6 +227,44 @@ def _check_physics(e, line, axis, params):
         )
 
 
+def _check_disjoint(a, b):
+    """SharedLevel unless the checked lines a and b of simultaneous pulses are level-disjoint."""
+    if set(a) & set(b):
+        raise SharedLevel(f"simultaneous pulses share levels: {a} and {b}")
+
+
+def _write_rotation(v, line, phi, half):
+    """Write V_Y's block on a checked line (m, n) into v, an identity copy.
+
+    cos(half) at (m, m) and (n, n), e^{i phi} sin(half) at (n, m) and
+    -e^{-i phi} sin(half) at (m, n); phi carries the axis shift.
+    """
+    m, n = line
+    s = math.sin(half)
+    v[m - 1, m - 1] = v[n - 1, n - 1] = math.cos(half)
+    v[n - 1, m - 1] = cmath.exp(1j * phi) * s
+    v[m - 1, n - 1] = -cmath.exp(-1j * phi) * s
+
+
+def _rotation(e, params, axis, phase, *blocks):
+    """Propagator of simultaneous pulses: one (checked line, flip) block each, on disjoint lines.
+
+    Runs the physics checks of each line in turn when params.h_rf > 0.
+    Every block is written into one matrix, and no entry is a negative
+    zero, so the bytes are those of the single-pulse propagators
+    multiplied together from the identity.
+    """
+    physics = params is not None and params.h_rf > 0.0
+    phi = float(phase) + AXIS_SHIFT[axis]
+    v = _IDENTITY.copy()
+    for line, flip in blocks:
+        if physics:
+            _check_physics(e, line, axis, params)
+        _write_rotation(v, line, phi, float(flip) / 2.0)
+    v += 0.0  # -0.0 + 0.0 is +0.0; every other entry is unchanged
+    return v
+
+
 def single_frequency_propagator(
     e: EigenSystem,
     transition,
@@ -246,16 +279,12 @@ def single_frequency_propagator(
     (ZeroMatrixElement, SelectivityViolation); otherwise the pulse is an
     ideal compiler-view object.
     """
-    m, n = line = _normalize_transition(transition)
+    line = _normalize_transition(transition)
     axis = _normalize_axis(axis)
     if params is not None and params.h_rf > 0.0:
         _check_physics(e, line, axis, params)
-    phi = float(phase) + AXIS_SHIFT[axis]
-    half = float(flip) / 2.0
     v = _IDENTITY.copy()
-    v[m - 1, m - 1] = v[n - 1, n - 1] = math.cos(half)
-    v[n - 1, m - 1] = cmath.exp(1j * phi) * math.sin(half)
-    v[m - 1, n - 1] = -cmath.exp(-1j * phi) * math.sin(half)
+    _write_rotation(v, line, float(phase) + AXIS_SHIFT[axis], float(flip) / 2.0)
     return v
 
 
@@ -275,11 +304,8 @@ def two_frequency_propagator(
     single-frequency propagators in either order.
     """
     a, b = _normalize_transition(pair_a), _normalize_transition(pair_b)
-    if set(a) & set(b):
-        raise SharedLevel(f"simultaneous pulses share levels: {a} and {b}")
-    va = single_frequency_propagator(e, a, axis, phase, flip_a, params)
-    vb = single_frequency_propagator(e, b, axis, phase, flip_b, params)
-    return va @ vb
+    _check_disjoint(a, b)
+    return _rotation(e, params, _normalize_axis(axis), phase, (a, flip_a), (b, flip_b))
 
 
 def program_propagator(
@@ -290,8 +316,11 @@ def program_propagator(
     """Ordered product of all step propagators (later steps on the left)."""
     if e is None:
         e = closed_form_eigensystem(prog.params)
-    total = _IDENTITY.copy()
-    for step in prog.steps:
+    if not prog.steps:
+        return _IDENTITY.copy()
+    first, *rest = prog.steps
+    total = first.propagator(e, prog.params, include_free_evolution)
+    for step in rest:
         total = step.propagator(e, prog.params, include_free_evolution) @ total
     return total
 

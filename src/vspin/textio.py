@@ -176,43 +176,35 @@ _FORMATTERS = {
 _TOKEN = re.compile(r"\S+")
 
 
-def _parse_directive(line, line_no):
-    """(word, field values in table order) of one line; ProgramSyntaxError if malformed."""
-    # whitespace-split tokens with their 1-based columns
-    tokens = [(match.group(0), match.start() + 1) for match in _TOKEN.finditer(line)]
-    word, col = tokens[0]
+def _syntax_error(message, line, line_no, index):
+    """ProgramSyntaxError at the index-th token of a line, its 1-based column found by _TOKEN."""
+    column = [match.start() + 1 for match in _TOKEN.finditer(line)][index]
+    return ProgramSyntaxError(message, line=line_no, column=column)
+
+
+def _parse_directive(line, tokens, line_no):
+    """(word, field values in table order) of one line split into tokens; ProgramSyntaxError if malformed."""
+    word = tokens[0]
     parsers = _PARSERS.get(word)
     if parsers is None:
-        raise ProgramSyntaxError(
-            f"unknown directive {word!r}", line=line_no, column=col
-        )
+        raise _syntax_error(f"unknown directive {word!r}", line, line_no, 0)
     values = {}
-    for token, tcol in tokens[1:]:
-        if "=" not in token:
-            raise ProgramSyntaxError(
-                f"expected key=value, got {token!r}", line=line_no, column=tcol
-            )
-        key, _, raw = token.partition("=")
+    for index, token in enumerate(tokens[1:], start=1):
+        key, eq, raw = token.partition("=")
+        if not eq:
+            raise _syntax_error(f"expected key=value, got {token!r}", line, line_no, index)
         parse = parsers.get(key)
         if parse is None:
-            raise ProgramSyntaxError(
-                f"unknown field {key!r} for {word}", line=line_no, column=tcol
-            )
+            raise _syntax_error(f"unknown field {key!r} for {word}", line, line_no, index)
         if key in values:
-            raise ProgramSyntaxError(
-                f"duplicate field {key!r}", line=line_no, column=tcol
-            )
+            raise _syntax_error(f"duplicate field {key!r}", line, line_no, index)
         try:
             values[key] = parse(raw)
         except ValueError as exc:
-            raise ProgramSyntaxError(
-                f"bad value for {key}: {exc}", line=line_no, column=tcol
-            ) from None
+            raise _syntax_error(f"bad value for {key}: {exc}", line, line_no, index) from None
     if len(values) < len(parsers):
         missing = [k for k in parsers if k not in values]
-        raise ProgramSyntaxError(
-            f"{word} is missing field(s): {', '.join(missing)}", line=line_no, column=col
-        )
+        raise _syntax_error(f"{word} is missing field(s): {', '.join(missing)}", line, line_no, 0)
     return word, [values[k] for k in parsers]
 
 
@@ -225,10 +217,11 @@ def parse_pulse_program(text) -> PulseProgram:
     """
     built = []  # the SpinParameters, then the steps
     for line_no, raw_line in enumerate(str(text).splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].rstrip()
-        if not line.strip():
+        line = raw_line.partition("#")[0]
+        tokens = line.split()  # str.split and _TOKEN's \S both take str.isspace as whitespace
+        if not tokens:
             continue
-        word, values = _parse_directive(line, line_no)
+        word, values = _parse_directive(line, tokens, line_no)
         # steps need the system line before them, so a late one is a duplicate
         if word == "system" and built:
             raise SemanticError("duplicate system line", line=line_no)
@@ -288,12 +281,23 @@ def parse_density_matrix(text) -> np.ndarray:
         if match is None:
             raise ParseError(f"line {line_no}: expected 4 '(re,im)' entries, got {row!r}")
         fields = match.groups()
-        for re_s, im_s in zip(fields[0::2], fields[1::2]):
-            try:
-                re_v, im_v = float(re_s), float(im_s)
-            except ValueError:
-                raise ParseError(f"line {line_no}: bad entry ({re_s},{im_s})") from None
-            if not (math.isfinite(re_v) and math.isfinite(im_v)):
-                raise ParseError(f"line {line_no}: entry ({re_s},{im_s}) is not finite")
-            values += (re_v, im_v)
+        try:
+            row_values = list(map(float, fields))
+            good = all(map(math.isfinite, row_values))
+        except ValueError:
+            good = False
+        if not good:
+            raise _entry_error(line_no, fields)
+        values += row_values
     return np.array(values).view(complex).reshape(4, 4)
+
+
+def _entry_error(line_no, fields):
+    """ParseError naming the first of a row's (re,im) entries that is malformed or not finite."""
+    for re_s, im_s in zip(fields[0::2], fields[1::2]):
+        try:
+            re_v, im_v = float(re_s), float(im_s)
+        except ValueError:
+            return ParseError(f"line {line_no}: bad entry ({re_s},{im_s})")
+        if not (math.isfinite(re_v) and math.isfinite(im_v)):
+            return ParseError(f"line {line_no}: entry ({re_s},{im_s}) is not finite")

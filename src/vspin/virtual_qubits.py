@@ -67,11 +67,10 @@ def level_to_bits(m) -> str:
 
 
 def bits_to_level(bits) -> int:
-    """Inverse of :func:`level_to_bits`."""
-    try:
-        return _BITS_TO_LEVEL[str(bits)]
-    except KeyError:
-        raise IndexOutOfRange(f"bit string must be one of 00, 01, 10, 11, got {bits!r}") from None
+    """Inverse of :func:`level_to_bits`; only the strings 00, 01, 10 and 11 are bit strings."""
+    if isinstance(bits, str) and bits in _BITS_TO_LEVEL:
+        return _BITS_TO_LEVEL[bits]
+    raise IndexOutOfRange(f"bit string must be one of 00, 01, 10, 11, got {bits!r}")
 
 
 def _check_factor_index(*indices):

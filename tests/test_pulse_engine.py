@@ -1,3 +1,5 @@
+import cmath
+import math
 import warnings
 from dataclasses import replace
 
@@ -13,6 +15,7 @@ from vspin import (
     PulseSpec,
     PulseStep,
     SelectivityViolation,
+    SemanticError,
     SharedLevel,
     SpinParameters,
     TwoFrequencyStep,
@@ -318,3 +321,149 @@ def test_physics_program_builds_the_transition_table_once(monkeypatch, params):
     program_propagator(program, e)
     assert isinstance(program.steps[0], TwoFrequencyStep)
     assert len(built) == 1 and built[0] is e
+
+
+# -- bytewise agreement with the single-pulse products -------------------------
+
+DISJOINT = (((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3)))
+LINES = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+FLIPS = (0.0, np.pi, 2 * np.pi, 3 * np.pi)
+PHASES = (0.0, -0.0, np.pi, np.pi / 2, -np.pi / 2)
+AXES = ("X", "Y")
+
+
+def _single(line, axis, phase, flip):
+    """The selective-pulse formula written out, as single_frequency_propagator states it."""
+    m, n = line
+    phi = float(phase) + {"Y": -0.0, "X": -np.pi / 2}[axis]
+    half = float(flip) / 2.0
+    v = np.eye(4, dtype=complex)
+    v[m - 1, m - 1] = v[n - 1, n - 1] = math.cos(half)
+    v[n - 1, m - 1] = cmath.exp(1j * phi) * math.sin(half)
+    v[m - 1, n - 1] = -cmath.exp(-1j * phi) * math.sin(half)
+    return v
+
+
+def _product_step(step, e, params, include_free_evolution):
+    """A step's propagator as a product of single-pulse propagators."""
+    if isinstance(step, FreeEvolutionStep):
+        return free_evolution(e, step.duration)
+    pulses = (step.pulse,) if isinstance(step, PulseStep) else (step.a, step.b)
+    vs = [single_frequency_propagator(e, p.transition, p.axis, p.phase, p.flip, params) for p in pulses]
+    v = vs[0] if len(vs) == 1 else vs[0] @ vs[1]
+    if include_free_evolution:
+        rate = 2.0 * params.gamma * params.h_rf
+        t = [float(p.flip) / (rate * abs(transition_matrix_element(e, p.transition, p.axis))) for p in pulses]
+        if abs(t[0] - t[-1]) > 1e-9 * max(*t, 1e-300):
+            raise SemanticError("simultaneous pulses imply different durations")
+        v = free_evolution(e, t[0]) @ v
+    return v
+
+
+def _product_program(prog, e, include_free_evolution):
+    """A program's propagator as the product of its steps, chained from the identity."""
+    total = np.eye(4, dtype=complex)
+    for step in prog.steps:
+        total = _product_step(step, e, prog.params, include_free_evolution) @ total
+    return total
+
+
+def _bytes(call, *args, **kwargs):
+    """The bytes an array-valued call returns, or the type of what it raises."""
+    try:
+        return call(*args, **kwargs).tobytes()
+    except (SelectivityViolation, ZeroMatrixElement, SemanticError, ValueError) as exc:
+        return type(exc)
+
+
+def _pick(rng, choices):
+    return choices[int(rng.integers(len(choices)))]
+
+
+def _random_step(rng):
+    axis, phase = _pick(rng, AXES), _pick(rng, PHASES + (rng.uniform(-np.pi, np.pi),))
+    kind = int(rng.integers(3))
+    if kind == 0:
+        return FreeEvolutionStep(_pick(rng, (0.0, rng.uniform(-3.0, 3.0))))
+    flips = [_pick(rng, FLIPS + (rng.uniform(0.0, 4 * np.pi),)) for _ in range(2)]
+    if kind == 1:
+        return PulseStep(PulseSpec(_pick(rng, LINES), axis, phase, flips[0]))
+    a, b = _pick(rng, DISJOINT)
+    return TwoFrequencyStep(PulseSpec(a, axis, phase, flips[0]), PulseSpec(b, axis, phase, flips[1]))
+
+
+class TestStepBytes:
+    """Every step writes its rotation into one matrix, with the bytes (signed
+    zeros included) of the single-pulse propagators multiplied from the identity."""
+
+    VIEWS = (0.0, 1e-5)  # compiler view, physics view (some lines refused)
+
+    @pytest.mark.parametrize("h_rf", VIEWS)
+    def test_programs(self, params, eigen, rng, h_rf):
+        p = replace(params, h_rf=h_rf)
+        rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+        rho[0, 3] = rho[3, 0] = 0.05
+        for _ in range(150):
+            steps = tuple(_random_step(rng) for _ in range(int(rng.integers(1, 4))))
+            prog = PulseProgram(params=p, steps=steps)
+            for fe in (False, True) if h_rf else (False,):
+                expected = _bytes(_product_program, prog, eigen, fe)
+                assert _bytes(program_propagator, prog, eigen, fe) == expected, (steps, fe)
+                for step in steps:
+                    assert _bytes(step.propagator, eigen, p, fe) == _bytes(
+                        lambda: _product_step(step, eigen, p, fe) @ np.eye(4)
+                    ), (step, fe)
+                if isinstance(expected, bytes):
+                    v = _product_program(prog, eigen, fe)
+                    out = apply_pulse_program(prog, rho, include_free_evolution=fe, e=eigen)
+                    assert out.tobytes() == (v @ rho @ v.conj().T).tobytes()
+
+    @pytest.mark.parametrize("h_rf", VIEWS)
+    def test_compiled_gates(self, params, eigen, h_rf):
+        p = replace(params, h_rf=h_rf)
+        angles = (0.0, np.pi, -np.pi, 2 * np.pi, -2 * np.pi, np.pi / 2, -np.pi / 3, 1.1, -2.7)
+        requests = [GateRequest(kind="cnot", target=t) for t in "RS"]
+        requests += [GateRequest("rotation", t, axis, angle) for t in "RS" for axis in AXES for angle in angles]
+        for request in requests:
+            program, u = compile_gate(eigen, p, request)
+            assert u.tobytes() == _product_program(program, eigen, False).tobytes(), request
+
+    def test_two_frequency_propagator(self, eigen, rng):
+        for (a, b) in DISJOINT:
+            for axis in AXES:
+                for phase in PHASES + (rng.uniform(-np.pi, np.pi),):
+                    for fa in FLIPS + (-np.pi, rng.uniform(0.0, 4 * np.pi)):
+                        fb = _pick(rng, FLIPS)
+                        va = single_frequency_propagator(eigen, a, axis, phase, fa)
+                        vb = single_frequency_propagator(eigen, b, axis, phase, fb)
+                        v = two_frequency_propagator(eigen, b[::-1], a, axis.lower(), phase, fb, fa)
+                        assert v.tobytes() == (vb @ va).tobytes() == (va @ vb).tobytes()
+
+    def test_single_frequency_propagator(self, eigen, rng):
+        for line in LINES:
+            for axis in AXES:
+                for phase in PHASES + (rng.uniform(-np.pi, np.pi),):
+                    for flip in FLIPS + (-np.pi, rng.uniform(0.0, 4 * np.pi)):
+                        v = single_frequency_propagator(eigen, line[::-1], axis.lower(), phase, flip)
+                        assert v.tobytes() == _single(line, axis, phase, flip).tobytes()
+
+
+def test_shared_level_message_is_one_rule(eigen):
+    # the propagator and the compiled step refuse shared levels in the same words
+    with pytest.raises(SharedLevel) as direct:
+        two_frequency_propagator(eigen, (2, 1), (3, 2))
+    with pytest.raises(SharedLevel) as step:
+        TwoFrequencyStep(PulseSpec((2, 1)), PulseSpec((3, 2)))
+    assert str(direct.value) == str(step.value) == "simultaneous pulses share levels: (1, 2) and (2, 3)"
+
+
+def test_compiled_step_is_not_rechecked(monkeypatch, params, eigen):
+    # a TwoFrequencyStep checks its lines once, when it is built
+    from vspin import pulse_engine
+
+    program, _ = compile_gate(eigen, params, GateRequest(kind="rotation", target="S", angle=0.4))
+    calls = []
+    check = pulse_engine._check_disjoint
+    monkeypatch.setattr(pulse_engine, "_check_disjoint", lambda a, b: calls.append((a, b)) or check(a, b))
+    program_propagator(program, eigen)
+    assert calls == []

@@ -151,6 +151,37 @@ class TestProgramParsing:
         assert parse_pulse_program(format_pulse_program(MIXED)) == MIXED
 
     @pytest.mark.parametrize(
+        "line,message,column",
+        [
+            # tabs, and a run of them, are one separator each; columns count characters
+            ("\tpulse\tt=1,2\t\taxis=Q phase=0 flip=pi",
+             "bad value for axis: axis must be X or Y, got 'Q'", 15),
+            ("pulse   t=1,2    axis=Y  phase=0 flip=pi   flip=1", "duplicate field 'flip'", 44),
+            # non-ASCII whitespace separates tokens too
+            ("pulse\u00a0t=1,2\u00a0\u00a0bogus=1 axis=Y phase=0 flip=pi",
+             "unknown field 'bogus' for pulse", 14),
+            ("pulse t=1,2 axis\u2003=Y phase=0 flip=pi", "expected key=value, got 'axis'", 13),
+            ("pulse\x1ft=1,2 axis=Y phase=0 flip=pi width=1", "unknown field 'width' for pulse", 36),
+            # the word's column for an unknown directive and for missing fields;
+            # what follows # is no field
+            ("  frob t=1,2 # pulse", "unknown directive 'frob'", 3),
+            ("\u3000pulse t=1,2 axis=Y phase=0 # flip=pi", "pulse is missing field(s): flip", 2),
+            ("pulse t=1,2 axis=Y#Q phase=zero flip=pi", "pulse is missing field(s): phase, flip", 1),
+        ],
+    )
+    def test_columns_count_every_whitespace_character(self, line, message, column):
+        with pytest.raises(ProgramSyntaxError) as info:
+            parse_pulse_program(SYSTEM + line + "\n")
+        assert (info.value.line, info.value.column) == (2, column)
+        assert str(info.value) == f"line 2, column {column}: {message}"
+
+    def test_comment_and_whitespace_runs_do_not_change_the_program(self):
+        text = SYSTEM + "\t pulse\u00a0 t=1,2\t\taxis=X  phase=pi/2\x1fflip=pi # flip=0 axis=Y\n"
+        assert parse_pulse_program(text) == parse_pulse_program(
+            SYSTEM + "pulse t=1,2 axis=X phase=pi/2 flip=pi\n"
+        )
+
+    @pytest.mark.parametrize(
         "text,error",
         [
             # a syntax error on a line comes before its semantic checks
@@ -227,6 +258,33 @@ class TestDensityMatrixFormat:
     def test_parse_errors(self, text):
         with pytest.raises(ParseError):
             parse_density_matrix(text)
+
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            # a non-finite entry in one row beats a malformed entry, or row, after it
+            ({2: "(0.25,0) (0,0) (nan,0) (0,0)", 3: "(0.25,0) (x,0) (0,0) (0,0)"},
+             "line 4: entry (nan,0) is not finite"),
+            ({1: "(0.25,0) (0,inf) (0,0) (0,0)", 4: "(0.25,0) (0,0) (0,0)"},
+             "line 3: entry (0,inf) is not finite"),
+            # and a malformed entry beats a non-finite one in a later row
+            ({1: "(0.25,0) (0,0) (0,0) (1_0_,0)", 2: "(nan,0) (0,0) (0,0) (0,0)"},
+             "line 3: bad entry (1_0_,0)"),
+            # within a row, the first failing entry is the one named
+            ({3: "(0.25,0) (-inf,0) (x,0) (0,0)"}, "line 5: entry (-inf,0) is not finite"),
+            ({3: "(0.25,0) (x,0) (inf,0) (0,0)"}, "line 5: bad entry (x,0)"),
+            ({3: "(0.25,0) (0,0) (0,0) (1e999,y)"}, "line 5: bad entry (1e999,y)"),
+            ({3: "(0.25,0) (0,0) (nan,1e999) (0,z)"}, "line 5: entry (nan,1e999) is not finite"),
+        ],
+    )
+    def test_first_failing_entry_is_named(self, rows, message):
+        lines = ["(0.25,0) (0,0) (0,0) (0,0)"] * 4
+        for k, row in rows.items():
+            lines[k - 1] = row
+        text = "# comment\nrho 4x4 basis=eigen\n" + "\n".join(lines) + "\n"
+        with pytest.raises(ParseError) as info:
+            parse_density_matrix(text)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("entry", ["(nan,0)", "(0,inf)", "(-inf,0)", "(1e999,0)"])
     def test_non_finite_entry_names_its_line(self, entry):

@@ -45,6 +45,12 @@ class TestLabelMap:
         with pytest.raises(IndexOutOfRange):
             bits_to_level("12")
 
+    @pytest.mark.parametrize("bits", [11, 10, 1, 0, 11.0, b"11", ["1", "1"], ("1", "0"), None, " 11", "11 "])
+    def test_only_bit_strings(self, bits):
+        # integers are not bit strings, though str(11) and str(10) spell two
+        with pytest.raises(IndexOutOfRange, match=r"^bit string must be one of 00, 01, 10, 11, got "):
+            bits_to_level(bits)
+
 
 class TestEmbedding:
     def test_examples(self):
