@@ -15,8 +15,9 @@ alone takes --include-free-evolution (static-phase tracking during pulses).
 The others take --omega0 --omegaQ --eta --gamma --hrf; oracle-check sets
 h_rf from --ratio and gamma cancels, so --hrf and --gamma do not change it.
 Numbers print with 17 significant digits so output is byte-stable and
-round-trip safe.  Exit codes: 0 success, 2 usage or input-format error,
-3 numeric-contract violation (degeneracy, selectivity, bad state, ...).
+round-trip safe.  Exit codes: 0 success, 2 usage or input-format error
+or an unrealizable pulse (no finite drive amplitude or duration), 3
+numeric-contract violation (degeneracy, selectivity, bad state, ...).
 The parsers are built once per process, and a call is parsed by its
 subcommand's own parser, so repeated in-process calls of
 run_command(argv, stdout=...) cost ~0.14 ms (the median of

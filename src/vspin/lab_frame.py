@@ -779,34 +779,33 @@ def drive_for_pulse(
     and arg(element), so the realized rotation matches the ideal
     propagator; the duration and its refusals are the engine's.
     """
-    m, n = line = _normalize_transition(transition)
+    line = _normalize_transition(transition)
     axis = _normalize_axis(axis)
     duration = _pulse_length(params, e, line, axis, flip)
     element = transition_matrix_element(e, line, axis)
     drive = DriveTerm(
         operator=e.axis_operator(axis),
         amplitude=2.0 * params.gamma * params.h_rf,
-        frequency=float(e.energies[m - 1] - e.energies[n - 1]),
+        frequency=e.transitions._omegas[line],
         phase=float(phase) + (AXIS_SHIFT[axis] + np.pi / 2.0) + float(np.angle(element)),
     )
     return DrivenSystem(h0=np.diag(e.energies).astype(complex), drives=(drive,), duration=duration)
 
 
-def _params_for_ratio(params: SpinParameters, e, line, axis, ratio, flip=np.pi):
-    """Rescale h_rf so gamma * h_rf * |element| = ratio * min_gap on a checked line,
-    ratio finite and > 0; ValueError naming the ratio unless h_rf, the drive
-    amplitude 2 gamma h_rf and the duration of a ``flip`` pulse are finite."""
+def _drive_at_ratio(params: SpinParameters, e, line, axis, ratio, phase=0.0, flip=np.pi):
+    """drive_for_pulse on a checked line with h_rf set so gamma * h_rf * |element|
+    = ratio * min_gap; ValueError naming the ratio unless it is finite and > 0
+    and the pulse it sets is realizable (drive amplitude and duration finite)."""
     if not (math.isfinite(ratio := float(ratio)) and ratio > 0.0):
         raise ValueError(f"ratio must be finite and > 0, got {ratio}")
-    element = float(abs(_drivable_element(e, line, axis)))
+    element = abs(_drivable_element(e, line, axis))
     min_gap, _ = e.transitions._nearest(line)
-    h_rf = ratio * min_gap / (params.gamma * element)
-    # the amplitude and the duration as drive_for_pulse and _pulse_length take them
-    amplitude = 2.0 * params.gamma * h_rf
-    rate = amplitude * element
-    if not (math.isfinite(amplitude) and rate > 0.0 and math.isfinite(float(flip) / rate)):
-        raise ValueError(f"ratio {ratio} gives a drive amplitude or pulse duration beyond the float range")
-    return replace(params, h_rf=h_rf)
+    try:  # gamma * element may underflow to zero, h_rf overflow
+        scaled = replace(params, h_rf=ratio * min_gap / (params.gamma * element))
+        _pulse_length(scaled, e, line, axis, flip)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"ratio {ratio} gives a drive amplitude or pulse duration beyond the float range") from exc
+    return drive_for_pulse(scaled, e, line, axis, phase, flip)
 
 
 def rwa_infidelity(
@@ -828,8 +827,7 @@ def rwa_infidelity(
     line, axis = _normalize_transition(transition), _normalize_axis(axis)
     if e is None:
         e = closed_form_eigensystem(params)
-    scaled = _params_for_ratio(params, e, line, axis, ratio, flip)
-    system = drive_for_pulse(scaled, e, line, axis, phase, flip)
+    system = _drive_at_ratio(params, e, line, axis, ratio, phase, flip)
     u_lab = integrate_lab_frame(system)
     u_int = to_interaction_frame(u_lab, e, system.duration)
     v = single_frequency_propagator(e, line, axis, phase, flip)
@@ -866,8 +864,7 @@ def convergence_study(
     refinements = int(refinements)
     line, axis = _normalize_transition(transition), _normalize_axis(axis)
     e = closed_form_eigensystem(params)
-    scaled = _params_for_ratio(params, e, line, axis, ratio, flip)
-    system = drive_for_pulse(scaled, e, line, axis, 0.0, flip)
+    system = _drive_at_ratio(params, e, line, axis, ratio, flip=flip)
     base = _step_count(system.duration, system.default_step())
     if base > _MAX_STEPS >> refinements:
         raise ValueError(f"refinements {refinements} make a finest grid of {base} * 2^{refinements}"

@@ -43,7 +43,7 @@ from .errors import (
     SharedLevel,
     ZeroMatrixElement,
 )
-from .operator_algebra import DRIVABLE_THRESHOLD, drivable, free_evolution  # noqa: F401
+from .operator_algebra import drivable, free_evolution
 from .spin_system import (
     EigenSystem,
     SpinParameters,
@@ -79,6 +79,12 @@ _IDENTITY = np.eye(4, dtype=complex)
 _IDENTITY.flags.writeable = False
 
 
+def _check_finite(name, value):
+    """ValueError naming the value unless it is finite."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _normalize_axis(axis):
     key = str(axis).upper()
     if key not in AXIS_SHIFT:
@@ -105,8 +111,7 @@ class PulseSpec:
     def __post_init__(self):
         object.__setattr__(self, "transition", _normalize_transition(self.transition))
         object.__setattr__(self, "axis", _normalize_axis(self.axis))
-        if not math.isfinite(self.phase):
-            raise ValueError(f"phase must be finite, got {self.phase}")
+        _check_finite("phase", self.phase)
         if not (math.isfinite(self.flip) and self.flip >= 0.0):
             raise ValueError(f"flip must be finite and >= 0, got {self.flip}")
 
@@ -156,8 +161,7 @@ class FreeEvolutionStep:
     duration: float
 
     def __post_init__(self):
-        if not math.isfinite(self.duration):
-            raise ValueError(f"duration must be finite, got {self.duration}")
+        _check_finite("duration", self.duration)
 
     def propagator(self, e, params, include_free_evolution):
         """Free evolution over the duration."""
@@ -194,23 +198,31 @@ def _drivable_element(e: EigenSystem, line, axis):
 
 
 def _pulse_length(params: SpinParameters, e: EigenSystem, line, axis, flip):
-    """Duration T from flip = 2 gamma h_rf |element| T of a checked line; checks h_rf > 0, then drivability."""
+    """Duration T = flip / (A |element|), A = 2 gamma h_rf, of a checked line; checks h_rf > 0, then
+    drivability, then that A and T are finite and A |element| > 0 (gamma h_rf may underflow to 0)."""
     if params.h_rf <= 0.0:
         raise ValueError("h_rf must be > 0 to realize a pulse")
     element = _drivable_element(e, line, axis)
-    return float(flip) / (2.0 * params.gamma * params.h_rf * abs(element))
+    amplitude = 2.0 * params.gamma * params.h_rf
+    rate = amplitude * abs(element)
+    if not (math.isfinite(amplitude) and rate > 0.0 and math.isfinite(duration := float(flip) / rate)):
+        raise ValueError(f"pulse on {line} is unrealizable: drive amplitude {amplitude:.6g}, flip {flip:.6g}")
+    return duration
 
 
 def flip_angle(p: SpinParameters, e: EigenSystem, transition, axis, duration):
     """phi_y = 2 * duration * gamma * h_rf * |<psi_n| I_axis |psi_m>|.
 
     Linear in duration and in h_rf.  Raises ZeroMatrixElement when the
-    transition is forbidden (|element| < DRIVABLE_THRESHOLD): nothing drives it.
+    transition is forbidden (|element| < DRIVABLE_THRESHOLD): nothing drives
+    it; ValueError when the angle overflows.
     """
     if not (math.isfinite(duration) and duration >= 0.0):
         raise ValueError(f"duration must be finite and >= 0, got {duration}")
     element = _drivable_element(e, _normalize_transition(transition), _normalize_axis(axis))
-    return 2.0 * float(duration) * p.gamma * p.h_rf * abs(element)
+    if not math.isfinite(angle := 2.0 * float(duration) * p.gamma * p.h_rf * abs(element)):
+        raise ValueError(f"duration {duration} gives a flip angle beyond the float range")
+    return angle
 
 
 def _check_physics(e, line, axis, params):
@@ -233,22 +245,11 @@ def _check_disjoint(a, b):
         raise SharedLevel(f"simultaneous pulses share levels: {a} and {b}")
 
 
-def _write_rotation(v, line, phi, half):
-    """Write V_Y's block on a checked line (m, n) into v, an identity copy.
-
-    cos(half) at (m, m) and (n, n), e^{i phi} sin(half) at (n, m) and
-    -e^{-i phi} sin(half) at (m, n); phi carries the axis shift.
-    """
-    m, n = line
-    s = math.sin(half)
-    v[m - 1, m - 1] = v[n - 1, n - 1] = math.cos(half)
-    v[n - 1, m - 1] = cmath.exp(1j * phi) * s
-    v[m - 1, n - 1] = -cmath.exp(-1j * phi) * s
-
-
 def _rotation(e, params, axis, phase, *blocks):
     """Propagator of simultaneous pulses: one (checked line, flip) block each, on disjoint lines.
 
+    The one writer of V_Y: cos(flip / 2) at (m, m) and (n, n), e^{i phi} sin(flip / 2)
+    at (n, m) and -e^{-i phi} sin(flip / 2) at (m, n), phi the phase plus the axis shift.
     Runs the physics checks of each line in turn when params.h_rf > 0.
     Every block is written into one matrix, and no entry is a negative
     zero, so the bytes are those of the single-pulse propagators
@@ -257,10 +258,13 @@ def _rotation(e, params, axis, phase, *blocks):
     physics = params is not None and params.h_rf > 0.0
     phi = float(phase) + AXIS_SHIFT[axis]
     v = _IDENTITY.copy()
-    for line, flip in blocks:
+    for (m, n), flip in blocks:
         if physics:
-            _check_physics(e, line, axis, params)
-        _write_rotation(v, line, phi, float(flip) / 2.0)
+            _check_physics(e, (m, n), axis, params)
+        s = math.sin(half := float(flip) / 2.0)
+        v[m - 1, m - 1] = v[n - 1, n - 1] = math.cos(half)
+        v[n - 1, m - 1] = cmath.exp(1j * phi) * s
+        v[m - 1, n - 1] = -cmath.exp(-1j * phi) * s
     v += 0.0  # -0.0 + 0.0 is +0.0; every other entry is unchanged
     return v
 
@@ -277,15 +281,13 @@ def single_frequency_propagator(
 
     With params given and params.h_rf > 0, the physics-view checks run
     (ZeroMatrixElement, SelectivityViolation); otherwise the pulse is an
-    ideal compiler-view object.
+    ideal compiler-view object.  ValueError for a non-finite phase or flip.
     """
     line = _normalize_transition(transition)
     axis = _normalize_axis(axis)
-    if params is not None and params.h_rf > 0.0:
-        _check_physics(e, line, axis, params)
-    v = _IDENTITY.copy()
-    _write_rotation(v, line, float(phase) + AXIS_SHIFT[axis], float(flip) / 2.0)
-    return v
+    _check_finite("phase", phase)
+    _check_finite("flip", flip)
+    return _rotation(e, params, axis, phase, (line, flip))
 
 
 def two_frequency_propagator(
@@ -301,10 +303,13 @@ def two_frequency_propagator(
     """Simultaneous excitation of two level-disjoint transitions.
 
     The factors commute, so this equals the product of the two
-    single-frequency propagators in either order.
+    single-frequency propagators in either order.  ValueError for a
+    non-finite phase or flip.
     """
     a, b = _normalize_transition(pair_a), _normalize_transition(pair_b)
     _check_disjoint(a, b)
+    for name, angle in (("phase", phase), ("flip_a", flip_a), ("flip_b", flip_b)):
+        _check_finite(name, angle)
     return _rotation(e, params, _normalize_axis(axis), phase, (a, flip_a), (b, flip_b))
 
 

@@ -19,6 +19,7 @@ transition (1,2) flips S only when R is 1, and transition (1,3) flips R
 only when S is 1.
 """
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,14 +220,19 @@ def truth_table(u):
     A column counts as a basis ket when all but its largest amplitude are
     below UNIT_TOL and that one is of modulus 1 to UNIT_TOL; the surviving
     amplitude's phase is reported relative to the first such row.
+    ValueError unless U is a finite 4x4 matrix.
     """
     u = np.asarray(u, dtype=complex)
+    if u.shape != (4, 4):
+        raise ValueError(f"truth table needs a 4x4 matrix, got shape {u.shape}")
     mags = np.abs(u)
     peaks = mags.argmax(axis=0)
     mags[peaks, range(4)] = 0.0  # so the column maxima are the off-peak ones
     raw = []
     for level, k, rest in zip(range(1, 5), peaks.tolist(), mags.max(axis=0).tolist()):
         amp = complex(u[k, level - 1])
+        if not cmath.isfinite(amp):  # argmax picks a column's first nan, else its inf
+            raise ValueError(f"truth table needs a finite matrix, got {amp} in column {level}")
         if rest <= UNIT_TOL and abs(abs(amp) - 1.0) <= UNIT_TOL:
             raw.append((level_to_bits(level), level_to_bits(k + 1), amp))
         else:

@@ -206,6 +206,16 @@ class TestSimulate:
         assert text == ""
         assert capsys.readouterr().err == "vspin: error: h_rf must be > 0 to realize a pulse\n"
 
+    @pytest.mark.parametrize("step", ["pulse t=1,2 axis=Y phase=0 flip=pi",
+                                      "pulse2 a=1,2 b=3,4 axis=Y phase=0 flip=pi flip2=pi"])
+    def test_unrealizable_pulse_exit_2(self, tmp_path, capsys, step):
+        # gamma * h_rf = 1e-330 underflows to zero: no pulse has a finite duration
+        prog = tmp_path / "underflow.vsp"
+        prog.write_text(f"system omega0=0.1 omegaQ=1 eta=0.5 gamma=1e-30 hrf=1e-300\n{step}\n")
+        code, text = run(["simulate", str(prog), "--include-free-evolution"])
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == "vspin: error: pulse on (1, 2) is unrealizable: drive amplitude 0, flip 3.14159\n"
+
     def test_include_free_evolution_changes_result(self, tmp_path):
         # a pulse duration is derivable from hrf; tracking the static
         # phases over it must alter coherences of a non-diagonal state
@@ -378,6 +388,18 @@ class TestOracleCheck:
         assert (code, text) == (2, "ratio,infidelity\n")
         assert capsys.readouterr().err == (f"vspin: error: ratio {float(ratio)} gives a drive amplitude"
                                            " or pulse duration beyond the float range\n")
+
+    def test_underflowing_gamma_exit_2_naming_the_ratio(self, capsys):
+        # gamma * |element| underflows to zero, so h_rf = ratio * gap / 0 has no float
+        code, text = run(["oracle-check", "--ratio", "0.01", "--gamma", "5e-324", *BASE])
+        assert (code, text) == (2, "ratio,infidelity\n")
+        assert capsys.readouterr().err == ("vspin: error: ratio 0.01 gives a drive amplitude"
+                                           " or pulse duration beyond the float range\n")
+
+    def test_empty_ratio_list_exit_2(self, capsys):
+        code, text = run(["oracle-check", "--ratio", ",", *BASE])
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == "vspin: error: no ratios given\n"
 
     @pytest.mark.parametrize("ratio", ["1e-30", "1e-300"])
     def test_overflowing_period_power_exit_3_without_warnings(self, capsys, ratio):

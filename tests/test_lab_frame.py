@@ -30,7 +30,7 @@ from vspin import (
     spin_operators,
     to_interaction_frame,
 )
-from vspin.lab_frame import _params_for_ratio
+from vspin.lab_frame import _drive_at_ratio
 from vspin.spin_system import HERMITIAN_TOL, EigenSystem
 
 
@@ -368,6 +368,15 @@ class TestRotatingWaveValidation:
         with pytest.raises(ValueError, match=message):
             convergence_study(params, ratio=ratio)
 
+    def test_underflowing_gamma_refused_as_the_ratio(self, eigen):
+        # gamma * |element| underflows to zero, so h_rf = ratio * gap / 0 has no float
+        params = SpinParameters(0.1, 1.0, 0.5, gamma=5e-324)
+        message = r"^ratio 0.01 gives a drive amplitude or pulse duration beyond the float range$"
+        with pytest.raises(ValueError, match=message):
+            rwa_infidelity(params, eigen, (1, 2), ratio=1e-2)
+        with pytest.raises(ValueError, match=message):
+            convergence_study(params, ratio=1e-2)
+
     def test_interaction_frame_matches_ideal_pulse(self, params, eigen):
         p = SpinParameters(0.1, 1.0, 0.5, h_rf=5e-4)
         system = drive_for_pulse(p, eigen, (1, 2), "Y", 0.0, np.pi)
@@ -453,8 +462,7 @@ def _seeded_pulse(rng, transition, axis, ratio=0.02):
     p = SpinParameters(omega0=rng.uniform(0.2, 0.35) * omega_q, omegaQ=omega_q,
                        eta=rng.uniform(0.5, 0.9))
     e = closed_form_eigensystem(p)
-    scaled = _params_for_ratio(p, e, transition, axis, ratio)
-    return drive_for_pulse(scaled, e, transition, axis, rng.uniform(0.0, 2.0 * np.pi),
+    return _drive_at_ratio(p, e, transition, axis, ratio, rng.uniform(0.0, 2.0 * np.pi),
                            rng.uniform(0.25, 0.75) * np.pi)
 
 
@@ -734,8 +742,7 @@ def _kernel_cases():
                        eta=rng.uniform(0.5, 0.9))
     e = closed_form_eigensystem(p)
     weak = [
-        drive_for_pulse(_params_for_ratio(p, e, line, axis, 1e-2), e, line, axis,
-                        rng.uniform(0.0, 2.0 * np.pi)).drives[0]
+        _drive_at_ratio(p, e, line, axis, 1e-2, rng.uniform(0.0, 2.0 * np.pi)).drives[0]
         for line, axis in zip(LINES, "YXY")
     ]
     h0 = np.diag(e.energies).astype(complex)

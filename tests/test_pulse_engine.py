@@ -80,6 +80,12 @@ class TestFlipAngle:
         with pytest.raises(ValueError, match=r"^duration must be finite and >= 0, got"):
             flip_angle(p, eigen, (1, 2), "Y", duration)
 
+    def test_overflowing_angle_refused(self, eigen):
+        # a finite duration whose angle 2 T gamma h_rf |element| is inf
+        p = SpinParameters(0.1, 1.0, 0.5, gamma=1.0, h_rf=1.0)
+        with pytest.raises(ValueError, match=r"^duration 1e\+308 gives a flip angle beyond the float range$"):
+            flip_angle(p, eigen, (1, 2), "Y", 1e308)
+
 
 class TestSingleFrequency:
     def test_zero_flip_identity(self, eigen):
@@ -130,6 +136,23 @@ class TestSingleFrequency:
         v = single_frequency_propagator(eigen, (1, 2), "Y", 0.0, 2 * np.pi)
         expected = np.diag([-1.0, -1.0, 1.0, 1.0]).astype(complex)
         assert np.max(np.abs(v - expected)) <= 1e-15
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    ("propagator", "lines", "angle"),
+    [
+        (single_frequency_propagator, ((1, 2),), "phase"),
+        (single_frequency_propagator, ((1, 2),), "flip"),
+        (two_frequency_propagator, ((1, 2), (3, 4)), "phase"),
+        (two_frequency_propagator, ((1, 2), (3, 4)), "flip_a"),
+        (two_frequency_propagator, ((1, 2), (3, 4)), "flip_b"),
+    ],
+)
+def test_public_propagators_refuse_non_finite_angles(eigen, propagator, lines, angle, value):
+    # refused by name, not returned as a nan matrix or math's "math domain error"
+    with pytest.raises(ValueError, match=rf"^{angle} must be finite, got {value}$"):
+        propagator(eigen, *lines, **{angle: value})
 
 
 class TestPhysicsChecks:
@@ -213,6 +236,14 @@ class TestPulseSpec:
             PulseSpec(transition=(1, 2), flip=-0.1)
         with pytest.raises(ValueError):
             PulseSpec(transition=(1, 2), axis="Z")
+        with pytest.raises(ValueError, match=r"^phase must be finite, got nan$"):
+            PulseSpec(transition=(1, 2), phase=np.nan)
+
+    def test_program_steps_validated(self, params):
+        with pytest.raises(ValueError, match=r"^duration must be finite, got nan$"):
+            FreeEvolutionStep(np.nan)
+        with pytest.raises(TypeError, match=r"^unsupported program step "):
+            PulseProgram(params, (PulseSpec((1, 2)),))
 
     def test_two_frequency_step_validation(self):
         a = PulseSpec(transition=(1, 2), flip=1.0)
@@ -272,6 +303,7 @@ class TestApplyProgram:
             np.diag([0.5, 0.5, 0.1, -0.1]).astype(complex),  # negative eigenvalue
             np.diag([0.5, 0.5, 0.5, 0.5]).astype(complex),   # trace 2
             np.diag([1.0, 0, 0, 0]) + 0.1j * np.eye(4),      # non-Hermitian
+            np.eye(3, dtype=complex) / 3,                     # not 4x4
         ],
     )
     def test_invalid_states_rejected(self, params, eigen, rho):
@@ -290,6 +322,11 @@ class TestApplyProgram:
             warnings.simplefilter("error")
             with pytest.raises(InvalidState, match="non-finite"):
                 apply_pulse_program(prog, rho, e=eigen)
+
+    def test_eigensystem_defaults_to_the_closed_form(self, params, eigen):
+        prog = PulseProgram(params, (PulseStep(PulseSpec((1, 3), flip=1.1, phase=0.4)),
+                                     FreeEvolutionStep(2.2)))
+        assert program_propagator(prog).tobytes() == program_propagator(prog, eigen).tobytes()
 
     def test_free_evolution_step(self, params, eigen):
         prog = PulseProgram(params=params, steps=(FreeEvolutionStep(duration=0.9),))
@@ -341,7 +378,7 @@ def _single(line, axis, phase, flip):
     v[m - 1, m - 1] = v[n - 1, n - 1] = math.cos(half)
     v[n - 1, m - 1] = cmath.exp(1j * phi) * math.sin(half)
     v[m - 1, n - 1] = -cmath.exp(-1j * phi) * math.sin(half)
-    return v
+    return v + 0.0  # no negative zero, as every step propagator
 
 
 def _product_step(step, e, params, include_free_evolution):

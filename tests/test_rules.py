@@ -12,7 +12,7 @@ Over random resolved spins, all six level pairs and both RF axes:
   other line is within 1e3 Rabi rates;
 * realized duration - program_propagator(include_free_evolution=True)
   and drive_for_pulse refuse h_rf = 0 with one ValueError, before they
-  look at drivability;
+  look at drivability, and a pulse with no finite duration with another;
 * labels - every function that takes a level, a line or a spin component
   accepts the same inputs, with the verdict of the label they equal, and
   refuses the rest with the rule's own message.
@@ -196,6 +196,23 @@ def test_realized_duration_needs_h_rf(eigen, pair):
             call()
         messages.add(str(info.value))
     assert messages == {"h_rf must be > 0 to realize a pulse"}
+
+
+def test_unrealizable_pulse_message_is_shared(eigen):
+    # gamma * h_rf = 1e-330 underflows to zero: the flip needs an infinite duration
+    params = SpinParameters(0.1, 1.0, 0.5, gamma=1e-30, h_rf=1e-300)
+    single = PulseProgram(params, (PulseStep(PulseSpec((1, 2))),))
+    double = PulseProgram(params, (TwoFrequencyStep(PulseSpec((1, 2)), PulseSpec((3, 4))),))
+    messages = set()
+    for call in (
+        lambda: program_propagator(single, eigen, include_free_evolution=True),
+        lambda: program_propagator(double, eigen, include_free_evolution=True),
+        lambda: drive_for_pulse(params, eigen, (2, 1), "y"),
+    ):
+        with pytest.raises(ValueError) as info:
+            call()
+        messages.add(str(info.value))
+    assert messages == {"pulse on (1, 2) is unrealizable: drive amplitude 0, flip 3.14159"}
 
 
 # (input, the level it names or None): the inputs every label entry point is asked about

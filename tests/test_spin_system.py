@@ -227,6 +227,10 @@ class TestDiagonalize:
             with pytest.raises(ValueError, match=r"^hamiltonian must be finite$"):
                 diagonalize(h)
 
+    def test_rejects_non_4x4(self):
+        with pytest.raises(ValueError, match=r"^expected a 4x4 operator, got shape \(3, 3\)$"):
+            diagonalize(np.eye(3))
+
     def test_degenerate_flagged_with_energies(self):
         with pytest.raises(DegenerateSpectrum) as info:
             diagonalize(np.diag([1.0, -1.0, -1.0, 1.0]))
@@ -500,6 +504,16 @@ class TestNonFinite:
         values = {"omega0": 0.1, "omegaQ": 1.0, "eta": 0.5, "gamma": 1.0, "h_rf": 0.0}
         values[field] = value
         with pytest.raises(ValueError, match="finite"):
+            SpinParameters(**values)
+
+    @pytest.mark.parametrize(("field", "value", "message"), [
+        ("omegaQ", 0.0, "omegaQ must be > 0, got 0.0"),
+        ("h_rf", -1.0, "h_rf must be >= 0, got -1.0"),
+    ])
+    def test_parameters_out_of_range_refused(self, field, value, message):
+        values = {"omega0": 0.1, "omegaQ": 1.0, "eta": 0.5, "gamma": 1.0, "h_rf": 0.0}
+        values[field] = value
+        with pytest.raises(ValueError, match=rf"^{message}$"):
             SpinParameters(**values)
 
     def test_overflowing_energies_are_degenerate(self):

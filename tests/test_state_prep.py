@@ -30,6 +30,10 @@ def proj(m, n):
 
 
 class TestThermalState:
+    def test_negative_beta_refused(self):
+        with pytest.raises(ValueError, match=r"^beta_scale must be finite and >= 0, got -1.0$"):
+            ThermalSpec(-1.0)
+
     def test_infinite_temperature(self, eigen):
         rho = thermal_state(eigen, ThermalSpec(beta_scale=0.0))
         assert np.max(np.abs(rho - np.eye(4) / 4)) == 0.0
@@ -161,6 +165,10 @@ class TestTemporalAverage:
         rho_eq = high_temperature_state(eigen, spec)
         rho_pp, alpha, beta = temporal_average(rho_eq, eigen)
         assert np.max(np.abs(rho_pp - pseudo_pure_reference(alpha, beta))) <= 1e-12
+
+    def test_rejects_non_4x4_input(self, eigen):
+        with pytest.raises(NotDiagonal, match=r"^density matrix must be 4x4, got \(3, 3\)$"):
+            temporal_average(np.eye(3) / 3, eigen)
 
     def test_rejects_off_diagonal_input(self, eigen):
         rho = np.eye(4, dtype=complex) / 4

@@ -231,6 +231,10 @@ class TestDensityMatrixFormat:
         assert text.splitlines()[4].split()[3] == "(1,0)"
         assert text.count("(1,0)") == 1
 
+    def test_non_4x4_refused(self):
+        with pytest.raises(ValueError, match=r"^density matrix must be 4x4, got \(3, 3\)$"):
+            format_density_matrix(np.eye(3) / 3)
+
     def test_round_trip_bit_exact(self, rng):
         for _ in range(20):
             a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))

@@ -209,6 +209,12 @@ class TestCnotCompiler:
         with pytest.raises(ValueError):
             GateRequest(kind="cnot", target="Q")
 
+    def test_compilers_refuse_unknown_targets(self, params, eigen):
+        with pytest.raises(ValueError, match=r"^target must be R or S, got 'Q'$"):
+            compile_single_qubit_rotation(eigen, params, "Q", 0.4)
+        with pytest.raises(ValueError, match=r"^control must be R or S, got 'Q'$"):
+            compile_cnot(eigen, params, "Q")
+
 
 class TestTruthTable:
     def test_cnot_r_rows(self, params, eigen):
@@ -249,6 +255,27 @@ class TestTruthTable:
         rows = truth_table(u)
         assert all(not r.is_basis for r in rows)
         assert "superposition" in format_truth_table(rows)
+
+    def test_non_real_phase_printed_as_exponential(self):
+        text = format_truth_table(truth_table(np.diag([1.0, 1j, -1.0, 1.0])))
+        assert text.splitlines() == [
+            "|11> -> |11>",
+            "|10> -> exp(i1.5708)*|10>",
+            "|01> -> -|01>",
+            "|00> -> |00>",
+        ]
+
+    @pytest.mark.parametrize(("u", "message"), [
+        (np.eye(2), r"a 4x4 matrix, got shape \(2, 2\)"),
+        (np.eye(5), r"a 4x4 matrix, got shape \(5, 5\)"),
+        (np.full((4, 4), np.nan), r"a finite matrix, got \(nan\+0j\) in column 1"),
+        (np.diag([1.0, 1.0, 1.0, np.inf]), r"a finite matrix, got \(inf\+0j\) in column 4"),
+        (np.eye(4) + np.diag([0.0, np.nan], -2), r"a finite matrix, got \(nan\+0j\) in column 2"),
+        (np.eye(4) + np.diag([0.0, 0.0, -np.inf], 1), r"a finite matrix, got \(-inf\+0j\) in column 4"),
+    ], ids=["2x2", "5x5", "nan", "inf", "nan-off-peak", "inf-off-peak"])
+    def test_refuses_non_finite_or_non_4x4(self, u, message):
+        with pytest.raises(ValueError, match=rf"^truth table needs {message}$"):
+            truth_table(u)
 
     def test_formatting(self, params, eigen):
         _, u = compile_cnot(eigen, params, "R")
