@@ -92,15 +92,17 @@ T_d = 2 pi / |Omega| (Floquet; Shirley, Phys. Rev. 138, B979, 1965), so
 Only one period is integrated, on a grid of n steps of h = T_d / n, the
 largest h not above DrivenSystem.default_step, the one target step of
 every grid.  The remainder is the period's own first tau: it reuses the
-period's first k = floor(tau / h) steps, then one step of tau - k h, so
-U(T) = F P_k U_period^N, with P_k the product of the first k steps and F
-the partial step, exp(-i (tau - k h) H) from the eigensystem of H at its
-midpoint.  P_k is the first q = r + floor(k / m) factors of the period's
-sequence, and is read off the period's own product tree: node i of level
-l holds factors [4 i 2^l, 4 (i + 1) 2^l), so the first 4 floor(q / 4) are
-one aligned node per set bit of floor(q / 4), at most log2 q products,
-and the last q mod 4 are multiplied in directly (the parallel-prefix
-reading of a reduction tree; Blelloch, CMU-CS-90-190, 1990).  So one
+period's first k = floor(tau / h) steps, then one step of
+delta = tau - k h, so U(T) = F P_k U_period^N, with P_k the product of the
+first k steps and F the partial step exp(-i delta H(k h + delta / 2)),
+whose generator delta / h (X + sum_d cos(theta_d) Y_d) is one more matrix
+of the step kernel's ``expm4`` call, scaled and squared like the nodes'.
+P_k is the first q = r + floor(k / m) factors of the period's sequence,
+and is read off the period's own product tree: node i of level l holds
+factors [4 i 2^l, 4 (i + 1) 2^l), so the first 4 floor(q / 4) are one
+aligned node per set bit of floor(q / 4), at most log2 q products, and
+the last q mod 4 are multiplied in directly (the parallel-prefix reading
+of a reduction tree; Blelloch, CMU-CS-90-190, 1990).  So one
 factor sequence and one tree give both U_period and P_k.  The power takes
 about 2 log2 N products, so the cost grows with log N rather than with N.
 Two-frequency drives, drive-free systems and an explicit step count
@@ -112,6 +114,12 @@ W_k (1 + H_k), W_k unitary and H_k Hermitian of roundoff size eps, is
 W (1 + H) + O(eps^2) with H Hermitian, whose polar factor is W + O(eps^2)
 (Higham, Functions of Matrices, SIAM 2008, ch. 8): one projection at the
 end removes the drift as one after every product would, to first order.
+It is taken by Newton-Schulz steps U <- U (3 I - U^dagger U) / 2 (ibid.):
+with D = U^dagger U - I a step leaves -3 D^2 / 4 + D^3 / 4, so they
+converge while ||D||_2, at most the max row sum of |D|, is below 1, and a
+step from a row sum of at most 2^-26 is the last.  A grid's product takes
+one step; a drift of 0.3 takes five, and from a row sum of 1 on the SVD
+takes the polar factor.
 
 Comparing the integrated propagator, pulled into the interaction frame,
 against the ideal selective-pulse propagator measures exactly the
@@ -137,9 +145,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import StepTooLarge
-from .operator_algebra import free_evolution
+from .operator_algebra import _free_phases
 from .pulse_engine import (
     AXIS_SHIFT,
+    _check_flip,
     _drivable_element,
     _normalize_axis,
     _pulse_length,
@@ -195,6 +204,11 @@ _FOURIER_NORM = 2.0
 # A study of G > 1 grids reads 2^G - 1 steps per step of h without blocks,
 # so its blocks pay from a few hundred steps, whatever the set-up.
 _BLOCK_SETUP = 500
+# Newton-Schulz projection: a step from a drift (max row sum of
+# |U^dagger U - I|) of at most 2^-26 leaves one below 2^-52 and is the last;
+# the steps are bounded far above the 5 a drift of 0.3 takes
+_LAST_STEP_DRIFT = 2.0**-26
+_NEWTON_SCHULZ_STEPS = 64
 _EYE = np.eye(4, dtype=complex)
 _EYE.flags.writeable = False
 
@@ -385,7 +399,17 @@ def _stacked(parts, refinements, axis):
 
 
 def _project_unitary(u):
-    """Nearest unitary in the Frobenius norm (polar factor), of each matrix of a stack."""
+    """Nearest unitary in the Frobenius norm (polar factor), of each matrix of
+    a stack, by Newton-Schulz steps (module docstring); by SVD if U^dagger U
+    is too far from I for them to converge."""
+    for _ in range(_NEWTON_SCHULZ_STEPS):
+        drift = u.conj().swapaxes(-1, -2) @ u - _EYE
+        size = np.abs(drift).sum(axis=-1).max()  # >= ||drift||_2, and nan for a nan
+        if not size < 1.0:
+            break
+        u = u - u @ drift / 2.0  # U (3 I - U^dagger U) / 2
+        if size <= _LAST_STEP_DRIFT:
+            return u
     w, _, vh = np.linalg.svd(u)
     return w @ vh
 
@@ -405,12 +429,14 @@ def _fourier_degree(norm):
     return degree
 
 
-def _step_kernel(h0, drives, h, refinements=None):
+def _step_kernel(h0, drives, h, refinements=None, tail=None):
     """(factors, width, norm): factors(phases, g) gives exp(-i h_g H(t)),
     h_g = h / 2^g, for refinement g (default 0) < refinements, or g = 0
     alone for a grid without refinements (None), at each midpoint t, from
     the (D, count) drive phases Omega_d t + phi_d there, read off the width
-    cosine products (module docstring); norm = ||Y||_1 of h."""
+    cosine products (module docstring); norm = ||Y||_1 of h.  With a
+    ``tail`` (t, delta), delta <= h, and no refinements, a fourth item, the
+    step exp(-i delta H(t)) off the grid, exponentiated with the nodes."""
     with np.errstate(over="ignore", invalid="ignore"):  # a norm past the float range is refused
         x = -1j * h * h0
         ys = np.array([-1j * h * d.amplitude * d.operator for d in drives]).reshape(-1, 4, 4)
@@ -428,20 +454,28 @@ def _step_kernel(h0, drives, h, refinements=None):
     scales = [2.0 ** (g + s) for g, s in enumerate(squarings)]
     degree = max(_fourier_degree(norm / scale) for scale in scales)
     nodes = _lattice(len(drives), degree, True)[0]
-    # F(-theta) = F(theta), and node N - l is node l mirrored
-    half = nodes[:, : nodes.shape[1] // 2 + 1]
-    generators = x + (np.cos(half).T @ ys.reshape(-1, 16)).reshape(-1, 4, 4)
+    # F(-theta) = F(theta), and node N - l is node l mirrored; a tail step is
+    # one more generator, last: delta / h times a step at its midpoint phases
+    half = nodes.shape[1] // 2 + 1
+    phases = nodes[:, :half]
+    if tail is not None:
+        phases = np.column_stack([phases, [d.frequency * tail[0] + d.phase for d in drives]])
+    generators = x + (np.cos(phases).T @ ys.reshape(-1, 16)).reshape(-1, 4, 4)
+    if tail is not None:
+        generators[-1] *= tail[1] / h
     # (nodes, ..., 4, 4), with the refinements' lead axis if there is one
     values = expm4(_stacked([generators / scale for scale in scales], refinements, 0)).swapaxes(0, -3)
-    read, width = _phase_kernel(np.concatenate([values, values[:0:-1]]), len(drives), degree, True)
+    read, width = _phase_kernel(np.concatenate([values[:half], values[half - 1 : 0 : -1]]), len(drives), degree, True)
 
-    def factors(phases, g=0):
-        u = read(phases, g)
+    def squared(u, g=0):
         for _ in range(squarings[g]):
             u = u @ u
         return u
 
-    return factors, width, norm
+    def factors(phases, g=0):
+        return squared(read(phases, g), g)
+
+    return (factors, width, norm) if tail is None else (factors, width, norm, squared(values[-1]))
 
 
 def _block_size(n_steps, dims, norm, chunk, refinements=1):
@@ -609,14 +643,15 @@ def _block_kernel(factors, drives, h, m, degree, refinements=None):
     return (lambda phases: read(phases).swapaxes(0, -3)), width
 
 
-def _grid_product(h0, drives, h, n_steps, split=None, refinements=None):
+def _grid_product(h0, drives, h, n_steps, split=None, refinements=None, tail=None):
     """Exponential-midpoint products, from t = 0, of n_steps 2^g steps of
     h / 2^g for each refinement g < refinements, a (refinements, 4, 4) stack,
     or the (4, 4) product of n_steps steps of h without refinements (None);
     with ``split`` = k, the pair (products of each refinement's first k 2^g
     steps, the whole products), all from one factor sequence per refinement
-    and one tree."""
-    factors, width, norm = _step_kernel(h0, drives, h, refinements)
+    and one tree.  A grid without refinements may follow its first k steps
+    with the step kernel's ``tail`` step (t, delta)."""
+    factors, width, norm, *remainder = _step_kernel(h0, drives, h, refinements, tail)
     grids = refinements or 1
     # a basis holds no more floats than a (_CHUNK, 4, 4) complex stack: the
     # chunks' bases, and the step basis of a block kernel's nodes; the real
@@ -662,25 +697,9 @@ def _grid_product(h0, drives, h, n_steps, split=None, refinements=None):
         else:
             product = _ordered_product(stack)
         total = product @ total
+    if remainder:
+        head = remainder[0] @ head
     return total if split is None else (head, total)
-
-
-def _partial_step(h0, drives, t, delta):
-    """exp(-i delta H(t)): one exponential-midpoint step off the grid, with
-    H(t) = h0 + sum_d A_d cos(Omega_d t + phi_d) O_d, taken as
-    1 + V diag(exp(-i delta w) - 1) V^dagger from the eigensystem of its
-    Hermitian part, which keeps the eigenvectors' roundoff to the size of
-    the step's rotation; refused where expm4 would refuse delta H."""
-    h = h0 + sum(d.amplitude * np.cos(d.frequency * t + d.phase) * d.operator for d in drives)
-    with np.errstate(over="ignore"):  # a row sum beyond the float range is inf
-        norm = delta * float(np.abs(h).sum(axis=-1).max())
-    if not norm <= _MAX_NORM:  # also a nan or inf entry
-        # delta < h, but the step kernel bounds the drives' column sums, and
-        # their row sums may exceed them within HERMITIAN_TOL
-        raise StepTooLarge(f"a step of {delta:.3g} s needs more than {_MAX_SQUARINGS} squarings")
-    w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
-    theta = delta * w  # exp(-i theta) - 1 = -2 sin^2(theta / 2) - i sin theta
-    return _EYE + (v * (-2.0 * np.sin(theta / 2.0) ** 2 - 1j * np.sin(theta))) @ v.conj().T
 
 
 def _drive_period(drives):
@@ -709,7 +728,8 @@ def integrate_lab_frame(system: DrivenSystem, n_steps=None) -> np.ndarray:
     T_d = 2 pi / |Omega|: one period is integrated with the largest step
     not above system.default_step() that divides T_d and raised to the
     power N = floor(T / T_d) by repeated squaring; the remainder
-    tau = T - N T_d reuses the period's grid (see the module docstring).
+    tau = T - N T_d is the period's first steps and one shorter step,
+    exponentiated with the period's nodes (see the module docstring).
     With N = 0, several drive frequencies or none, the step divides T.
     ``n_steps``, an integer in 1..2^53 (else ValueError), overrides the step
     rule and always integrates the whole grid of T (convergence studies).
@@ -734,18 +754,16 @@ def integrate_lab_frame(system: DrivenSystem, n_steps=None) -> np.ndarray:
     tau = system.duration - periods * period
     k = min(int(tau // h), count) if tau > 0.0 else 0
     delta = tau - k * h
-    h0 = system._hermitian_h0
-    head, one_period = _grid_product(h0, drives, h, count, k)
+    tail = (k * h + delta / 2.0, delta) if delta > 0.0 else None
+    head, one_period = _grid_product(system._hermitian_h0, drives, h, count, k, None, tail)
     with np.errstate(over="ignore", invalid="ignore"):
         total = np.linalg.matrix_power(one_period, periods)
-    # checked before the remainder: near overflow it is garbage
+    # checked before the projection: near overflow it is garbage
     if not np.isfinite(total).all():
         raise StepTooLarge(
             f"the power of {periods:.3g} drive periods of {count} steps each"
             " overflows double precision"
         )
-    if delta > 0.0:
-        head = _partial_step(h0, drives, k * h + delta / 2.0, delta) @ head
     # each route re-projects once: see the module docstring
     return _project_unitary(head @ total)
 
@@ -759,15 +777,15 @@ def _whole_grids(system, n_steps, refinements=None):
 
 
 def to_interaction_frame(u, e: EigenSystem, t, t0=0.0) -> np.ndarray:
-    """U* = D(t - t0)^{-1} U, the propagator co-rotating with H0."""
-    d = free_evolution(e, float(t) - float(t0))
-    return d.conj().T @ np.asarray(u, dtype=complex)
+    """U* = D(t - t0)^{-1} U, the propagator co-rotating with H0: row m of U
+    times exp(i eps_m (t - t0)), with free_evolution's refusals."""
+    return _free_phases(e, float(t) - float(t0)).conj()[:, None] * np.asarray(u, dtype=complex)
 
 
 def propagator_infidelity(u, v) -> float:
-    """1 - |tr(U^dagger V)| / 4; zero iff U = e^{i theta} V."""
-    overlap = np.trace(np.asarray(u).conj().T @ np.asarray(v))
-    return float(1.0 - abs(overlap) / 4.0)
+    """1 - |tr(U^dagger V)| / 4, floored at 0 (roundoff may put |tr| a few
+    ulp above 4); zero iff U = e^{i theta} V."""
+    return float(max(1.0 - abs(np.vdot(u, v)) / 4.0, 0.0))  # a nan stays nan
 
 
 def drive_for_pulse(
@@ -781,7 +799,11 @@ def drive_for_pulse(
     """
     line = _normalize_transition(transition)
     axis = _normalize_axis(axis)
-    duration = _pulse_length(params, e, line, axis, flip)
+    return _pulse_drive(params, e, line, axis, phase, _pulse_length(params, e, line, axis, flip))
+
+
+def _pulse_drive(params: SpinParameters, e, line, axis, phase, duration):
+    """drive_for_pulse's system on a checked line and axis, for its realized duration."""
     element = transition_matrix_element(e, line, axis)
     drive = DriveTerm(
         operator=e.axis_operator(axis),
@@ -795,17 +817,19 @@ def drive_for_pulse(
 def _drive_at_ratio(params: SpinParameters, e, line, axis, ratio, phase=0.0, flip=np.pi):
     """drive_for_pulse on a checked line with h_rf set so gamma * h_rf * |element|
     = ratio * min_gap; ValueError naming the ratio unless it is finite and > 0
-    and the pulse it sets is realizable (drive amplitude and duration finite)."""
+    and the pulse it sets is realizable (drive amplitude and duration finite);
+    first, ValueError naming the flip unless it is finite and >= 0."""
+    _check_flip(flip)
     if not (math.isfinite(ratio := float(ratio)) and ratio > 0.0):
         raise ValueError(f"ratio must be finite and > 0, got {ratio}")
     element = abs(_drivable_element(e, line, axis))
     min_gap, _ = e.transitions._nearest(line)
     try:  # gamma * element may underflow to zero, h_rf overflow
         scaled = replace(params, h_rf=ratio * min_gap / (params.gamma * element))
-        _pulse_length(scaled, e, line, axis, flip)
+        duration = _pulse_length(scaled, e, line, axis, flip)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"ratio {ratio} gives a drive amplitude or pulse duration beyond the float range") from exc
-    return drive_for_pulse(scaled, e, line, axis, phase, flip)
+    return _pulse_drive(scaled, e, line, axis, phase, duration)
 
 
 def rwa_infidelity(

@@ -86,13 +86,18 @@ def free_evolution(e: EigenSystem, t) -> np.ndarray:
 
     Raises ValueError when t or a phase eps_m t is not finite.
     """
+    return np.diag(_free_phases(e, t))
+
+
+def _free_phases(e: EigenSystem, t):
+    """The diagonal exp(-i eps_m t) of D(t), with free_evolution's refusals."""
     if not np.isfinite(t):
         raise ValueError(f"duration must be finite, got {t}")
     with np.errstate(over="ignore"):  # an overflowing phase is refused below
         phases = e.energies * float(t)
     if not np.isfinite(phases).all():
         raise ValueError(f"free evolution over duration {t} overflows its phases")
-    return np.diag(np.exp(-1j * phases))
+    return np.exp(-1j * phases)
 
 
 @dataclass(frozen=True)

@@ -85,6 +85,12 @@ def _check_finite(name, value):
         raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _check_flip(flip):
+    """ValueError naming the flip unless it is finite and >= 0."""
+    if not (math.isfinite(flip) and flip >= 0.0):
+        raise ValueError(f"flip must be finite and >= 0, got {flip}")
+
+
 def _normalize_axis(axis):
     key = str(axis).upper()
     if key not in AXIS_SHIFT:
@@ -112,8 +118,7 @@ class PulseSpec:
         object.__setattr__(self, "transition", _normalize_transition(self.transition))
         object.__setattr__(self, "axis", _normalize_axis(self.axis))
         _check_finite("phase", self.phase)
-        if not (math.isfinite(self.flip) and self.flip >= 0.0):
-            raise ValueError(f"flip must be finite and >= 0, got {self.flip}")
+        _check_flip(self.flip)
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,14 @@ import math
 import re
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vspin import lab_frame
 from vspin import (
@@ -122,6 +125,19 @@ class TestInfidelity:
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         u = expm4(-1j * (a + a.conj().T))
         assert propagator_infidelity(u, np.exp(1.3j) * u) == pytest.approx(0.0, abs=1e-14)
+
+    def test_never_negative(self):
+        # |tr(U^dagger V)| of a unitary against its own projection or itself
+        # times a phase may round a few ulp above 4: the floor makes it 0.0
+        below = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            u = expm4(-1j * (a + a.conj().T))
+            for v in (lab_frame._project_unitary(u), np.exp(1.3j) * u):
+                below += 1.0 - abs(np.trace(u.conj().T @ v)) / 4.0 < 0.0
+                assert 0.0 <= propagator_infidelity(u, v) <= 1e-14
+        assert below  # the floor was needed
 
     def test_identity_vs_cnot(self):
         cnot = (projector(3, 3).matrix + projector(4, 4).matrix
@@ -277,10 +293,10 @@ class TestIntegrator:
         for duration in (4.0 * np.pi, 2.0 * np.pi * (2.0 + 0.5 / 200.0)):
             with pytest.raises(StepTooLarge, match=r"^a step of 0\.0314 s has norm 2\.93e\+15, which needs more than 51 squarings"):
                 integrate_lab_frame(replace(system, duration=duration))
-        # the remainder's half step (norm 1.5e15) goes to expm4 whole, whose
-        # refusal becomes the integrator's
-        with pytest.raises(StepTooLarge, match=r"^a step of 0\.0157 s needs more than 51 squarings"):
-            lab_frame._partial_step(system.h0, system.drives, 0.0, 0.0157)
+        # the remainder's half step is one more generator of the period's step
+        # kernel, which refuses the grid's step first, with the same message
+        with pytest.raises(StepTooLarge, match=r"^a step of 0\.0314 s has norm 2\.93e\+15, which needs more than 51 squarings"):
+            lab_frame._step_kernel(system.h0, system.drives, 2.0 * np.pi / 200.0, None, (0.0, 0.0157))
 
     @pytest.mark.parametrize("amplitude", [1e308, 1e300])
     def test_default_step_past_the_step_count_refused(self, params, amplitude):
@@ -367,6 +383,30 @@ class TestRotatingWaveValidation:
             rwa_infidelity(params, eigen, (1, 2), ratio=ratio)
         with pytest.raises(ValueError, match=message):
             convergence_study(params, ratio=ratio)
+
+    @pytest.mark.parametrize("flip", [np.nan, np.inf, -np.pi, -0.5])
+    def test_flip_must_be_finite_and_non_negative(self, params, eigen, flip):
+        # refused by name, PulseSpec's rule, before the ratio is read
+        message = rf"^flip must be finite and >= 0, got {re.escape(str(flip))}$"
+        with pytest.raises(ValueError, match=message):
+            rwa_infidelity(params, eigen, (1, 2), ratio=1e-2, flip=flip)
+        with pytest.raises(ValueError, match=message):
+            convergence_study(params, ratio=1e-2, flip=flip)
+        with pytest.raises(ValueError, match=message):
+            rwa_infidelity(params, eigen, (1, 2), ratio=np.nan, flip=flip)
+
+    def test_one_exponential_call_and_no_factorization(self, monkeypatch, params, eigen):
+        # the remainder step is exponentiated with the period's nodes, the
+        # projection takes Newton-Schulz steps: no SVD and no eigh
+        calls = []
+        real = lab_frame.expm4
+        monkeypatch.setattr(lab_frame, "expm4", lambda a: calls.append(a.shape) or real(a))
+        for name in ("svd", "eigh"):
+            monkeypatch.setattr(np.linalg, name, lambda *args, name=name, **kwargs: pytest.fail(name))
+        system = _drive_at_ratio(params, eigen, (1, 2), "Y", 1e-2)
+        assert system.duration % _period(system) > _grid_step(system)  # a remainder step
+        rwa_infidelity(params, eigen, (1, 2), ratio=1e-2)
+        assert len(calls) == 1
 
     def test_underflowing_gamma_refused_as_the_ratio(self, eigen):
         # gamma * |element| underflows to zero, so h_rf = ratio * gap / 0 has no float
@@ -553,27 +593,27 @@ class TestPeriodPath:
         period, h = _period(system), _grid_step(system)
         periods = int(system.duration // period)
         tau = system.duration - periods * period
-        splits, steps = [], []
-        real_grid, real_step = lab_frame._grid_product, lab_frame._partial_step
+        splits, tails = [], []
+        real_grid, real_kernel = lab_frame._grid_product, lab_frame._step_kernel
 
-        def grid(h0, drives, h, n_steps, split=None):
+        def grid(h0, drives, h, n_steps, split=None, *args):
             splits.append(split)
-            return real_grid(h0, drives, h, n_steps, split)
+            return real_grid(h0, drives, h, n_steps, split, *args)
 
-        def step(h0, drives, t, delta):
-            steps.append((t, delta))
-            return real_step(h0, drives, t, delta)
+        def kernel(h0, drives, h, refinements=None, tail=None):
+            tails.append(tail)
+            return real_kernel(h0, drives, h, refinements, tail)
 
         monkeypatch.setattr(lab_frame, "_grid_product", grid)
-        monkeypatch.setattr(lab_frame, "_partial_step", step)
+        monkeypatch.setattr(lab_frame, "_step_kernel", kernel)
         integrate_lab_frame(system)
         k = int(tau // h) if tau > 0.0 else 0
         assert periods >= 2 and splits == [k]
-        if partial:
+        if partial:  # the tail step is one more generator of the period's one kernel
             delta = tau - k * h
-            assert 0.0 < delta < h and steps == [(k * h + delta / 2.0, delta)]
+            assert 0.0 < delta < h and tails == [(k * h + delta / 2.0, delta)]
         else:
-            assert steps == []
+            assert tails == [None]
         if name == "remainder-rounds-to-zero":
             assert tau == 0.0 < math.fmod(system.duration, period)
         if name == "remainder-below-one-step":
@@ -815,12 +855,14 @@ class TestStepKernel:
 
     @pytest.mark.parametrize("name", list(KERNEL_CASES))
     def test_partial_step_matches_expm(self, name):
-        # the remainder's one step of delta < h, from H(t)'s eigensystem
+        # the remainder's one step of delta < h, the step kernel's tail:
+        # exponentiated with its nodes, scaled and squared like them
         h0, drives, h = KERNEL_CASES[name]
         rng = np.random.default_rng(len(drives))
         for t, delta in zip(rng.uniform(0.0, 1e3, size=10), rng.uniform(0.0, h, size=10)):
             expected = scipy.linalg.expm(-1j * delta * _hamiltonian(h0, drives, t))
-            assert np.max(np.abs(lab_frame._partial_step(h0, drives, t, delta) - expected)) <= 1e-14
+            *_, step = lab_frame._step_kernel(h0, drives, h, None, (t, delta))
+            assert np.max(np.abs(step - expected)) <= 1e-14
 
     def test_coarse_step_squares(self):
         _, (drive,), h = KERNEL_CASES["strong-coarse"]
@@ -1190,6 +1232,52 @@ class TestProjection:
         u = integrate_lab_frame(PULSE_CASES[name], n_steps=n_steps)
         assert len(calls) == 1
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-14
+
+
+def _unitary_ld(a):
+    """The columns of ``a`` made orthonormal in extended precision (Gram-Schmidt, twice)."""
+    q = a.astype(np.clongdouble)
+    for _ in range(2):
+        for j in range(4):
+            q[:, j] -= q[:, :j] @ (q[:, :j].conj().T @ q[:, j])
+            q[:, j] /= np.sqrt((q[:, j].conj() @ q[:, j]).real)
+    return q
+
+
+class TestNewtonSchulz:
+    """_project_unitary against the polar factor W V^dagger of U = W S V^dagger."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), exponent=st.floats(-16.0, math.log10(0.3)))
+    def test_matches_the_svd_polar_factor(self, seed, exponent):
+        # a random unitary perturbed to a drift max|U^dagger U - I| from 1e-16
+        # to 0.3, its SVD known by construction in extended precision (numpy's
+        # SVD strays a few 1e-15 from it); the steps converge, no SVD is taken
+        rng = np.random.default_rng(seed)
+        w, v = (_unitary_ld(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))) for _ in range(2))
+        drift = 10.0**exponent
+        squares = 1.0 + drift * np.append(rng.uniform(-1.0, 1.0, size=3), rng.choice([-1.0, 1.0]))
+        u = ((w * np.sqrt(squares.astype(np.longdouble))) @ v.conj().T).astype(complex)
+        with mock.patch.object(np.linalg, "svd", side_effect=AssertionError("svd")):
+            projected = lab_frame._project_unitary(u)
+        assert np.max(np.abs(projected - (w @ v.conj().T).astype(complex))) <= 1e-15
+
+    @pytest.mark.parametrize("offset", [0.0, 1e10, 1e12, 1e14, 3e14])
+    def test_drifted_free_evolution_matches_the_svd_polar_factor(self, monkeypatch, eigen, offset):
+        # a common energy offset drifts the product from the unitaries, to 0.29
+        # at 1e14 and 2.4 at 3e14, past the steps' reach, where the SVD takes
+        # the polar factor
+        products = []
+        real = lab_frame._project_unitary
+        monkeypatch.setattr(lab_frame, "_project_unitary", lambda u: products.append(u) or real(u))
+        integrate_lab_frame(DrivenSystem(h0=np.diag(eigen.energies) + offset * np.eye(4), duration=3.7))
+        (u,) = products
+        drift = np.max(np.abs(u.conj().T @ u - np.eye(4)))
+        assert drift > {1e14: 0.2, 3e14: 1.0}.get(offset, 0.0)
+        w, _, vh = np.linalg.svd(u)
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            assert np.max(np.abs(real(u) - w @ vh)) <= 1e-15
+        assert svd.called == (offset == 3e14)
 
 
 def _fourier_degree_log(norms, max_degree=60):
