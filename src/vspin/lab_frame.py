@@ -134,7 +134,10 @@ transition frequency.
 One subtlety is owned by :func:`drive_for_pulse`: the ideal propagator's
 phase convention absorbs the phase of the drive matrix element, so the
 cosine drive's phase is the engine phase plus ``pulse_engine.AXIS_SHIFT``
-plus pi/2 plus arg<psi_m| I_axis |psi_n>.  Its duration is the engine's.
+plus pi/2 plus arg<psi_m| I_axis |psi_n>.  The pulse is a ``PulseSpec``, as
+in a compiled program: its amplitude and duration are the engine's
+realization of it, and the ideal it is compared with is its ``PulseStep``'s
+propagator.
 """
 
 import functools
@@ -148,11 +151,10 @@ from .errors import StepTooLarge
 from .operator_algebra import _free_phases
 from .pulse_engine import (
     AXIS_SHIFT,
-    _check_flip,
+    PulseSpec,
+    PulseStep,
     _drivable_element,
-    _normalize_axis,
-    _pulse_length,
-    single_frequency_propagator,
+    _realization,
     transition_matrix_element,
 )
 from .spin_system import (
@@ -160,7 +162,7 @@ from .spin_system import (
     EigenSystem,
     SpinParameters,
     _hermitian_defect,
-    _normalize_transition,
+    _hermitian_part,
     closed_form_eigensystem,
 )
 
@@ -272,15 +274,17 @@ class DrivenSystem:
         |amplitude|, not |amplitude| ||operator||.  The step kernel refuses a
         step past its squaring budget; sized by the norm, a 1e8 Ix drive would
         take ~3e10 steps a period, too many until grids cost O(log n)."""
-        w = np.linalg.eigvalsh(self._hermitian_h0)
-        rates = (abs(v) for d in self.drives for v in (d.frequency, d.amplitude))
-        omega_max = max(w.max() - w.min(), *rates, np.finfo(float).tiny)
+        w = np.linalg.eigvalsh(self._hermitian_h0)  # ascending
+        rates = (abs(float(v)) for d in self.drives for v in (d.frequency, d.amplitude))
+        # Python floats overflow to inf quietly: a width past the float range
+        # is a step of 0 s, which grids refuse
+        omega_max = max(float(w[-1]) - float(w[0]), *rates, np.finfo(float).tiny)
         return 2.0 * np.pi / (200.0 * omega_max)
 
     @functools.cached_property
     def _hermitian_h0(self):
-        # (h0 + h0^dagger) / 2, which default_step and every grid read: built once
-        return (self.h0 + self.h0.conj().T) / 2.0
+        # h0's Hermitian part, which default_step and every grid read: built once
+        return _hermitian_part(self.h0)
 
 
 def _taylor_degree(theta):
@@ -793,43 +797,39 @@ def drive_for_pulse(
 ) -> DrivenSystem:
     """Lab-frame realization of one selective pulse, in the eigenbasis.
 
-    The cosine phase is the engine phase plus the axis shift, plus pi/2
-    and arg(element), so the realized rotation matches the ideal
-    propagator; the duration and its refusals are the engine's.
+    The pulse is checked as a PulseSpec first and realized by the engine's
+    rule (amplitude, duration, refusals); the cosine phase is the engine
+    phase plus the axis shift, plus pi/2 and arg(element), so the realized
+    rotation matches the ideal propagator.
     """
-    line = _normalize_transition(transition)
-    axis = _normalize_axis(axis)
-    return _pulse_drive(params, e, line, axis, phase, _pulse_length(params, e, line, axis, flip))
+    return _pulse_drive(params, e, PulseSpec(transition, axis, phase, flip))
 
 
-def _pulse_drive(params: SpinParameters, e, line, axis, phase, duration):
-    """drive_for_pulse's system on a checked line and axis, for its realized duration."""
-    element = transition_matrix_element(e, line, axis)
+def _pulse_drive(params: SpinParameters, e, pulse):
+    """drive_for_pulse's system for a PulseSpec, at its realized amplitude and duration."""
+    amplitude, duration = _realization(params, e, pulse)
+    element = transition_matrix_element(e, pulse.transition, pulse.axis)
     drive = DriveTerm(
-        operator=e.axis_operator(axis),
-        amplitude=2.0 * params.gamma * params.h_rf,
-        frequency=e.transitions._omegas[line],
-        phase=float(phase) + (AXIS_SHIFT[axis] + np.pi / 2.0) + float(np.angle(element)),
+        operator=e.axis_operator(pulse.axis),
+        amplitude=amplitude,
+        frequency=e.transitions._omegas[pulse.transition],
+        phase=float(pulse.phase) + (AXIS_SHIFT[pulse.axis] + np.pi / 2.0) + float(np.angle(element)),
     )
     return DrivenSystem(h0=np.diag(e.energies).astype(complex), drives=(drive,), duration=duration)
 
 
-def _drive_at_ratio(params: SpinParameters, e, line, axis, ratio, phase=0.0, flip=np.pi):
-    """drive_for_pulse on a checked line with h_rf set so gamma * h_rf * |element|
+def _drive_at_ratio(params: SpinParameters, e, pulse, ratio):
+    """drive_for_pulse of a PulseSpec with h_rf set so gamma * h_rf * |element|
     = ratio * min_gap; ValueError naming the ratio unless it is finite and > 0
-    and the pulse it sets is realizable (drive amplitude and duration finite);
-    first, ValueError naming the flip unless it is finite and >= 0."""
-    _check_flip(flip)
+    and the pulse it sets is realizable (drive amplitude and duration finite)."""
     if not (math.isfinite(ratio := float(ratio)) and ratio > 0.0):
         raise ValueError(f"ratio must be finite and > 0, got {ratio}")
-    element = abs(_drivable_element(e, line, axis))
-    min_gap, _ = e.transitions._nearest(line)
+    element = abs(_drivable_element(e, pulse.transition, pulse.axis))
+    min_gap, _ = e.transitions._nearest(pulse.transition)
     try:  # gamma * element may underflow to zero, h_rf overflow
-        scaled = replace(params, h_rf=ratio * min_gap / (params.gamma * element))
-        duration = _pulse_length(scaled, e, line, axis, flip)
+        return _pulse_drive(replace(params, h_rf=ratio * min_gap / (params.gamma * element)), e, pulse)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"ratio {ratio} gives a drive amplitude or pulse duration beyond the float range") from exc
-    return _pulse_drive(scaled, e, line, axis, phase, duration)
 
 
 def rwa_infidelity(
@@ -846,16 +846,15 @@ def rwa_infidelity(
     The drive strength is set by ``ratio`` (Rabi rate over the smallest
     spectral gap to another transition); the lab result is pulled into the
     interaction frame before comparison, so the number measures the
-    rotating-wave error alone.
+    rotating-wave error alone.  The pulse is checked as a PulseSpec first;
+    its ideal is its PulseStep's propagator.
     """
-    line, axis = _normalize_transition(transition), _normalize_axis(axis)
+    pulse = PulseSpec(transition, axis, phase, flip)
     if e is None:
         e = closed_form_eigensystem(params)
-    system = _drive_at_ratio(params, e, line, axis, ratio, phase, flip)
-    u_lab = integrate_lab_frame(system)
-    u_int = to_interaction_frame(u_lab, e, system.duration)
-    v = single_frequency_propagator(e, line, axis, phase, flip)
-    return propagator_infidelity(u_int, v)
+    system = _drive_at_ratio(params, e, pulse, ratio)
+    u_int = to_interaction_frame(integrate_lab_frame(system), e, system.duration)
+    return propagator_infidelity(u_int, PulseStep(pulse).propagator(e, None, False))
 
 
 def rwa_sweep(params: SpinParameters, transition=(1, 2), ratios=(1e-2, 1e-3, 1e-4)):
@@ -877,18 +876,19 @@ def convergence_study(
     Integrates with n, 2n, 4n, ... steps, all grids in one pass (module
     docstring), each as integrate_lab_frame(n_steps=...) would to roundoff,
     and returns a dict with the pairwise-deviation order estimates and the
-    deviation ratios against the Richardson-extrapolated reference.  Raises
-    ValueError unless ``refinements`` is an integer >= 1 (the reference
-    needs two runs) whose finest grid has at most 2^53 steps.
+    deviation ratios against the Richardson-extrapolated reference.  Checks
+    the pulse as a PulseSpec first, then raises ValueError unless
+    ``refinements`` is an integer >= 1 (the reference needs two runs) whose
+    finest grid has at most 2^53 steps.
     """
+    pulse = PulseSpec(transition, axis, flip=flip)
     if not isinstance(refinements, (int, np.integer)):
         raise ValueError(f"refinements must be an integer, got {refinements!r}")
     if refinements < 1:
         raise ValueError(f"refinements must be >= 1, got {refinements}")
     refinements = int(refinements)
-    line, axis = _normalize_transition(transition), _normalize_axis(axis)
     e = closed_form_eigensystem(params)
-    system = _drive_at_ratio(params, e, line, axis, ratio, flip=flip)
+    system = _drive_at_ratio(params, e, pulse, ratio)
     base = _step_count(system.duration, system.default_step())
     if base > _MAX_STEPS >> refinements:
         raise ValueError(f"refinements {refinements} make a finest grid of {base} * 2^{refinements}"

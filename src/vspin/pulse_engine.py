@@ -85,12 +85,6 @@ def _check_finite(name, value):
         raise ValueError(f"{name} must be finite, got {value}")
 
 
-def _check_flip(flip):
-    """ValueError naming the flip unless it is finite and >= 0."""
-    if not (math.isfinite(flip) and flip >= 0.0):
-        raise ValueError(f"flip must be finite and >= 0, got {flip}")
-
-
 def _normalize_axis(axis):
     key = str(axis).upper()
     if key not in AXIS_SHIFT:
@@ -118,7 +112,8 @@ class PulseSpec:
         object.__setattr__(self, "transition", _normalize_transition(self.transition))
         object.__setattr__(self, "axis", _normalize_axis(self.axis))
         _check_finite("phase", self.phase)
-        _check_flip(self.flip)
+        if not (math.isfinite(self.flip) and self.flip >= 0.0):
+            raise ValueError(f"flip must be finite and >= 0, got {self.flip}")
 
 
 @dataclass(frozen=True)
@@ -130,7 +125,7 @@ class PulseStep:
         p = self.pulse
         v = _rotation(e, params, p.axis, p.phase, (p.transition, p.flip))
         if include_free_evolution:
-            v = free_evolution(e, _pulse_length(params, e, p.transition, p.axis, p.flip)) @ v
+            v = free_evolution(e, _realization(params, e, p)[1]) @ v
         return v
 
 
@@ -151,8 +146,7 @@ class TwoFrequencyStep:
         a, b = self.a, self.b
         v = _rotation(e, params, a.axis, a.phase, (a.transition, a.flip), (b.transition, b.flip))
         if include_free_evolution:
-            ta = _pulse_length(params, e, a.transition, a.axis, a.flip)
-            tb = _pulse_length(params, e, b.transition, b.axis, b.flip)
+            ta, tb = _realization(params, e, a)[1], _realization(params, e, b)[1]
             if abs(ta - tb) > DURATION_TOL * max(ta, tb, 1e-300):
                 raise SemanticError(
                     f"simultaneous pulses imply different durations ({ta:.6g} vs {tb:.6g})"
@@ -202,17 +196,18 @@ def _drivable_element(e: EigenSystem, line, axis):
     return element
 
 
-def _pulse_length(params: SpinParameters, e: EigenSystem, line, axis, flip):
-    """Duration T = flip / (A |element|), A = 2 gamma h_rf, of a checked line; checks h_rf > 0, then
-    drivability, then that A and T are finite and A |element| > 0 (gamma h_rf may underflow to 0)."""
+def _realization(params: SpinParameters, e: EigenSystem, pulse: PulseSpec):
+    """(A, T) of a pulse: drive amplitude A = 2 gamma h_rf and duration T = flip / (A |element|); checks
+    h_rf > 0, then drivability, then that A and T are finite and A |element| > 0 (gamma h_rf may underflow to 0)."""
     if params.h_rf <= 0.0:
         raise ValueError("h_rf must be > 0 to realize a pulse")
-    element = _drivable_element(e, line, axis)
+    line, flip = pulse.transition, pulse.flip
+    element = _drivable_element(e, line, pulse.axis)
     amplitude = 2.0 * params.gamma * params.h_rf
     rate = amplitude * abs(element)
     if not (math.isfinite(amplitude) and rate > 0.0 and math.isfinite(duration := float(flip) / rate)):
         raise ValueError(f"pulse on {line} is unrealizable: drive amplitude {amplitude:.6g}, flip {flip:.6g}")
-    return duration
+    return amplitude, duration
 
 
 def flip_angle(p: SpinParameters, e: EigenSystem, transition, axis, duration):

@@ -314,6 +314,15 @@ def _hermitian_defect(a, of="H"):
     return True, None
 
 
+def _hermitian_part(h):
+    """(H + H^dagger) / 2 of a finite 4x4 H, halving first when the sum overflows."""
+    with np.errstate(over="ignore"):
+        twice = h + h.conj().T
+    if not np.isfinite(twice).all():  # finite entries whose sum overflows
+        return h / 2.0 + h.conj().T / 2.0
+    return twice / 2.0
+
+
 def diagonalize(hamiltonian, scale=None) -> EigenSystem:
     """Numerically diagonalize a Hermitian 4x4 operator.
 
@@ -331,12 +340,7 @@ def diagonalize(hamiltonian, scale=None) -> EigenSystem:
         raise ValueError("hamiltonian must be finite")
     if why is not None:
         raise NotHermitian(why)
-    with np.errstate(over="ignore"):
-        twice = h + h.conj().T
-    if not np.isfinite(twice).all():  # finite entries whose sum overflows: halve them first
-        energies, states = np.linalg.eigh(h / 2.0 + h.conj().T / 2.0)
-    else:
-        energies, states = np.linalg.eigh(twice / 2.0)
+    energies, states = np.linalg.eigh(_hermitian_part(h))
     if scale is None:
         scale = max(np.max(np.abs(energies)), _TINY)
     return _assemble(energies.tolist(), states.T, None, scale)

@@ -88,15 +88,6 @@ def embed_tensor_projector(r_indices, s_indices) -> Projector:
     return Projector(2 * k - 2 + m, 2 * l - 2 + n)
 
 
-def _embed_pair(r_coeffs, s_coeffs):
-    """sum over r_coeffs[(k,l)] * s_coeffs[(m,n)] of the embedded projectors."""
-    out = np.zeros((4, 4), dtype=complex)
-    for (k, l), rc in r_coeffs.items():
-        for (m, n), sc in s_coeffs.items():
-            out += rc * sc * embed_tensor_projector((k, l), (m, n)).matrix
-    return out
-
-
 def virtual_spin_components() -> dict:
     """Embedded spin-1/2 components of both virtual spins.
 
@@ -105,16 +96,17 @@ def virtual_spin_components() -> dict:
     Rz = (R11 - R22) / 2.  Components of different spins commute and each
     squares to 1/4.
     """
-    identity = {(1, 1): 1.0, (2, 2): 1.0}
+    identity = np.eye(2, dtype=complex)
     half = {
-        "x": {(1, 2): 0.5, (2, 1): 0.5},
-        "y": {(2, 1): 0.5j, (1, 2): -0.5j},
-        "z": {(1, 1): 0.5, (2, 2): -0.5},
+        "x": np.array([[0.0, 0.5], [0.5, 0.0]]),
+        "y": np.array([[0.0, -0.5j], [0.5j, 0.0]]),
+        "z": np.array([[0.5, 0.0], [0.0, -0.5]]),
     }
     out = {}
-    for axis, coeffs in half.items():
-        out["R" + axis] = _embed_pair(coeffs, identity)
-        out["S" + axis] = _embed_pair(identity, coeffs)
+    for axis, pauli in half.items():
+        # R_kl (x) S_mn is P_{2k-2+m, 2l-2+n}, the Kronecker product's entry; + 0.0 clears negative zeros
+        out["R" + axis] = np.kron(pauli, identity) + 0.0
+        out["S" + axis] = np.kron(identity, pauli) + 0.0
     return out
 
 

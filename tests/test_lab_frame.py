@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -16,6 +17,7 @@ from vspin import (
     DrivenSystem,
     DriveTerm,
     NotHermitian,
+    PulseSpec,
     SpinParameters,
     StepTooLarge,
     build_static_hamiltonian,
@@ -230,6 +232,20 @@ class TestIntegrator:
             assert DriveTerm(operator=big, amplitude=1.0, frequency=1.0).operator.tobytes() == big.tobytes()
             assert DrivenSystem(h0=big, duration=1.0).h0.tobytes() == big.tobytes()
 
+    def test_hermitian_part_of_h0_halved_first_when_the_sum_overflows(self):
+        # every entry is finite but h0 + h0^dagger overflows: the Hermitian part
+        # is diagonalize's, halved first, and a spectral width past the float
+        # range sizes a step of 0 s, refused by its count; no warning on the way
+        h0 = np.diag([1e308, -1e308, 5e307, 0.0]).astype(complex)
+        h0[0, 1] = h0[1, 0] = 1e308
+        system = DrivenSystem(h0=h0, duration=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert system._hermitian_h0.tobytes() == (h0 / 2.0 + h0.conj().T / 2.0).tobytes()
+            assert system.default_step() == 0.0
+            with pytest.raises(StepTooLarge, match=r"^a grid of 1 s in steps of at most 0 s needs more than 2\^53 steps$"):
+                integrate_lab_frame(system)
+
     @pytest.mark.parametrize("lower", [1.5e308 - 1.5e308j, 0.0])
     def test_non_hermitian_past_the_float_range_in_modulus_refused(self, lower):
         # max|a| overflows, every entry is finite: the rule is taken on a/4,
@@ -389,11 +405,25 @@ class TestRotatingWaveValidation:
         # refused by name, PulseSpec's rule, before the ratio is read
         message = rf"^flip must be finite and >= 0, got {re.escape(str(flip))}$"
         with pytest.raises(ValueError, match=message):
+            drive_for_pulse(replace(params, h_rf=1e-4), eigen, (1, 2), flip=flip)
+        with pytest.raises(ValueError, match=message):
             rwa_infidelity(params, eigen, (1, 2), ratio=1e-2, flip=flip)
         with pytest.raises(ValueError, match=message):
             convergence_study(params, ratio=1e-2, flip=flip)
         with pytest.raises(ValueError, match=message):
             rwa_infidelity(params, eigen, (1, 2), ratio=np.nan, flip=flip)
+
+    @pytest.mark.parametrize("phase", [np.nan, np.inf])
+    def test_phase_must_be_finite(self, params, eigen, phase):
+        # PulseSpec's rule and message in each entry point that takes a phase,
+        # before the drive or the ratio is read (convergence_study takes none)
+        message = rf"^phase must be finite, got {re.escape(str(phase))}$"
+        with pytest.raises(ValueError, match=message):
+            PulseSpec((1, 2), phase=phase)
+        with pytest.raises(ValueError, match=message):
+            drive_for_pulse(replace(params, h_rf=1e-4), eigen, (1, 2), phase=phase)
+        with pytest.raises(ValueError, match=message):
+            rwa_infidelity(params, eigen, (1, 2), ratio=np.nan, phase=phase)
 
     def test_one_exponential_call_and_no_factorization(self, monkeypatch, params, eigen):
         # the remainder step is exponentiated with the period's nodes, the
@@ -403,7 +433,7 @@ class TestRotatingWaveValidation:
         monkeypatch.setattr(lab_frame, "expm4", lambda a: calls.append(a.shape) or real(a))
         for name in ("svd", "eigh"):
             monkeypatch.setattr(np.linalg, name, lambda *args, name=name, **kwargs: pytest.fail(name))
-        system = _drive_at_ratio(params, eigen, (1, 2), "Y", 1e-2)
+        system = _drive_at_ratio(params, eigen, PulseSpec((1, 2), "Y"), 1e-2)
         assert system.duration % _period(system) > _grid_step(system)  # a remainder step
         rwa_infidelity(params, eigen, (1, 2), ratio=1e-2)
         assert len(calls) == 1
@@ -502,8 +532,8 @@ def _seeded_pulse(rng, transition, axis, ratio=0.02):
     p = SpinParameters(omega0=rng.uniform(0.2, 0.35) * omega_q, omegaQ=omega_q,
                        eta=rng.uniform(0.5, 0.9))
     e = closed_form_eigensystem(p)
-    return _drive_at_ratio(p, e, transition, axis, ratio, rng.uniform(0.0, 2.0 * np.pi),
-                           rng.uniform(0.25, 0.75) * np.pi)
+    pulse = PulseSpec(transition, axis, rng.uniform(0.0, 2.0 * np.pi), rng.uniform(0.25, 0.75) * np.pi)
+    return _drive_at_ratio(p, e, pulse, ratio)
 
 
 def _period(system):
@@ -782,7 +812,7 @@ def _kernel_cases():
                        eta=rng.uniform(0.5, 0.9))
     e = closed_form_eigensystem(p)
     weak = [
-        _drive_at_ratio(p, e, line, axis, 1e-2, rng.uniform(0.0, 2.0 * np.pi)).drives[0]
+        _drive_at_ratio(p, e, PulseSpec(line, axis, rng.uniform(0.0, 2.0 * np.pi)), 1e-2).drives[0]
         for line, axis in zip(LINES, "YXY")
     ]
     h0 = np.diag(e.energies).astype(complex)

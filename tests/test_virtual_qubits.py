@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -89,6 +91,13 @@ class TestVirtualComponents:
         for axis, pauli in zip("xyz", (sx, sy, sz)):
             assert np.array_equal(comps["R" + axis], np.kron(pauli, eye))
             assert np.array_equal(comps["S" + axis], np.kron(eye, pauli))
+            # byte for byte the sum of the embedded projectors R_kl (x) S_mn,
+            # each weighted by its factors' entries: no negative zero either
+            for name, (r, s) in (("R" + axis, (pauli, eye)), ("S" + axis, (eye, pauli))):
+                total = np.zeros((4, 4), dtype=complex)
+                for k, l, m, n in itertools.product((1, 2), repeat=4):
+                    total += r[k - 1, l - 1] * s[m - 1, n - 1] * embed_tensor_projector((k, l), (m, n)).matrix
+                assert comps[name].tobytes() == total.tobytes()
 
     def test_cross_spin_commutators_vanish(self):
         comps = virtual_spin_components()
