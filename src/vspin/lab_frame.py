@@ -75,14 +75,27 @@ Every ordered product of factors or blocks is taken in the real form
 E(U) = [[Re U, -Im U], [Im U, Re U]] of each 4x4 matrix: E(U) E(V) = E(UV),
 and numpy multiplies float64 8x8 matrices about four times faster than
 complex 4x4 ones.  One GEMM of the factors' interleaved floats against a
-constant map of 0 and +-1 builds E exactly; the pairs are multiplied in
-the same tree as before, the first two levels a block of factors at a
-time, so the real forms hold no more bytes than half the stack and one
-block; and the product is read back as its complex-linear part
-(E11 + E22) / 2 + i (E21 - E12) / 2, the nearest real form.  Roundoff also
-fills the other part, [[A, B], [B, -A]], which no complex matrix has: read
-back as E11 + i E21, a drive-free grid of 66,536 steps in blocks of 64
-strays 7e-13 from its single-step product, against 4e-14.
+constant 32 x 64 map of 0 and +-1 builds E exactly; the pairs are
+multiplied in the same tree as before, the first two levels a block of
+factors at a time, so the real forms hold no more bytes than half the
+stack and one block; and the product is read back as its complex-linear
+part (E11 + E22) / 2 + i (E21 - E12) / 2, the nearest real form.  Roundoff
+also fills the other part, [[A, B], [B, -A]], which no complex matrix has:
+read back as E11 + i E21, a drive-free grid of 66,536 steps in blocks of
+64 strays 7e-13 from its single-step product, against 4e-14.
+
+E is real-linear and every basis function is real, so
+E(sum_k b_k C_k) = sum_k b_k E(C_k): a kernel of W <= 32 functions embeds
+its coefficients once and reads its factors or blocks straight in the real
+form, bytewise the E the map would build, at 64 W multiply-adds a matrix
+against the map's 2,048.  That covers every one-drive kernel (W = 4-17 on
+the default grids) and two-drive steps.  Wider bases, two-drive blocks
+(W = 41-85) and most three-drive steps, read complex matrices, half the
+floats, and the product embeds them a block at a time.  Factors that are
+squared are read and squared as complex matrices, as squaring real forms
+rounds differently.  A chunk's pieces, the steps around its blocks, may
+differ in form: the product takes them as one sequence, each block of
+factors embedded or sliced in place, and converts or joins no piece whole.
 
 When every drive has the same |Omega|, H(t) is periodic with
 T_d = 2 pi / |Omega| (Floquet; Shirley, Phys. Rev. 138, B979, 1965), so
@@ -345,6 +358,18 @@ _EYE_REAL = np.eye(8)
 _EYE_REAL.flags.writeable = False
 
 
+def _in_form(stack, real):
+    """A (..., 4, 4) complex or (..., 8, 8) real-form stack in the real form
+    if ``real``, else complex: embedded by _REAL_FORM or read back by
+    _COMPLEX_PART, both exact; a stack already in that form as it is."""
+    if (stack.shape[-1] == 8) == real:
+        return stack
+    if real:
+        stack = np.ascontiguousarray(stack, dtype=complex)
+        return (stack.view(float).reshape(-1, 32) @ _REAL_FORM).reshape(*stack.shape[:-2], 8, 8)
+    return (stack.reshape(-1, 64) @ _COMPLEX_PART).view(complex).reshape(*stack.shape[:-2], 4, 4)
+
+
 def _pair_level(real):
     """One level of the pairwise product: U_{2i+1} U_{2i} for each pair, and
     the last matrix of an odd count as it is."""
@@ -355,14 +380,31 @@ def _pair_level(real):
     return combined
 
 
+def _span(pieces, start, stop, real):
+    """Factors start..stop - 1 of the time-ordered pieces, joined on the factor
+    axis, in the real form if ``real``, else complex; one piece's own slice
+    when the span lies in it and is in that form."""
+    parts, at = [], 0
+    for piece in pieces:
+        lo, hi, at = max(start - at, 0), min(stop - at, piece.shape[-3]), at + piece.shape[-3]
+        if lo < hi:
+            parts.append(_in_form(piece[..., lo:hi, :, :], real))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-3)
+
+
 def _ordered_product(stack, prefix=None):
     """Product U_n ... U_1 of a time-ordered (n, 4, 4) stack (index 0 earliest),
     or of each row of a (..., n, 4, 4) stack, multiplied pairwise in the real
-    form (module docstring).  With ``prefix`` = p in 0..n, the pair (that
-    product, U_p ... U_1), the prefix read off the same tree."""
-    n, lead = stack.shape[-3], stack.shape[:-3]
+    form (module docstring).  ``stack`` may be a stack of real forms,
+    (..., n, 8, 8) float, or a list of stacks of either form, one sequence
+    joined on the factor axis: each block of factors is embedded or sliced
+    as it is, and no whole sequence is copied.  With ``prefix`` = p in 0..n,
+    the pair (that product, U_p ... U_1), the prefix read off the same tree;
+    the products are complex either way."""
+    pieces = stack if isinstance(stack, list) else [stack]
+    n, lead = sum(piece.shape[-3] for piece in pieces), pieces[0].shape[:-3]
     if n == 1 and prefix is None:  # the tree would read a lone factor back as it is
-        return stack[..., 0, :, :]
+        return _span(pieces, 0, 1, False)[..., 0, :, :]
     # the first two levels of pairs, about _REAL_BLOCK factors at a time: a
     # block starts at a multiple of 4, so its pairs are those of the whole
     step = max(4, _REAL_BLOCK // math.prod(lead) // 4 * 4)
@@ -371,9 +413,7 @@ def _ordered_product(stack, prefix=None):
     # the one transpose it makes
     factors_first = (len(lead), *range(len(lead)), -2, -1)
     for start in range(0, n, step):
-        block = np.ascontiguousarray(stack[..., start : start + step, :, :], dtype=complex)
-        block = (block.view(float).reshape(-1, 32) @ _REAL_FORM).reshape(*block.shape[:-2], 8, 8)
-        block = _pair_level(_pair_level(block.transpose(factors_first)))
+        block = _pair_level(_pair_level(_span(pieces, start, start + step, True).transpose(factors_first)))
         real[start // 4 : start // 4 + len(block)] = block
     # node i of level l holds quads [i 2^l, (i + 1) 2^l): the prefix's q whole
     # quads are node (q >> l) - 1 of each level l whose bit is set in q, the
@@ -384,16 +424,22 @@ def _ordered_product(stack, prefix=None):
             nodes.append(real[quads - 1])
         real, quads = _pair_level(real), quads >> 1
     if prefix is None:
-        return (real[0].reshape(-1, 64) @ _COMPLEX_PART).view(complex).reshape(*lead, 4, 4)
+        return _in_form(real[0], False)
     # the identity takes the lead shape from the first node; without one,
     # from the assignment below
     head = functools.reduce(np.matmul, nodes, _EYE_REAL)
     both = np.empty((2, *real[0].shape))
     both[0], both[1] = real[0], head
-    total, head = (both.reshape(-1, 64) @ _COMPLEX_PART).view(complex).reshape(2, *lead, 4, 4)
-    for j in range(prefix // 4 * 4, prefix):  # the last quad's first prefix mod 4 factors
-        head = stack[..., j, :, :] @ head
+    total, head = _in_form(both, False)
+    # the last quad's first prefix mod 4 factors, multiplied as complex matrices
+    for j in range(prefix // 4 * 4, prefix):
+        head = _span(pieces, j, j + 1, False)[..., 0, :, :] @ head
     return total, head
+
+
+def _rows(stack, length):
+    """A (count, ..., k, k) stack of matrices as rows of ``length`` factors."""
+    return stack.reshape(-1, length, *stack.shape[1:])
 
 
 def _stacked(parts, refinements, axis):
@@ -469,7 +515,10 @@ def _step_kernel(h0, drives, h, refinements=None, tail=None):
         generators[-1] *= tail[1] / h
     # (nodes, ..., 4, 4), with the refinements' lead axis if there is one
     values = expm4(_stacked([generators / scale for scale in scales], refinements, 0)).swapaxes(0, -3)
-    read, width = _phase_kernel(np.concatenate([values[:half], values[half - 1 : 0 : -1]]), len(drives), degree, True)
+    # squared factors are read and squared as complex matrices: squaring real
+    # forms would round differently
+    read, width = _phase_kernel(np.concatenate([values[:half], values[half - 1 : 0 : -1]]), len(drives), degree,
+                                True, not any(squarings))
 
     def squared(u, g=0):
         for _ in range(squarings[g]):
@@ -559,11 +608,17 @@ def _lattice(dims, degree, even):
     return nodes, tuple(layout), index, weight
 
 
-def _phase_kernel(values, dims, degree, even):
+def _phase_kernel(values, dims, degree, even, real=True):
     """(read, width): read(phases) gives, at the (dims, count) drive phases,
     each function that takes the (N, ..., 4, 4) ``values`` at the nodes of
     _lattice(dims, degree, even), a (count, ..., 4, 4) stack, read off width
-    basis functions; read(phases, g) gives function g of one lead axis alone."""
+    basis functions; read(phases, g) gives function g of one lead axis alone.
+
+    The basis functions are real and E is real-linear, so E(sum_k b_k C_k) =
+    sum_k b_k E(C_k): with ``real`` and at most 32 functions, the
+    coefficients C_k are embedded once, and read gives (count, ..., 8, 8)
+    real forms, bytewise those _ordered_product would build.  Wider bases,
+    and every basis without ``real``, read complex matrices."""
     _, layout, index, weight = _lattice(dims, degree, even)
     lead = values.shape[1:-2]
     values = values.reshape(len(values), -1)
@@ -574,6 +629,13 @@ def _phase_kernel(values, dims, degree, even):
     fourier[0] += mean
     # interleaved real/imaginary columns: one real GEMM yields complex matrices
     coeffs = (weight[:, :, None] * fourier[index]).sum(axis=1).view(float)
+    # 64 floats per matrix and function cost no more than the 32 x 64
+    # embedding they replace
+    real = real and len(coeffs) <= len(_REAL_FORM)
+    if real:
+        coeffs = (coeffs.reshape(-1, 32) @ _REAL_FORM).reshape(len(coeffs), -1)
+    shape = (8, 8) if real else (4, 4)
+    size = 64 if real else 32  # floats per matrix
 
     def basis(phases):
         count = phases.shape[1]
@@ -616,9 +678,8 @@ def _phase_kernel(values, dims, degree, even):
         return rows
 
     def read(phases, g=None):
-        if g is None:
-            return (basis(phases).T @ coeffs).view(complex).reshape(-1, *lead, 4, 4)
-        return (basis(phases).T @ coeffs[:, 32 * g : 32 * g + 32]).view(complex).reshape(-1, 4, 4)
+        out = basis(phases).T @ (coeffs if g is None else coeffs[:, size * g : size * g + size])
+        return (out if real else out.view(complex)).reshape(-1, *(lead if g is None else ()), *shape)
 
     return read, coeffs.shape[0]
 
@@ -642,7 +703,7 @@ def _block_kernel(factors, drives, h, m, degree, refinements=None):
         start = 2.0 ** -(g + 1) - 0.5
         offsets = delta * np.arange(start, start + m, 2.0**-g)
         phases = (nodes[:, :, None] + offsets).reshape(len(drives), nodes.shape[1] * (m << g))
-        values.append(_ordered_product(factors(phases, g).reshape(-1, m << g, 4, 4)))
+        values.append(_ordered_product(_rows(factors(phases, g), m << g)))
     read, width = _phase_kernel(_stacked(values, refinements, 1), len(drives), degree, False)
     return (lambda phases: read(phases).swapaxes(0, -3)), width
 
@@ -654,12 +715,17 @@ def _grid_product(h0, drives, h, n_steps, split=None, refinements=None, tail=Non
     with ``split`` = k, the pair (products of each refinement's first k 2^g
     steps, the whole products), all from one factor sequence per refinement
     and one tree.  A grid without refinements may follow its first k steps
-    with the step kernel's ``tail`` step (t, delta)."""
+    with the step kernel's ``tail`` step (t, delta).  Steps and blocks come
+    in their kernels' forms, real or complex (module docstring), a grid
+    step of 2^g refined steps in its step kernel's; each chunk's pieces go
+    to the product as one sequence, neither converted nor joined."""
     factors, width, norm, *remainder = _step_kernel(h0, drives, h, refinements, tail)
     grids = refinements or 1
     # a basis holds no more floats than a (_CHUNK, 4, 4) complex stack: the
-    # chunks' bases, and the step basis of a block kernel's nodes; the real
-    # forms of a stack's product hold no more than half its bytes and a block
+    # chunks' bases, and the step basis of a block kernel's nodes.  A stack
+    # read off in the real form holds 64 floats per matrix, twice a complex
+    # one; a complex stack's real forms in the product hold no more than
+    # half its bytes and a block
     m, degree = _block_size(n_steps, len(drives), norm, min(_CHUNK, _CHUNK * 32 // width), grids)
 
     def phases(start, stride, n, step):
@@ -667,9 +733,13 @@ def _grid_product(h0, drives, h, n_steps, split=None, refinements=None, tail=Non
         return np.array([d.frequency * t_mid + d.phase for d in drives]).reshape(-1, n)
 
     def steps(start, n):
-        # grid steps start..start + n - 1, each the product of its 2^g steps of refinement g
-        fine = (factors(phases(start << g, 1, n << g, h / 2**g), g).reshape(n, 1 << g, 4, 4) for g in range(grids))
-        return _stacked([_ordered_product(f) for f in fine], refinements, 0)
+        # grid steps start..start + n - 1, each the product of its 2^g steps of
+        # refinement g, in the form of the step kernel's factors
+        fine = [factors(phases(start, 1, n, h))]
+        for g in range(1, grids):
+            u = _ordered_product(_rows(factors(phases(start << g, 1, n << g, h / 2**g), g), 1 << g))
+            fine.append(_in_form(u, fine[0].shape[-1] == 8))
+        return _stacked(fine, refinements, 0)
 
     if m > 1:
         kernel, width = _block_kernel(factors, drives, h, m, degree, refinements)
@@ -693,8 +763,8 @@ def _grid_product(h0, drives, h, n_steps, split=None, refinements=None, tail=Non
         last, ahead = min(first + chunk, count), r if first == 0 else 0
         pieces = [(steps, 0, ahead), (blocks, r + first * m, last - first),
                   (steps, r + last * m, n_steps - r - last * m if last == count else 0)]
-        stack = [read(start, n) for read, start, n in pieces if n]  # the empty ones left out
-        stack = stack[0] if len(stack) == 1 else np.concatenate(stack, axis=-3)
+        # one sequence of the pieces, the empty ones left out, each in its own form
+        stack = [read(start, n) for read, start, n in pieces if n]
         if prefix is not None and (first < prefix <= last or prefix == first == 0):
             product, head = _ordered_product(stack, ahead + prefix - first)
             head = head @ total
@@ -879,7 +949,9 @@ def convergence_study(
     deviation ratios against the Richardson-extrapolated reference.  Checks
     the pulse as a PulseSpec first, then raises ValueError unless
     ``refinements`` is an integer >= 1 (the reference needs two runs) whose
-    finest grid has at most 2^53 steps.
+    finest grid has at most 2^53 steps, and when a deviation that an
+    estimate divides by is 0: grids that agree exactly, as a flip of 0 or
+    one too small to move them apart gives, show no order.
     """
     pulse = PulseSpec(transition, axis, flip=flip)
     if not isinstance(refinements, (int, np.integer)):
@@ -898,15 +970,18 @@ def convergence_study(
         float(np.max(np.abs(propagators[k] - propagators[k + 1])))
         for k in range(refinements)
     ]
-    orders = [
-        float(np.log2(deviations[k] / deviations[k + 1]))
-        for k in range(refinements - 1)
-    ]
     # Order-2 Richardson reference from the two finest runs; the deviation
     # of the finest run against it is tautologically d/3, so only coarser
     # ratios are reported.
     reference = (4.0 * propagators[-1] - propagators[-2]) / 3.0
     ref_devs = [float(np.max(np.abs(u - reference))) for u in propagators]
+    if 0.0 in deviations[1:] + ref_devs[1:refinements]:
+        raise ValueError(f"the grids of {base} * 2^k steps agree exactly (deviations {deviations}):"
+                         " no order can be estimated from a deviation of 0")
+    orders = [
+        float(np.log2(deviations[k] / deviations[k + 1]))
+        for k in range(refinements - 1)
+    ]
     ratios = [ref_devs[k] / ref_devs[k + 1] for k in range(refinements - 1)]
     return {
         "step_counts": [base * 2**k for k in range(refinements + 1)],

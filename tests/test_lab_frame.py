@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import warnings
@@ -508,6 +509,16 @@ class TestRotatingWaveValidation:
         with pytest.raises(ValueError, match=message):
             convergence_study(params, (1, 2), ratio=1e-2, refinements=refinements)
 
+    @pytest.mark.parametrize("flip", [0.0, 1e-300])
+    def test_convergence_of_grids_that_agree_exactly_refused(self, params, eigen, flip):
+        # every deviation is 0, so an order estimate would divide by 0: refused
+        # by name; one refinement divides by none, and the pulse's infidelity is 0
+        message = r"^the grids of 1 \* 2\^k steps agree exactly .*: no order can be estimated from a deviation of 0$"
+        with pytest.raises(ValueError, match=message):
+            convergence_study(params, (1, 2), 1e-2, "Y", flip)
+        assert convergence_study(params, (1, 2), 1e-2, "Y", flip, refinements=1)["deviations"] == [0.0]
+        assert rwa_infidelity(params, eigen, (1, 2), 1e-2, flip=flip) == 0.0
+
     def test_convergence_takes_a_numpy_integer(self, params):
         study = convergence_study(params, (1, 2), ratio=1e-2, refinements=np.int64(2))
         assert study == convergence_study(params, (1, 2), ratio=1e-2, refinements=2)
@@ -698,6 +709,14 @@ def _real_form(u):
     return np.block([[u.real, -u.imag], [u.imag, u.real]])
 
 
+def _read_back(u):
+    """The complex matrices of a stack of real forms, (..., 8, 8), read back
+    by _COMPLEX_PART; a complex (..., 4, 4) stack as it is."""
+    if u.shape[-1] == 4:
+        return u
+    return (u.reshape(-1, 64) @ lab_frame._COMPLEX_PART).view(complex).reshape(*u.shape[:-2], 4, 4)
+
+
 class TestRealForm:
     """_ordered_product multiplies in the real 8x8 form of each matrix."""
 
@@ -740,18 +759,25 @@ class TestRealForm:
         expected = ((real[0][..., :4, :4] + real[0][..., 4:, 4:]) / 2
                     + 1j * ((real[0][..., 4:, :4] - real[0][..., :4, 4:]) / 2))
         assert lab_frame._ordered_product(stack).tobytes() == expected.tobytes()
+        # a stack given in the real form, as narrow kernels read it, is the same tree
+        assert lab_frame._ordered_product(_real_form(stack)).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 31, 257, 64 * 37 + 29])
     def test_prefix_read_off_the_tree(self, n):
         # U_k ... U_1 for every k from the tree's aligned nodes and the last
         # partial quad, against the complex loop; the product is unchanged
         stack = _random_unitaries(np.random.default_rng(n), n)
+        real = _real_form(stack)
         total = lab_frame._ordered_product(stack)
+        assert lab_frame._ordered_product(real).tobytes() == total.tobytes()
         expected = np.eye(4, dtype=complex)
         for k in range(n + 1):
             product, head = lab_frame._ordered_product(stack, prefix=k)
             assert product.tobytes() == total.tobytes()
             assert head.shape == (4, 4) and np.max(np.abs(head - expected)) <= 1e-14
+            # and bytewise from the stack's real form, its last partial quad read back
+            assert [u.tobytes() for u in lab_frame._ordered_product(real, prefix=k)] == [total.tobytes(),
+                                                                                         head.tobytes()]
             if k < n:
                 expected = stack[k] @ expected
 
@@ -847,7 +873,7 @@ class TestStepKernel:
         h0, drives, h = case
         t_mid = np.random.default_rng(len(drives)).uniform(0.0, 1e3, size=40)
         factors, *_ = lab_frame._step_kernel(h0, drives, h)
-        for t, u in zip(t_mid, factors(_phases(drives, t_mid))):
+        for t, u in zip(t_mid, _read_back(factors(_phases(drives, t_mid)))):
             expected = scipy.linalg.expm(-1j * h * _hamiltonian(h0, drives, t))
             assert np.max(np.abs(u - expected)) <= 1e-14
 
@@ -861,7 +887,7 @@ class TestStepKernel:
         t_mid = (np.arange(1000) + 0.5) * h
         factors, *_ = lab_frame._step_kernel(h0, drives, h)
         expected = [scipy.linalg.expm(-1j * h * _hamiltonian(h0, drives, t)) for t in t_mid]
-        assert np.max(np.abs(np.mean(factors(_phases(drives, t_mid)) - expected, axis=0))) <= 1e-16
+        assert np.max(np.abs(np.mean(_read_back(factors(_phases(drives, t_mid))) - expected, axis=0))) <= 1e-16
 
     @pytest.mark.parametrize("name", ["1-weak", "2-weak"])
     def test_basis_is_the_cosines_of_total_degree(self, name):
@@ -923,7 +949,7 @@ def _tensor_grid_block_kernel(factors, drives, h, m, degree):
     nodes = np.indices((size,) * dims).reshape(dims, size**dims) * (2.0 * np.pi / size)
     delta = np.array([d.frequency * h for d in drives]).reshape(dims, 1, 1)
     phases = (nodes[:, :, None] + delta * np.arange(m)).reshape(dims, size**dims * m)
-    values = lab_frame._ordered_product(factors(phases).reshape(-1, m, 4, 4))
+    values = lab_frame._ordered_product(_read_back(factors(phases)).reshape(-1, m, 4, 4))
     mean = values.reshape(-1, 16).mean(axis=0)  # the kernel's roundoff guard
     coeffs = np.fft.fftn((values.reshape(-1, 16) - mean).reshape((size,) * dims + (16,)),
                          axes=range(dims)) / size**dims
@@ -988,8 +1014,8 @@ class TestBlockKernel:
         delta = np.array([d.frequency * h for d in drives]).reshape(-1, 1)
         expected = np.eye(4)
         for j in range(m):
-            expected = factors(theta + j * delta) @ expected
-        assert np.max(np.abs(blocks(theta) - expected)) <= 1e-14
+            expected = _read_back(factors(theta + j * delta)) @ expected
+        assert np.max(np.abs(_read_back(blocks(theta)) - expected)) <= 1e-14
 
     def test_two_drive_blocks_at_high_degree(self):
         # drives scaled so that m = 8 steps reach m ||Y||_1 = 1.92, just
@@ -1020,7 +1046,7 @@ class TestBlockKernel:
             blocks, width = lab_frame._block_kernel(factors, drives, h, m, degree)
             reference, reference_width = _tensor_grid_block_kernel(factors, drives, h, m, degree)
             assert width == reference_width
-            assert blocks(theta).tobytes() == reference(theta).tobytes()
+            assert _read_back(blocks(theta)).tobytes() == reference(theta).tobytes()
 
     @pytest.mark.parametrize("name", ["0-weak", "1-weak", "2-weak"])
     @pytest.mark.parametrize(("m", "n_steps"), [
@@ -1074,6 +1100,59 @@ class TestBlockKernel:
         chunk = min(lab_frame._CHUNK, lab_frame._CHUNK * 32 // width)
         m, _ = lab_frame._block_size(n_steps, len(drives), norm, chunk)
         assert (m > 1) == blocks
+
+
+def _is_real_form(u):
+    """E11 == E22 and E12 == -E21 bytewise, for each 8x8 matrix of a stack."""
+    return (u[..., :4, :4].tobytes() == u[..., 4:, 4:].tobytes()
+            and u[..., :4, 4:].tobytes() == (-u[..., 4:, :4]).tobytes())
+
+
+class TestKernelForms:
+    """A kernel of at most 32 basis functions reads real forms, embedded once
+    in its coefficients; a wider one reads complex matrices."""
+
+    def test_narrow_kernels_read_real_forms_and_wide_ones_complex(self):
+        theta = np.random.default_rng(32).uniform(0.0, 2.0 * np.pi, size=(2, 50))
+        for name, m, refinements in (("1-weak", 8, None), ("1-weak", 8, 3), ("2-weak", 4, None)):
+            h0, drives, h = KERNEL_CASES[name]
+            factors, width, norm = lab_frame._step_kernel(h0, drives, h, refinements)
+            degree = lab_frame._fourier_degree(m * norm)
+            blocks, block_width = lab_frame._block_kernel(factors, drives, h, m, degree, refinements)
+            grids = refinements or 1
+            stacks = [factors(theta[: len(drives)], g) for g in range(grids)]
+            assert width <= 32 and all(u.shape == (50, 8, 8) and u.dtype == float for u in stacks)
+            if len(drives) == 1:  # one drive: blocks of degree 6, 13 functions
+                stacks.append(blocks(theta[:1]))
+                assert block_width <= 32 and stacks[-1].shape == (*(refinements,) * bool(refinements), 50, 8, 8)
+            else:  # two drives: blocks of degree >= 4, wide
+                u = blocks(theta)
+                assert degree >= 4 and block_width > 32 and u.shape == (50, 4, 4) and u.dtype == complex
+            assert all(_is_real_form(u) for u in stacks)
+        # squared factors are read complex and squared as complex matrices
+        h0, drives, h = KERNEL_CASES["strong-coarse"]
+        factors, width, _ = lab_frame._step_kernel(h0, drives, h)
+        assert width <= 32 and factors(theta[:1]).shape == (50, 4, 4)
+
+    @pytest.mark.parametrize("split", [None, 0, 1, 1038, 2085])
+    def test_a_mixed_chunk_is_the_all_complex_product_bytewise(self, monkeypatch, split):
+        # two drives at n = 2085: m = 4 blocks, 61 functions wide, between real
+        # step pieces (the first r = split mod 4 steps and the 1 to 4 after the
+        # last block), the prefix inside; the steps are read back, and the
+        # product keeps the bytes of every kernel read complex
+        h0, drives, h = KERNEL_CASES["2-weak"]
+        assert lab_frame._block_size(2085, 2, lab_frame._step_kernel(h0, drives, h)[2], lab_frame._CHUNK) == (4, 5)
+        mixed = lab_frame._grid_product(h0, drives, h, 2085, split)
+        complex_kernel = lab_frame._phase_kernel
+        monkeypatch.setattr(lab_frame, "_phase_kernel", lambda *args: complex_kernel(*args[:4], False))
+        expected = lab_frame._grid_product(h0, drives, h, 2085, split)
+        assert np.stack(mixed).tobytes() == np.stack(expected).tobytes()
+
+    def test_a_mixed_chunk_keeps_its_bits(self):
+        # the bytes of (first 1,038 steps, all 2,085) from before the real read-off
+        h0, drives, h = KERNEL_CASES["2-weak"]
+        digest = hashlib.sha256(np.stack(lab_frame._grid_product(h0, drives, h, 2085, 1038)).tobytes()).hexdigest()
+        assert digest == "e61983453cc24cc79a450f9aaac03b15b54ef9ef5d4814210c0194bf24deb561"
 
 
 def _refinement_cases():
@@ -1167,7 +1246,7 @@ class TestRefinements:
             t_mid = np.random.default_rng(len(drives)).uniform(0.0, 1e3, size=20)
             factors, *_ = lab_frame._step_kernel(h0, drives, h, 4)
             for g in range(4):
-                for t, u in zip(t_mid, factors(_phases(drives, t_mid), g)):
+                for t, u in zip(t_mid, _read_back(factors(_phases(drives, t_mid), g))):
                     expected = scipy.linalg.expm(-1j * h / 2**g * _hamiltonian(h0, drives, t))
                     assert np.max(np.abs(u - expected)) <= 1e-14
 
@@ -1228,7 +1307,7 @@ class TestLattice:
                 assert nodes.shape == (dims, lab_frame._rank1_lattice(dims, degree)[0])
                 read, kept = lab_frame._phase_kernel(poly(nodes).reshape(-1, 4, 4), dims, degree, even)
                 assert kept == width
-                assert np.max(np.abs(read(theta).reshape(-1, 16) - poly(theta))) <= 1e-13
+                assert np.max(np.abs(_read_back(read(theta)).reshape(-1, 16) - poly(theta))) <= 1e-13
 
     @pytest.mark.parametrize("name", list(KERNEL_CASES))
     def test_mirrored_node_values(self, name):
