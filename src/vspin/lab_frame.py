@@ -144,32 +144,24 @@ of which shrink with the drive ratio
 where min_gap is the distance from the driven line to the nearest other
 transition frequency.
 
-One subtlety is owned by :func:`drive_for_pulse`: the ideal propagator's
-phase convention absorbs the phase of the drive matrix element, so the
-cosine drive's phase is the engine phase plus ``pulse_engine.AXIS_SHIFT``
-plus pi/2 plus arg<psi_m| I_axis |psi_n>.  The pulse is a ``PulseSpec``, as
-in a compiled program: its amplitude and duration are the engine's
-realization of it, and the ideal it is compared with is its ``PulseStep``'s
-propagator.
+The pulse is a ``PulseSpec``, as in a compiled program, and the engine
+realizes it (``pulse_engine._realization``): its amplitude, its duration and
+its cosine phase, in which the ideal propagator's phase convention absorbs
+the phase of the drive matrix element.  :func:`drive_for_pulse` only wraps
+that drive on the line's frequency, and the ideal it is compared with is
+its ``PulseStep``'s propagator.
 """
 
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import StepTooLarge
 from .operator_algebra import _free_phases
-from .pulse_engine import (
-    AXIS_SHIFT,
-    PulseSpec,
-    PulseStep,
-    _drivable_element,
-    _realization,
-    transition_matrix_element,
-)
+from .pulse_engine import PulseSpec, PulseStep, _realization
 from .spin_system import (
     HERMITIAN_TOL,
     EigenSystem,
@@ -868,38 +860,17 @@ def drive_for_pulse(
     """Lab-frame realization of one selective pulse, in the eigenbasis.
 
     The pulse is checked as a PulseSpec first and realized by the engine's
-    rule (amplitude, duration, refusals); the cosine phase is the engine
-    phase plus the axis shift, plus pi/2 and arg(element), so the realized
-    rotation matches the ideal propagator.
+    rule, which owns its amplitude, duration, cosine phase and refusals.
     """
     return _pulse_drive(params, e, PulseSpec(transition, axis, phase, flip))
 
 
-def _pulse_drive(params: SpinParameters, e, pulse):
-    """drive_for_pulse's system for a PulseSpec, at its realized amplitude and duration."""
-    amplitude, duration = _realization(params, e, pulse)
-    element = transition_matrix_element(e, pulse.transition, pulse.axis)
-    drive = DriveTerm(
-        operator=e.axis_operator(pulse.axis),
-        amplitude=amplitude,
-        frequency=e.transitions._omegas[pulse.transition],
-        phase=float(pulse.phase) + (AXIS_SHIFT[pulse.axis] + np.pi / 2.0) + float(np.angle(element)),
-    )
+def _pulse_drive(params: SpinParameters, e, pulse, ratio=None):
+    """drive_for_pulse's system for a PulseSpec, as the engine realizes it at params.h_rf or at a
+    drive ratio: the axis operator at the line's frequency, amplitude and phase."""
+    amplitude, duration, phase = _realization(params, e, pulse, ratio)
+    drive = DriveTerm(e.axis_operator(pulse.axis), amplitude, e.transitions._omegas[pulse.transition], phase)
     return DrivenSystem(h0=np.diag(e.energies).astype(complex), drives=(drive,), duration=duration)
-
-
-def _drive_at_ratio(params: SpinParameters, e, pulse, ratio):
-    """drive_for_pulse of a PulseSpec with h_rf set so gamma * h_rf * |element|
-    = ratio * min_gap; ValueError naming the ratio unless it is finite and > 0
-    and the pulse it sets is realizable (drive amplitude and duration finite)."""
-    if not (math.isfinite(ratio := float(ratio)) and ratio > 0.0):
-        raise ValueError(f"ratio must be finite and > 0, got {ratio}")
-    element = abs(_drivable_element(e, pulse.transition, pulse.axis))
-    min_gap, _ = e.transitions._nearest(pulse.transition)
-    try:  # gamma * element may underflow to zero, h_rf overflow
-        return _pulse_drive(replace(params, h_rf=ratio * min_gap / (params.gamma * element)), e, pulse)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"ratio {ratio} gives a drive amplitude or pulse duration beyond the float range") from exc
 
 
 def rwa_infidelity(
@@ -922,7 +893,7 @@ def rwa_infidelity(
     pulse = PulseSpec(transition, axis, phase, flip)
     if e is None:
         e = closed_form_eigensystem(params)
-    system = _drive_at_ratio(params, e, pulse, ratio)
+    system = _pulse_drive(params, e, pulse, ratio)
     u_int = to_interaction_frame(integrate_lab_frame(system), e, system.duration)
     return propagator_infidelity(u_int, PulseStep(pulse).propagator(e, None, False))
 
@@ -949,9 +920,11 @@ def convergence_study(
     deviation ratios against the Richardson-extrapolated reference.  Checks
     the pulse as a PulseSpec first, then raises ValueError unless
     ``refinements`` is an integer >= 1 (the reference needs two runs) whose
-    finest grid has at most 2^53 steps, and when a deviation that an
-    estimate divides by is 0: grids that agree exactly, as a flip of 0 or
-    one too small to move them apart gives, show no order.
+    finest grid has at most 2^53 steps, and when a deviation or reference
+    deviation that an estimate divides by is at most one ulp of the grids'
+    largest |entry| (between 2^-53 and 2^-52 times it): grids that agree to
+    roundoff, as a flip of 0 or one too small to move them apart gives
+    (1e-8 on the default spin), show no order.
     """
     pulse = PulseSpec(transition, axis, flip=flip)
     if not isinstance(refinements, (int, np.integer)):
@@ -960,7 +933,7 @@ def convergence_study(
         raise ValueError(f"refinements must be >= 1, got {refinements}")
     refinements = int(refinements)
     e = closed_form_eigensystem(params)
-    system = _drive_at_ratio(params, e, pulse, ratio)
+    system = _pulse_drive(params, e, pulse, ratio)
     base = _step_count(system.duration, system.default_step())
     if base > _MAX_STEPS >> refinements:
         raise ValueError(f"refinements {refinements} make a finest grid of {base} * 2^{refinements}"
@@ -975,9 +948,9 @@ def convergence_study(
     # ratios are reported.
     reference = (4.0 * propagators[-1] - propagators[-2]) / 3.0
     ref_devs = [float(np.max(np.abs(u - reference))) for u in propagators]
-    if 0.0 in deviations[1:] + ref_devs[1:refinements]:
-        raise ValueError(f"the grids of {base} * 2^k steps agree exactly (deviations {deviations}):"
-                         " no order can be estimated from a deviation of 0")
+    if min(deviations[1:] + ref_devs[1:refinements], default=math.inf) <= math.ulp(np.max(np.abs(propagators))):
+        raise ValueError(f"the grids of {base} * 2^k steps agree to roundoff (deviations {deviations}):"
+                         " no order can be estimated from a deviation within one ulp of their largest entry")
     orders = [
         float(np.log2(deviations[k] / deviations[k + 1]))
         for k in range(refinements - 1)

@@ -9,7 +9,8 @@ and rotates the driven two-level subspace:
                                 + (P_nm e^{i phi} - P_mn e^{-i phi}) sin(phi_y / 2)
 
 The X-axis version is the same operator with phi replaced by phi - pi/2,
-stated once in ``AXIS_SHIFT`` for this module and the lab-frame drive.
+stated once in ``AXIS_SHIFT``, which V_Y and a realized pulse's drive
+phase (``_realization``, read by the lab-frame oracle) both read.
 The sin-term orientation is pinned so that (Omega_12, Y, phi = 0,
 phi_y = pi) produces P_33 + P_44 + P_21 - P_12, the controlled-NOT form.
 
@@ -189,25 +190,38 @@ def transition_matrix_element(e: EigenSystem, transition, axis="Y"):
 
 def _drivable_element(e: EigenSystem, line, axis):
     """The drive matrix element of a checked line; ZeroMatrixElement if it is forbidden."""
-    m, n = line
-    element = complex(e.axis_operator(axis)[m - 1, n - 1])
+    element = transition_matrix_element(e, line, axis)
     if not drivable(element):
         raise ZeroMatrixElement(f"transition {line} has |<I_{axis}>| = {abs(element):.2e}; undrivable")
     return element
 
 
-def _realization(params: SpinParameters, e: EigenSystem, pulse: PulseSpec):
-    """(A, T) of a pulse: drive amplitude A = 2 gamma h_rf and duration T = flip / (A |element|); checks
-    h_rf > 0, then drivability, then that A and T are finite and A |element| > 0 (gamma h_rf may underflow to 0)."""
-    if params.h_rf <= 0.0:
-        raise ValueError("h_rf must be > 0 to realize a pulse")
-    line, flip = pulse.transition, pulse.flip
-    element = _drivable_element(e, line, pulse.axis)
-    amplitude = 2.0 * params.gamma * params.h_rf
-    rate = amplitude * abs(element)
-    if not (math.isfinite(amplitude) and rate > 0.0 and math.isfinite(duration := float(flip) / rate)):
-        raise ValueError(f"pulse on {line} is unrealizable: drive amplitude {amplitude:.6g}, flip {flip:.6g}")
-    return amplitude, duration
+def _realization(params: SpinParameters, e: EigenSystem, pulse: PulseSpec, ratio=None):
+    """(A, T, phi) of a pulse at params.h_rf, or at the h_rf that sets gamma h_rf |element| = ratio * min_gap
+    (min_gap the line's nearest gap): drive amplitude A = 2 gamma h_rf, duration T = flip / (A |element|)
+    and the lab drive's cosine phase phi = phase + AXIS_SHIFT + pi/2 + arg(element), all from one read of
+    the element.  Checks h_rf > 0 (or the ratio finite and > 0), then drivability, then that A and T are
+    finite and A |element| > 0 (gamma h_rf may underflow to 0); at a ratio, under the ratio's name."""
+    if ratio is None:
+        if params.h_rf <= 0.0:
+            raise ValueError("h_rf must be > 0 to realize a pulse")
+    elif not (math.isfinite(ratio := float(ratio)) and ratio > 0.0):
+        raise ValueError(f"ratio must be finite and > 0, got {ratio}")
+    line, axis, flip = pulse.transition, pulse.axis, pulse.flip
+    element = _drivable_element(e, line, axis)
+    h_rf = params.h_rf
+    try:  # gamma |element| may underflow to 0, the h_rf it sets overflow
+        if ratio is not None:
+            h_rf = ratio * e.transitions._nearest(line)[0] / (params.gamma * abs(element))
+        amplitude = 2.0 * params.gamma * h_rf
+        rate = amplitude * abs(element)
+        if not (math.isfinite(amplitude) and rate > 0.0 and math.isfinite(duration := float(flip) / rate)):
+            raise ValueError(f"pulse on {line} is unrealizable: drive amplitude {amplitude:.6g}, flip {flip:.6g}")
+    except (ValueError, ZeroDivisionError) as exc:
+        if ratio is None:
+            raise
+        raise ValueError(f"ratio {ratio} gives a drive amplitude or pulse duration beyond the float range") from exc
+    return amplitude, duration, float(pulse.phase) + (AXIS_SHIFT[axis] + np.pi / 2.0) + float(np.angle(element))
 
 
 def flip_angle(p: SpinParameters, e: EigenSystem, transition, axis, duration):

@@ -344,9 +344,15 @@ class TestOracleCheck:
         assert float(ratio) == 0.01
         assert 0.0 < float(infidelity) <= 1e-1
 
-    def test_undrivable_transition_exit_3(self):
-        code, _ = run(["oracle-check", "--ratio", "0.01", "--transition", "2,3", *BASE])
-        assert code == 3
+    @pytest.mark.parametrize("ratio", ["0.01", "1e308", "1e-310"])
+    def test_undrivable_transition_exit_3(self, capsys, ratio):
+        # drivability is refused before the ratio's drive amplitude and
+        # duration, and never under the ratio's name
+        code, text = run(["oracle-check", "--ratio", ratio, "--transition", "2,3", *BASE])
+        assert (code, text) == (3, "ratio,infidelity\n")
+        assert capsys.readouterr().err == (
+            "vspin: ZeroMatrixElement: transition (2, 3) has |<I_Y>| = 0.00e+00; undrivable\n"
+        )
 
     @pytest.mark.parametrize("pair", ["1,2,3", "1", "a,b"])
     def test_malformed_transition_exit_2_with_the_grammars_message(self, capsys, pair):

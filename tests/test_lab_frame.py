@@ -13,7 +13,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vspin import lab_frame
+from vspin import lab_frame, pulse_engine
 from vspin import (
     DrivenSystem,
     DriveTerm,
@@ -36,7 +36,7 @@ from vspin import (
     spin_operators,
     to_interaction_frame,
 )
-from vspin.lab_frame import _drive_at_ratio
+from vspin.lab_frame import _pulse_drive
 from vspin.spin_system import HERMITIAN_TOL, EigenSystem
 
 
@@ -434,10 +434,45 @@ class TestRotatingWaveValidation:
         monkeypatch.setattr(lab_frame, "expm4", lambda a: calls.append(a.shape) or real(a))
         for name in ("svd", "eigh"):
             monkeypatch.setattr(np.linalg, name, lambda *args, name=name, **kwargs: pytest.fail(name))
-        system = _drive_at_ratio(params, eigen, PulseSpec((1, 2), "Y"), 1e-2)
+        system = _pulse_drive(params, eigen, PulseSpec((1, 2), "Y"), 1e-2)
         assert system.duration % _period(system) > _grid_step(system)  # a remainder step
         rwa_infidelity(params, eigen, (1, 2), ratio=1e-2)
         assert len(calls) == 1
+
+    def test_a_ratio_driven_pulse_reads_its_element_once(self, monkeypatch, params, eigen):
+        # the realization reads the drive element once, through the public
+        # transition_matrix_element, and writes the drive phase from it
+        calls = []
+        for name in ("_drivable_element", "transition_matrix_element"):
+            real = getattr(pulse_engine, name)
+            monkeypatch.setattr(pulse_engine, name, lambda *args, name=name, real=real: calls.append(name) or real(*args))
+        runs = (
+            lambda: rwa_infidelity(params, eigen, (1, 2), 1e-2),
+            lambda: convergence_study(params, (1, 2), 1e-2, refinements=1),
+            lambda: _pulse_drive(params, eigen, PulseSpec((3, 4), "X", 0.5), 1e-2),
+        )
+        for run in runs:
+            calls.clear()
+            run()
+            assert calls == ["_drivable_element", "transition_matrix_element"]
+
+    def test_a_drive_ratio_realizes_the_h_rf_it_sets(self):
+        # a pulse at a drive ratio has the bytes of the pulse at the h_rf that
+        # ratio sets: amplitude, cosine phase and duration
+        rng = np.random.default_rng(20261022)
+        for _ in range(32):
+            omega_q = rng.uniform(0.5, 2.0)
+            p = SpinParameters(omega0=rng.uniform(0.2, 0.35) * omega_q, omegaQ=omega_q,
+                               eta=rng.uniform(0.5, 0.9), gamma=10.0 ** rng.uniform(-3.0, 3.0))
+            e = closed_form_eigensystem(p)
+            line, axis = LINES[rng.integers(len(LINES))], "XY"[rng.integers(2)]
+            pulse = PulseSpec(line, axis, rng.uniform(-2.0 * np.pi, 2.0 * np.pi), rng.uniform(0.0, 2.0 * np.pi))
+            ratio = 10.0 ** rng.uniform(-4.0, -1.0)
+            element = pulse_engine.transition_matrix_element(e, line, axis)
+            h_rf = ratio * e.transitions.nearest(*line)[0] / (p.gamma * abs(element))
+            systems = (_pulse_drive(p, e, pulse, ratio), _pulse_drive(replace(p, h_rf=h_rf), e, pulse))
+            a, b = ([s.drives[0].amplitude.hex(), s.drives[0].phase.hex(), s.duration.hex()] for s in systems)
+            assert a == b
 
     def test_underflowing_gamma_refused_as_the_ratio(self, eigen):
         # gamma * |element| underflows to zero, so h_rf = ratio * gap / 0 has no float
@@ -509,15 +544,27 @@ class TestRotatingWaveValidation:
         with pytest.raises(ValueError, match=message):
             convergence_study(params, (1, 2), ratio=1e-2, refinements=refinements)
 
-    @pytest.mark.parametrize("flip", [0.0, 1e-300])
+    @pytest.mark.parametrize("flip", [0.0, 1e-300, 1e-20, 1e-10, 1e-8])
     def test_convergence_of_grids_that_agree_exactly_refused(self, params, eigen, flip):
-        # every deviation is 0, so an order estimate would divide by 0: refused
-        # by name; one refinement divides by none, and the pulse's infidelity is 0
-        message = r"^the grids of 1 \* 2\^k steps agree exactly .*: no order can be estimated from a deviation of 0$"
+        # a deviation an order estimate divides by is within one ulp of the
+        # grids' largest entry (0 at the two smallest flips, 2^-53 at 1e-10 and
+        # 1e-8), so it shows roundoff and no order: refused by name; one
+        # refinement divides by none
+        message = (r"^the grids of 1 \* 2\^k steps agree to roundoff .*: no order can be estimated"
+                   r" from a deviation within one ulp of their largest entry$")
         with pytest.raises(ValueError, match=message):
             convergence_study(params, (1, 2), 1e-2, "Y", flip)
-        assert convergence_study(params, (1, 2), 1e-2, "Y", flip, refinements=1)["deviations"] == [0.0]
-        assert rwa_infidelity(params, eigen, (1, 2), 1e-2, flip=flip) == 0.0
+        one = convergence_study(params, (1, 2), 1e-2, "Y", flip, refinements=1)["deviations"]
+        assert len(one) == 1
+        if flip <= 1e-300:  # the grids agree exactly, and the pulse's infidelity is 0
+            assert one == [0.0]
+            assert rwa_infidelity(params, eigen, (1, 2), 1e-2, flip=flip) == 0.0
+
+    def test_convergence_past_roundoff_reads_the_order(self, params):
+        # at flip 1e-6 the finer deviation, 2.3e-16, is about twice one ulp of
+        # the grids' largest entry, and it carries the integrator's order 2
+        study = convergence_study(params, (1, 2), 1e-2, "Y", 1e-6)
+        assert abs(study["orders"][0] - 2.0) < 1e-3
 
     def test_convergence_takes_a_numpy_integer(self, params):
         study = convergence_study(params, (1, 2), ratio=1e-2, refinements=np.int64(2))
@@ -544,7 +591,7 @@ def _seeded_pulse(rng, transition, axis, ratio=0.02):
                        eta=rng.uniform(0.5, 0.9))
     e = closed_form_eigensystem(p)
     pulse = PulseSpec(transition, axis, rng.uniform(0.0, 2.0 * np.pi), rng.uniform(0.25, 0.75) * np.pi)
-    return _drive_at_ratio(p, e, pulse, ratio)
+    return _pulse_drive(p, e, pulse, ratio)
 
 
 def _period(system):
@@ -838,7 +885,7 @@ def _kernel_cases():
                        eta=rng.uniform(0.5, 0.9))
     e = closed_form_eigensystem(p)
     weak = [
-        _drive_at_ratio(p, e, PulseSpec(line, axis, rng.uniform(0.0, 2.0 * np.pi)), 1e-2).drives[0]
+        _pulse_drive(p, e, PulseSpec(line, axis, rng.uniform(0.0, 2.0 * np.pi)), 1e-2).drives[0]
         for line, axis in zip(LINES, "YXY")
     ]
     h0 = np.diag(e.energies).astype(complex)
